@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -44,7 +45,6 @@ from .fileio import (
 )
 from .operator import FinSuppVector, materialize, matrix_norm_bound
 from .orbital import (
-    orbital_graph,
     positive_element_graph,
     rayleigh_transfer,
     spectra_compare_orbits,
@@ -295,9 +295,8 @@ def cmd_orbital(args) -> int:
         )
     rep.jset("cross-miss-list", [format_complex(c.lam) for c in misses])
     code = 0
-    gx = orbital_graph(action, args.x, element)
-    gy = orbital_graph(action, args.y, element)
-    reach = max(max((len(w) for w in gx.alphabet), default=1), 1)
+    gx, gy = comp.graph_x, comp.graph_y
+    reach = gx.transfer_reach
     verdict_idx = min(reach, len(comp.local_iso.radii) - 1)
     match = comp.local_iso.radii[verdict_idx].x_matches.get(args.x)
     if comp.max_common_radius >= reach and match is not None:
@@ -348,14 +347,26 @@ def cmd_demo_shift(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes ``-0.3+0.2i``, ``-2i`` or ``-1e-3`` after an option for its value.
+
+    argparse reads an argument that starts with a minus as an option unless
+    it is a plain negative decimal, so complex values need a wider pattern.
+    No option of wgraph starts with a minus followed by a digit, a dot or ``i``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|i$)")
+
+
 def _add_common(p: argparse.ArgumentParser, tol_default: float):
     p.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
     p.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgraph",
         description="weighted-graph operator algebra, coverings and orbital spectra",
     )

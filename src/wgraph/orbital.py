@@ -301,14 +301,29 @@ class LabeledOrbitalGraph:
     alphabet: tuple
 
     @cached_property
-    def _neighbors(self) -> dict:
-        adj = {v: set() for v in self.graph.vertices}
-        for k in self.labels:
+    def _adjacency(self) -> dict:
+        """Word-indexed adjacency: per vertex, the out- and then the
+        in-neighbour along each alphabet word in alphabet order, None where
+        the vertex has no such labeled arc."""
+        slot = {w: 2 * i for i, w in enumerate(self.alphabet)}
+        adj = {v: [None] * (2 * len(self.alphabet)) for v in self.graph.vertices}
+        for k, word in self.labels.items():
             a = self.graph.arcs[k]
-            if a.source != a.target:
-                adj[a.source].add(a.target)
-                adj[a.target].add(a.source)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+            adj[a.source][slot[word]] = a.target
+            adj[a.target][slot[word] + 1] = a.source
+        return {v: tuple(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _neighbors(self) -> dict:
+        return {
+            v: tuple(sorted({w for w in ns if w is not None and w != v}))
+            for v, ns in self._adjacency.items()
+        }
+
+    @property
+    def transfer_reach(self) -> int:
+        """Default reach of :func:`rayleigh_transfer`: the longest label word, at least 1."""
+        return max([1] + [len(w) for w in self.alphabet])
 
     def distances(self, start: str) -> dict:
         """Combinatorial distances from ``start`` along labeled edges.
@@ -397,70 +412,34 @@ def ball(orbital: LabeledOrbitalGraph, center: str, radius: int) -> LabeledOrbit
     return LabeledOrbitalGraph(graph, labels, center, orbital.alphabet)
 
 
-def _ball_data(orbital: LabeledOrbitalGraph, center: str, radius: int, cache: dict | None = None):
-    key = (id(orbital), center, radius)
-    if cache is not None and key in cache:
-        return cache[key]
-    dist = orbital.distances(center)
-    verts = frozenset(v for v, d in dist.items() if d <= radius)
-    out: dict[str, dict] = {v: {} for v in verts}
-    inn: dict[str, dict] = {v: {} for v in verts}
-    for k, word in orbital.labels.items():
-        a = orbital.graph.arcs[k]
-        if a.source in verts and a.target in verts:
-            out[a.source][word] = a.target
-            inn[a.target][word] = a.source
-    data = (verts, out, inn)
-    if cache is not None:
-        cache[key] = data
-    return data
+def _ball_code(g: LabeledOrbitalGraph, root: str, radius: int):
+    """Canonical code of the rooted ball of ``radius`` around ``root``.
 
-
-def _rooted_ball_iso(
-    gx: LabeledOrbitalGraph,
-    vx: str,
-    gy: LabeledOrbitalGraph,
-    vy: str,
-    radius: int,
-    cache: dict | None = None,
-):
-    """Unique root-preserving label isomorphism of two balls, or None.
-
-    Labels are deterministic (at most one in- and one out-arc per word and
-    vertex), so a synchronized traversal from the roots either constructs
-    the isomorphism or finds a certificate of failure: a word present on
-    one side only, or inconsistent vertex coincidences.
+    Labels are deterministic (at most one out- and one in-arc per word and
+    vertex), so a breadth-first traversal that probes the words in alphabet
+    order, out-arcs before in-arcs, and stops discovering vertices at depth
+    ``radius`` numbers the ball canonically.  Each probe records the
+    neighbour's visit index, or None when there is no arc or the neighbour
+    lies outside the ball.  Two rooted balls are label-isomorphic exactly
+    when their codes are equal, and pairing their visit orders is then the
+    isomorphism.  Returns ``(code, order)``.
     """
-    xverts, xout, xinn = _ball_data(gx, vx, radius, cache)
-    yverts, yout, yinn = _ball_data(gy, vy, radius, cache)
-    if len(xverts) != len(yverts):
-        return None
-    fwd = {vx: vy}
-    bwd = {vy: vx}
-    queue = deque([vx])
-    while queue:
-        u = queue.popleft()
-        u2 = fwd[u]
-        for word in gx.alphabet:
-            for mx, my in ((xout, yout), (xinn, yinn)):
-                t = mx[u].get(word)
-                t2 = my[u2].get(word)
-                if (t is None) != (t2 is None):
-                    return None
-                if t is None:
-                    continue
-                if t in fwd:
-                    if fwd[t] != t2:
-                        return None
-                elif t2 in bwd:
-                    return None
-                else:
-                    fwd[t] = t2
-                    bwd[t2] = t
-                    queue.append(t)
-    if len(fwd) != len(xverts):
-        return None
-    return fwd
+    g.graph.vertex_index(root)
+    adj = g._adjacency
+    index = {root: 0}
+    order = [root]
+    depth = [0]
+    code = []
+    for i, u in enumerate(order):  # the loop also visits vertices appended below
+        inside = depth[i] < radius
+        for t in adj[u]:
+            j = index.get(t)
+            if j is None and t is not None and inside:
+                j = index[t] = len(order)
+                order.append(t)
+                depth.append(depth[i] + 1)
+            code.append(j)
+    return tuple(code), order
 
 
 @dataclass(frozen=True)
@@ -495,39 +474,38 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
 
     For each radius l <= max_radius, every radius-l ball of one graph must
     be rooted-label-isomorphic to some ball of the other, and vice versa.
-    Matching is monotone in the radius (an isomorphism at l restricts to
-    one at l-1), so candidate matches only shrink; once a radius fails,
-    all larger radii are reported failed without re-testing.
+    Each ball is reduced to its canonical code (one traversal per ball and
+    radius), and a vertex's match is the first vertex, in the other graph's
+    vertex order, whose ball has the same code.  Matching is monotone in
+    the radius (an isomorphism at l restricts to one at l-1), so once a
+    radius fails, all larger radii are reported failed without re-testing.
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    cache: dict = {}
-    xcand = {v: list(gy.graph.vertices) for v in gx.graph.vertices}
-    ycand = {v: list(gx.graph.vertices) for v in gy.graph.vertices}
     verdicts: list[RadiusVerdict] = []
     failed = False
     for radius in range(max_radius + 1):
         if failed:
             verdicts.append(RadiusVerdict(radius, False, {}, {}))
             continue
-        x_matches = {}
-        for v, cands in xcand.items():
-            good = [w for w in cands if _rooted_ball_iso(gx, v, gy, w, radius, cache) is not None]
-            xcand[v] = good
-            x_matches[v] = good[0] if good else None
-        y_matches = {}
-        for v, cands in ycand.items():
-            good = [w for w in cands if _rooted_ball_iso(gy, v, gx, w, radius, cache) is not None]
-            ycand[v] = good
-            y_matches[v] = good[0] if good else None
-        ok = all(m is not None for m in x_matches.values()) and all(
-            m is not None for m in y_matches.values()
-        )
+        xcodes = {v: _ball_code(gx, v, radius)[0] for v in gx.graph.vertices}
+        ycodes = {v: _ball_code(gy, v, radius)[0] for v in gy.graph.vertices}
+        x_matches = _first_matches(xcodes, ycodes)
+        y_matches = _first_matches(ycodes, xcodes)
+        ok = None not in x_matches.values() and None not in y_matches.values()
         verdicts.append(RadiusVerdict(radius, ok, x_matches, y_matches))
         failed = not ok
     return LocalIsoResult(tuple(verdicts))
+
+
+def _first_matches(codes: dict, other: dict) -> dict:
+    """Each vertex of ``codes`` -> the first vertex of ``other`` with its code, or None."""
+    first: dict = {}
+    for w, code in other.items():
+        first.setdefault(code, w)
+    return {v: first.get(code) for v, code in codes.items()}
 
 
 def positive_element_graph(
@@ -580,11 +558,11 @@ def rayleigh_transfer(
     """
     vx, vy = match
     if reach is None:
-        reach = max((len(w) for w in gx.alphabet), default=1)
-        reach = max(reach, 1)
+        reach = gx.transfer_reach
     radius = support_radius + int(reach)
-    iso = _rooted_ball_iso(gx, vx, gy, vy, radius)
-    if iso is None:
+    code_x, order_x = _ball_code(gx, vx, radius)
+    code_y, order_y = _ball_code(gy, vy, radius)
+    if gx.alphabet != gy.alphabet or code_x != code_y:
         raise ActionError(
             f"balls of radius {radius} around {vx!r} and {vy!r} are not isomorphic; "
             "match radius insufficient"
@@ -598,6 +576,7 @@ def rayleigh_transfer(
     sx = s_builder(gx)
     sy = s_builder(gy)
     value_x = apply(sx, vec).inner(vec)
+    iso = dict(zip(order_x, order_y))
     mapped = FinSuppVector({iso[k]: c for k, c in vec.items()})
     value_y = apply(sy, mapped).inner(mapped)
     return float(value_x.real), float(value_y.real)
@@ -624,6 +603,8 @@ class OrbitComparison:
     max_common_radius: int
     saturated: bool
     cross_checks: tuple[MembershipCross, ...]
+    graph_x: LabeledOrbitalGraph
+    graph_y: LabeledOrbitalGraph
 
 
 def spectra_compare_orbits(
@@ -642,7 +623,8 @@ def spectra_compare_orbits(
     the larger diameter unless ``max_radius`` overrides; ``saturated``
     means the cap itself passed), and per-eigenvalue membership
     cross-checks of the x-spectrum against both operators at the
-    element's default radius bound.
+    element's default radius bound.  The two labeled orbital graphs come
+    back as ``graph_x`` and ``graph_y`` for follow-up checks.
     """
     gx = orbital_graph(action_x, x, element)
     gy = orbital_graph(action_y, y, element)
@@ -674,4 +656,6 @@ def spectra_compare_orbits(
         max_common_radius=iso.max_ok_radius,
         saturated=iso.max_ok_radius == cap,
         cross_checks=cross,
+        graph_x=gx,
+        graph_y=gy,
     )

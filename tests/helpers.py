@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from wgraph import (
     GroupAction,
     GroupAlgebraElement,
+    LabeledOrbitalGraph,
+    LocalIsoResult,
+    RadiusVerdict,
     WeightedGraph,
     make_graph,
     voltage_cover,
@@ -14,6 +19,14 @@ from wgraph import (
 
 ODOMETER_TRANSITIONS = {
     "a": {"0": ("1", "e"), "1": ("0", "a")},
+    "e": {"0": ("0", "e"), "1": ("1", "e")},
+}
+
+GRIGORCHUK_TRANSITIONS = {
+    "a": {"0": ("1", "e"), "1": ("0", "e")},
+    "b": {"0": ("0", "a"), "1": ("1", "c")},
+    "c": {"0": ("0", "a"), "1": ("1", "d")},
+    "d": {"0": ("0", "e"), "1": ("1", "b")},
     "e": {"0": ("0", "e"), "1": ("1", "e")},
 }
 
@@ -133,3 +146,73 @@ def random_element(rng: np.random.Generator, names, max_terms: int = 4, max_len:
     if not elem:
         elem = GroupAlgebraElement({(names[0],): 1.0})
     return elem
+
+
+def _reference_ball(g: LabeledOrbitalGraph, center: str, radius: int):
+    dist = g.distances(center)
+    verts = frozenset(v for v, d in dist.items() if d <= radius)
+    out: dict[str, dict] = {v: {} for v in verts}
+    inn: dict[str, dict] = {v: {} for v in verts}
+    for k, word in g.labels.items():
+        a = g.graph.arcs[k]
+        if a.source in verts and a.target in verts:
+            out[a.source][word] = a.target
+            inn[a.target][word] = a.source
+    return verts, out, inn
+
+
+def reference_ball_iso(gx: LabeledOrbitalGraph, vx: str, gy: LabeledOrbitalGraph, vy: str, radius: int):
+    """Root-preserving label isomorphism of two balls by a synchronized
+    traversal of both (the pairwise matcher the ball codes replace), or None."""
+    xverts, xout, xinn = _reference_ball(gx, vx, radius)
+    yverts, yout, yinn = _reference_ball(gy, vy, radius)
+    if len(xverts) != len(yverts):
+        return None
+    fwd = {vx: vy}
+    bwd = {vy: vx}
+    queue = deque([vx])
+    while queue:
+        u = queue.popleft()
+        u2 = fwd[u]
+        for word in gx.alphabet:
+            for mx, my in ((xout, yout), (xinn, yinn)):
+                t = mx[u].get(word)
+                t2 = my[u2].get(word)
+                if (t is None) != (t2 is None):
+                    return None
+                if t is None:
+                    continue
+                if t in fwd:
+                    if fwd[t] != t2:
+                        return None
+                elif t2 in bwd:
+                    return None
+                else:
+                    fwd[t] = t2
+                    bwd[t2] = t
+                    queue.append(t)
+    if len(fwd) != len(xverts):
+        return None
+    return fwd
+
+
+def reference_local_iso(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius: int) -> LocalIsoResult:
+    """Two-way ball matching by pairwise tests on per-vertex candidate lists
+    that shrink with the radius; the first surviving candidate is the match."""
+    xcand = {v: list(gy.graph.vertices) for v in gx.graph.vertices}
+    ycand = {v: list(gx.graph.vertices) for v in gy.graph.vertices}
+    verdicts = []
+    failed = False
+    for radius in range(max_radius + 1):
+        if failed:
+            verdicts.append(RadiusVerdict(radius, False, {}, {}))
+            continue
+        matches = []
+        for g, h, cand in ((gx, gy, xcand), (gy, gx, ycand)):
+            for v, ws in cand.items():
+                cand[v] = [w for w in ws if reference_ball_iso(g, v, h, w, radius) is not None]
+            matches.append({v: ws[0] if ws else None for v, ws in cand.items()})
+        ok = all(m is not None for side in matches for m in side.values())
+        verdicts.append(RadiusVerdict(radius, ok, *matches))
+        failed = not ok
+    return LocalIsoResult(tuple(verdicts))

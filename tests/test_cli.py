@@ -151,6 +151,31 @@ def test_spectrum_membership_check(files, capsys):
     assert "MEMBER: no" in out
 
 
+def test_negative_complex_values_are_accepted_as_separate_arguments(files, capsys):
+    for text, lam in (("-0.3+0.2i", -0.3 + 0.2j), ("-2i", -2j)):
+        code, out, _ = run(capsys, [
+            "spectrum", "--matrix", files["nil.mat"], "--check-lambda", text,
+        ])
+        assert code == 0
+        line = [ln for ln in out.splitlines() if ln.startswith("LAMBDA: ")][0]
+        assert parse_complex(line.split(": ")[1]) == lam
+        assert "MEMBER: no" in out
+    code, out, _ = run(capsys, [
+        "graph-op", "scale", "--graph", files["swap.wg"], "--factor", "-0.3+0.2i",
+    ])
+    assert code == 0 and "SELF-CHECK: ok" in out
+    code, out, _ = run(capsys, [
+        "graph-op", "deficiency", "--graph", files["cycle8.wg"], "--lambda", "-2i", "--R", "6",
+    ])
+    assert code == 0 and "LAMBDA: " in out and "SELF-CHECK: ok" in out
+
+
+def test_jobs_flag_is_a_usage_error(files):
+    with pytest.raises(SystemExit) as e:
+        main(["spectrum", "--graph", files["swap.wg"], "--jobs", "1"])
+    assert e.value.code == 2
+
+
 def test_spectrum_needs_exactly_one_source(files, capsys):
     code, _, err = run(capsys, [
         "spectrum", "--graph", files["swap.wg"], "--matrix", files["nil.mat"],

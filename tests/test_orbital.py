@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    GRIGORCHUK_TRANSITIONS,
     ODOMETER_TRANSITIONS,
     adjacency_element,
     circulant_spectrum,
     odometer_action,
     random_element,
     random_finite_action,
+    reference_ball_iso,
+    reference_local_iso,
 )
 
 from wgraph import (
@@ -33,6 +36,7 @@ from wgraph import (
     spectrum,
     word_str,
 )
+from wgraph.orbital import _ball_code
 
 
 def test_word_parsing_and_inversion():
@@ -236,6 +240,83 @@ def test_local_iso_of_odometer_levels_saturates_at_half_cycle():
     res = local_iso_check(g3, g4, 5)
     assert [v.ok for v in res.radii] == [True, True, True, True, False, False]
     assert res.max_ok_radius == 3  # floor((8-1)/2): balls stay labeled paths
+
+
+def repermuted(rng: np.random.Generator, act: GroupAction) -> GroupAction:
+    """The same permutations handed to the generators in a shuffled order,
+    on randomly relabeled points."""
+    names = act.generator_names()
+    shuffled = [names[i] for i in rng.permutation(len(names))]
+    relabel = [int(i) for i in rng.permutation(len(act.points))]
+    perms = {}
+    for name, source in zip(names, shuffled):
+        perm = [0] * len(act.points)
+        for i, j in enumerate(act.perms[source]):
+            perm[relabel[i]] = relabel[j]
+        perms[name] = tuple(perm)
+    return GroupAction(act.points, perms)
+
+
+def test_local_iso_matches_pairwise_reference_matcher():
+    rng = np.random.default_rng(1207)
+    kinds = {"equal": 0, "repermuted": 0}
+    failing = late = passing = 0
+    for case in range(120):
+        act_x = random_finite_action(rng, max_points=10)
+        kind = "equal" if case % 2 else "repermuted"
+        act_y = act_x if kind == "equal" else repermuted(rng, act_x)
+        elem = random_element(rng, act_x.generator_names())
+        x, y = (act_x.points[int(i)] for i in rng.integers(0, len(act_x.points), size=2))
+        gx = orbital_graph(act_x, x, elem)
+        gy = orbital_graph(act_y, y, elem)
+        got = local_iso_check(gx, gy, 5)
+        assert got.radii == reference_local_iso(gx, gy, 5).radii, (case, kind)
+        for v in got.radii:
+            for vx, vy in v.x_matches.items():
+                if vy is None:
+                    continue
+                code_x, order_x = _ball_code(gx, vx, v.radius)
+                code_y, order_y = _ball_code(gy, vy, v.radius)
+                assert code_x == code_y
+                assert dict(zip(order_x, order_y)) == reference_ball_iso(gx, vx, gy, vy, v.radius)
+        kinds[kind] += 1
+        failing += got.max_ok_radius < 5
+        late += 0 <= got.max_ok_radius < 5
+        passing += got.max_ok_radius == 5
+    assert all(kinds.values())
+    assert failing >= 10 and late >= 5 and passing >= 10
+
+
+def test_ball_codes_differ_exactly_when_reference_finds_no_isomorphism():
+    rng = np.random.default_rng(1208)
+    for _ in range(30):
+        act = random_finite_action(rng, max_points=8)
+        elem = random_element(rng, act.generator_names())
+        gx = orbital_graph(act, act.points[0], elem)
+        gy = orbital_graph(repermuted(rng, act), act.points[0], elem)
+        for radius in range(4):
+            for vx in gx.graph.vertices:
+                for vy in gy.graph.vertices:
+                    same = _ball_code(gx, vx, radius)[0] == _ball_code(gy, vy, radius)[0]
+                    assert same == (reference_ball_iso(gx, vx, gy, vy, radius) is not None)
+
+
+def test_grigorchuk_orbits_are_locally_indistinguishable():
+    act = GroupAction.from_mealy(GRIGORCHUK_TRANSITIONS, ["0", "1"], 5)
+    elem = GroupAlgebraElement({(g,): 1.0 for g in "abcd"})
+    comp = spectra_compare_orbits(act, act, "00000", "10110", elem)
+    assert comp.orbit_size_x == comp.orbit_size_y == 32
+    assert comp.saturated
+    assert comp.hausdorff <= 1e-12
+    assert comp.graph_x.root == "00000" and comp.graph_y.root == "10110"
+    assert comp.graph_x.transfer_reach == 1
+
+
+def test_transfer_reach_is_longest_label_word_at_least_one():
+    act = odometer_action(3)
+    assert orbital_graph(act, "000", GroupAlgebraElement({(): 1.0})).transfer_reach == 1
+    two = GroupAlgebraElement({("a", "a"): 1.0, ("a'",): 1.0})
+    assert orbital_graph(act, "000", two).transfer_reach == 2
 
 
 def test_positive_element_graph_scalar_example():
