@@ -8,15 +8,25 @@ associated vertex-space operator (see :func:`wgraph.operator.materialize`)
 exactly the way its name suggests: ``scale`` multiplies it by a scalar,
 ``add_scalar`` adds a multiple of the identity, ``adjoint`` conjugate
 transposes it, and ``compose`` multiplies two of them.
+
+The arcs are stored as parallel numpy arrays (source and target positions
+in the sorted vertex tuple, complex weights, reversal pairing), so every
+operation is a few array expressions.  Complex products are formed from
+their real parts exactly as Python's ``complex * complex`` does, so weights
+agree bit for bit with arc-by-arc arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterable
 
-from .errors import GraphStructureError
+import numpy as np
+
+from .errors import DimensionCapError, GraphStructureError
 
 __all__ = [
     "Arc",
@@ -28,8 +38,11 @@ __all__ = [
     "adjoint",
     "compose",
     "compose_with_pairs",
+    "deficiency_chain",
     "deficiency_graph",
     "normalize",
+    "GRAPH_OPS",
+    "SkeletonCache",
 ]
 
 
@@ -42,30 +55,106 @@ class Arc:
     weight: complex
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    # a read-only view, so an array passed in keeps its own flags and is not copied
+    out = np.asarray(values, dtype=dtype).view()
+    out.setflags(write=False)
+    return out
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise ``a * b`` rounded like Python's complex product.
+
+    numpy's vectorized complex multiply may round the last bit differently
+    from ``complex.__mul__``; the real form below repeats Python's formula.
+    """
+    ar, ai = np.real(a), np.imag(a)
+    br, bi = np.real(b), np.imag(b)
+    out = np.empty(np.broadcast(ar, br).shape, dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+class ArcView(Sequence):
+    """Read-only sequence of :class:`Arc` values over a graph's arc arrays."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "WeightedGraph"):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.weight)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        g = self._graph
+        return Arc(g.vertices[g.source[k]], g.vertices[g.target[k]], complex(g.weight[k]))
+
+    def __iter__(self):
+        g = self._graph
+        names = g.vertices
+        for s, t, w in zip(g.source.tolist(), g.target.tolist(), g.weight.tolist()):
+            yield Arc(names[s], names[t], w)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Immutable weighted multigraph with an arc-reversal pairing.
 
     ``vertices`` is the canonical (lexicographic) vertex order used for
-    materialization and serialization.  ``pairing[i]`` is the index of the
-    reversal of arc ``i``; it satisfies ``pairing[pairing[i]] == i`` and the
-    reversal swaps the endpoints (so a self-paired arc is a loop).
+    materialization and serialization.  Arc ``i`` runs from
+    ``vertices[source[i]]`` to ``vertices[target[i]]`` with weight
+    ``weight[i]``; ``pair[i]`` is the index of its reversal, so
+    ``pair[pair[i]] == i`` and the reversal swaps the endpoints (a
+    self-paired arc is a loop).  The arrays are read-only.  ``arcs`` and
+    ``pairing`` show the same data as a sequence of :class:`Arc` and a
+    tuple of ints.
     """
 
     vertices: tuple[str, ...]
-    arcs: tuple[Arc, ...]
-    pairing: tuple[int, ...]
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+    pair: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("source", np.int32), ("target", np.int32),
+                            ("weight", complex), ("pair", np.int32)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.vertices == other.vertices and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("source", "target", "weight", "pair")
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, len(self.weight)))
+
+    @property
+    def arcs(self) -> ArcView:
+        return ArcView(self)
+
+    @cached_property
+    def pairing(self) -> tuple[int, ...]:
+        return tuple(self.pair.tolist())
 
     @cached_property
     def _vertex_pos(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def _out(self) -> dict:
-        out = {v: [] for v in self.vertices}
-        for i, a in enumerate(self.arcs):
-            out[a.source].append(i)
-        return {v: tuple(ix) for v, ix in out.items()}
+    def _out_degree(self) -> np.ndarray:
+        return np.bincount(self.source, minlength=len(self.vertices))
+
+    def with_weights(self, weight) -> "WeightedGraph":
+        """The same arcs and pairing carrying new weights."""
+        return WeightedGraph(self.vertices, self.source, self.target, weight, self.pair)
 
     def vertex_index(self, vertex: str) -> int:
         try:
@@ -75,9 +164,7 @@ class WeightedGraph:
 
     def out_arcs(self, vertex: str) -> tuple[int, ...]:
         """Indices of the arcs whose source is ``vertex``."""
-        if vertex not in self._out:
-            raise GraphStructureError(f"unknown vertex {vertex!r}")
-        return self._out[vertex]
+        return tuple(np.flatnonzero(self.source == self.vertex_index(vertex)).tolist())
 
     @property
     def order(self) -> int:
@@ -85,10 +172,30 @@ class WeightedGraph:
 
     def max_out_degree(self) -> int:
         """Largest number of arcs leaving a single vertex (boundedness witness)."""
-        return max((len(ix) for ix in self._out.values()), default=0)
+        return int(self._out_degree.max())
 
     def max_abs_weight(self) -> float:
-        return max((abs(a.weight) for a in self.arcs), default=0.0)
+        w = self.weight
+        return float(np.hypot(w.real, w.imag).max()) if len(w) else 0.0
+
+
+def _check_pairing(source: np.ndarray, target: np.ndarray, pairing: list[int]):
+    """Raise for the first arc whose pairing entry is out of range, not an
+    involution, or does not reverse the arc's endpoints."""
+    m = len(source)
+    pair = np.array([j if 0 <= j < m else -1 for j in pairing], dtype=np.int64)
+    out_of_range = pair < 0
+    p = np.where(out_of_range, 0, pair)
+    not_involution = ~out_of_range & (pair[p] != np.arange(m))
+    not_reversed = (source[p] != target) | (target[p] != source)
+    bad = np.flatnonzero(out_of_range | not_involution | not_reversed)
+    if bad.size:
+        i = int(bad[0])
+        if out_of_range[i]:
+            raise GraphStructureError(f"pairing[{i}] = {pairing[i]} is out of range")
+        if not_involution[i]:
+            raise GraphStructureError(f"pairing is not an involution at arc {i}")
+        raise GraphStructureError(f"pairing[{i}] = {pairing[i]} does not reverse the arc endpoints")
 
 
 def make_graph(vertices: Iterable[str], arcs, pairing) -> WeightedGraph:
@@ -109,34 +216,32 @@ def make_graph(vertices: Iterable[str], arcs, pairing) -> WeightedGraph:
         dup = sorted(v for v in set(verts) if verts.count(v) > 1)
         raise GraphStructureError(f"duplicate vertex ids: {dup}")
     vt = tuple(sorted(verts))
-    vset = set(vt)
+    pos = {v: i for i, v in enumerate(vt)}
 
-    norm_arcs: list[Arc] = []
+    source, target, weight = [], [], []
     for k, a in enumerate(arcs):
         if isinstance(a, Arc):
-            arc = Arc(a.source, a.target, complex(a.weight))
+            s, t, w = a.source, a.target, complex(a.weight)
         else:
             s, t, w = a
-            arc = Arc(str(s), str(t), complex(w))
-        if arc.source not in vset:
-            raise GraphStructureError(f"arc {k}: unknown source vertex {arc.source!r}")
-        if arc.target not in vset:
-            raise GraphStructureError(f"arc {k}: unknown target vertex {arc.target!r}")
-        norm_arcs.append(arc)
+            s, t, w = str(s), str(t), complex(w)
+        if s not in pos:
+            raise GraphStructureError(f"arc {k}: unknown source vertex {s!r}")
+        if t not in pos:
+            raise GraphStructureError(f"arc {k}: unknown target vertex {t!r}")
+        source.append(pos[s])
+        target.append(pos[t])
+        weight.append(w)
 
-    pr = tuple(int(p) for p in pairing)
-    if len(pr) != len(norm_arcs):
+    pr = [int(p) for p in pairing]
+    if len(pr) != len(weight):
         raise GraphStructureError(
-            f"pairing length {len(pr)} does not match arc count {len(norm_arcs)}"
+            f"pairing length {len(pr)} does not match arc count {len(weight)}"
         )
-    for i, j in enumerate(pr):
-        if not 0 <= j < len(norm_arcs):
-            raise GraphStructureError(f"pairing[{i}] = {j} is out of range")
-        if pr[j] != i:
-            raise GraphStructureError(f"pairing is not an involution at arc {i}")
-        if norm_arcs[j].source != norm_arcs[i].target or norm_arcs[j].target != norm_arcs[i].source:
-            raise GraphStructureError(f"pairing[{i}] = {j} does not reverse the arc endpoints")
-    return WeightedGraph(vt, tuple(norm_arcs), pr)
+    source = np.array(source, dtype=np.int32)
+    target = np.array(target, dtype=np.int32)
+    _check_pairing(source, target, pr)
+    return WeightedGraph(vt, source, target, np.array(weight, dtype=complex), pr)
 
 
 def identity_graph(vertices: Iterable[str]) -> WeightedGraph:
@@ -147,9 +252,7 @@ def identity_graph(vertices: Iterable[str]) -> WeightedGraph:
 
 def scale(graph: WeightedGraph, factor) -> WeightedGraph:
     """Multiply every arc weight by ``factor``; arcs and pairing are unchanged."""
-    lam = complex(factor)
-    arcs = tuple(Arc(a.source, a.target, lam * a.weight) for a in graph.arcs)
-    return WeightedGraph(graph.vertices, arcs, graph.pairing)
+    return graph.with_weights(_cmul(complex(factor), graph.weight))
 
 
 def add_scalar(graph: WeightedGraph, shift) -> WeightedGraph:
@@ -158,13 +261,14 @@ def add_scalar(graph: WeightedGraph, shift) -> WeightedGraph:
     The loops are appended after the existing arcs in canonical vertex
     order, so the operator gains ``shift`` times the identity.
     """
-    lam = complex(shift)
-    arcs = list(graph.arcs)
-    pairing = list(graph.pairing)
-    for v in graph.vertices:
-        pairing.append(len(arcs))
-        arcs.append(Arc(v, v, lam))
-    return WeightedGraph(graph.vertices, tuple(arcs), tuple(pairing))
+    loops = np.arange(len(graph.vertices))
+    return WeightedGraph(
+        graph.vertices,
+        np.concatenate([graph.source, loops]),
+        np.concatenate([graph.target, loops]),
+        np.concatenate([graph.weight, np.full(len(loops), complex(shift))]),
+        np.concatenate([graph.pair, len(graph.weight) + loops]),
+    )
 
 
 def adjoint(graph: WeightedGraph) -> WeightedGraph:
@@ -174,53 +278,98 @@ def adjoint(graph: WeightedGraph) -> WeightedGraph:
     ``pairing(a)``; this conjugate-transposes the associated operator and
     is involutive.
     """
-    arcs = tuple(
-        Arc(a.source, a.target, complex(graph.arcs[j].weight).conjugate())
-        for a, j in zip(graph.arcs, graph.pairing)
-    )
-    return WeightedGraph(graph.vertices, arcs, graph.pairing)
+    return graph.with_weights(np.conj(graph.weight[graph.pair]))
 
 
 def _same_skeleton(graph: WeightedGraph, other: WeightedGraph) -> bool:
     return (
-        len(graph.arcs) == len(other.arcs)
-        and graph.pairing == other.pairing
-        and all(
-            a.source == b.source and a.target == b.target
-            for a, b in zip(graph.arcs, other.arcs)
-        )
+        np.array_equal(graph.pair, other.pair)
+        and np.array_equal(graph.source, other.source)
+        and np.array_equal(graph.target, other.target)
     )
 
 
-def _complete_pairing(arcs: list[Arc]) -> list[int]:
-    """Build an involutive reversal pairing for an arbitrary arc list.
+def _complete_pairing(source: np.ndarray, target: np.ndarray):
+    """Build an involutive reversal pairing for arbitrary arcs.
 
-    Opposite arcs are matched in index order per endpoint pair and loops
-    are self-paired; directions without a counterpart get fresh weight-0
-    reverse arcs appended to ``arcs`` (the operator is unaffected).
+    Loops are self-paired.  Between two distinct vertices the k-th arc of
+    one direction is paired with the k-th arc of the other, in index
+    order; each arc left over gets a fresh weight-0 reverse arc (the
+    operator is unaffected).  The fresh arcs are numbered after the given
+    ones in the order (lower endpoint, upper endpoint, direction, index of
+    the arc they reverse).  Returns ``(pairing, extra_source,
+    extra_target)``, where ``pairing`` covers the fresh arcs too.
     """
-    pairing = [-1] * len(arcs)
-    buckets: dict[tuple[str, str], list[int]] = {}
-    for k, a in enumerate(arcs):
-        buckets.setdefault((a.source, a.target), []).append(k)
-    for (s, t), idx in sorted(buckets.items()):
-        if s == t:
-            for k in idx:
-                pairing[k] = k
-        elif (s, t) < (t, s):
-            rev = buckets.get((t, s), [])
-            for k, r in zip(idx, rev):
-                pairing[k] = r
-                pairing[r] = k
-            for k in idx[len(rev):]:
-                pairing[k] = len(arcs)
-                pairing.append(k)
-                arcs.append(Arc(t, s, 0j))
-            for r in rev[len(idx):]:
-                pairing[r] = len(arcs)
-                pairing.append(r)
-                arcs.append(Arc(s, t, 0j))
-    return pairing
+    s = source.astype(np.int64)
+    t = target.astype(np.int64)
+    m = len(s)
+    n = int(max(s.max(), t.max())) + 1 if m else 1
+    arcs = np.flatnonzero(s != t)
+    # one run per direction, sorted by lower endpoint, upper endpoint, direction
+    run = (np.minimum(s, t) * n + np.maximum(s, t))[arcs] * 2 + (s > t)[arcs]
+    order = np.argsort(run, kind="stable")
+    arcs, run = arcs[order], run[order]
+    rank = np.arange(len(arcs)) - np.searchsorted(run, run)
+    # the k-th arc of a forward run pairs with the k-th of the backward run after it
+    back_start = np.searchsorted(run, run + 1)
+    back_size = np.searchsorted(run, run + 1, side="right") - back_start
+    fwd = np.flatnonzero((run % 2 == 0) & (rank < back_size))
+    bwd = back_start[fwd] + rank[fwd]
+    pairing = np.arange(m)
+    pairing[arcs[fwd]] = arcs[bwd]
+    pairing[arcs[bwd]] = arcs[fwd]
+    matched = np.zeros(m, dtype=bool)
+    matched[arcs[fwd]] = matched[arcs[bwd]] = True
+    extra = arcs[~matched[arcs]]
+    pairing[extra] = m + np.arange(len(extra))
+    return np.concatenate([pairing, extra]), t[extra], s[extra]
+
+
+def _check_arc_budget(count: int):
+    from .operator import MAX_ARCS
+
+    if count > MAX_ARCS:
+        raise DimensionCapError(f"composition would have {count} arcs; the arc cap is {MAX_ARCS}")
+
+
+def _compose(graph: WeightedGraph, other: WeightedGraph):
+    """:func:`compose_with_pairs` with the factor indices as arrays.
+
+    Returns ``(composed, left, right)``: composed arc ``k`` is the pair
+    ``(left[k], right[k])``, and both are -1 on a zero-completion arc.
+    """
+    if graph.vertices != other.vertices:
+        raise GraphStructureError("compose requires identical vertex sets")
+    n = len(graph.vertices)
+    out_deg = np.bincount(other.source, minlength=n)
+    _check_arc_budget(int(np.bincount(graph.target, minlength=n) @ out_deg))
+    # CSR grouping of ``other`` on the middle vertex, arcs in index order
+    by_source = np.argsort(other.source, kind="stable")
+    start = np.cumsum(out_deg) - out_deg
+    fan = out_deg[graph.target]
+    first = np.cumsum(fan) - fan
+    left = np.repeat(np.arange(len(graph.weight)), fan)
+    offset = np.arange(len(left)) - first[left]
+    right = by_source[start[graph.target[left]] + offset]
+    source = graph.source[left]
+    target = other.target[right]
+    weight = _cmul(graph.weight[left], other.weight[right])
+
+    if _same_skeleton(graph, other):
+        # the reversal of the path (a, b) is (pairing(b), pairing(a))
+        rank = np.empty(len(by_source), dtype=np.int64)
+        rank[by_source] = np.arange(len(by_source)) - start[other.source[by_source]]
+        pair = first[other.pair[right]] + rank[graph.pair[left]]
+    else:
+        pair, extra_source, extra_target = _complete_pairing(source, target)
+        zeros = np.zeros(len(extra_source), dtype=complex)
+        missing = np.full(len(extra_source), -1)
+        source = np.concatenate([source, extra_source])
+        target = np.concatenate([target, extra_target])
+        weight = np.concatenate([weight, zeros])
+        left = np.concatenate([left, missing])
+        right = np.concatenate([right, missing])
+    return WeightedGraph(graph.vertices, source, target, weight, pair), left, right
 
 
 def compose_with_pairs(graph: WeightedGraph, other: WeightedGraph):
@@ -228,46 +377,77 @@ def compose_with_pairs(graph: WeightedGraph, other: WeightedGraph):
 
     The arcs of the result are the composable pairs ``(a, b)`` with ``a``
     from ``graph``, ``b`` from ``other`` and ``target(a) == source(b)``,
-    weighted by the product of the factor weights, so the result's operator
-    is the product of the factor operators.  When the factors share an arc
-    skeleton (endpoints and pairing agree index by index) the reversal of
-    ``(a, b)`` is ``(pairing(b), pairing(a))``, the reversed length-2 path.
-    Otherwise reversals are completed deterministically, adding weight-0
-    arcs where a direction has no counterpart.
+    ordered by ``a`` and then ``b``, weighted by the product of the factor
+    weights, so the result's operator is the product of the factor
+    operators.  When the factors share an arc skeleton (endpoints and
+    pairing agree index by index) the reversal of ``(a, b)`` is
+    ``(pairing(b), pairing(a))``, the reversed length-2 path.  Otherwise
+    reversals are completed deterministically, adding weight-0 arcs where
+    a direction has no counterpart.  The composed arc count is checked
+    against :data:`wgraph.operator.MAX_ARCS` before anything is allocated.
 
     Returns ``(composed, pairs)`` where ``pairs[k]`` is the factor index
     pair ``(i, j)`` of arc ``k``, or ``None`` for a zero-completion arc.
     """
-    if graph.vertices != other.vertices:
-        raise GraphStructureError("compose requires identical vertex sets")
-    by_source: dict[str, list[int]] = {}
-    for j, b in enumerate(other.arcs):
-        by_source.setdefault(b.source, []).append(j)
-
-    arcs: list[Arc] = []
-    pairs: list[tuple[int, int] | None] = []
-    pos: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(graph.arcs):
-        for j in by_source.get(a.target, ()):
-            b = other.arcs[j]
-            pos[(i, j)] = len(arcs)
-            arcs.append(Arc(a.source, b.target, a.weight * b.weight))
-            pairs.append((i, j))
-
-    if _same_skeleton(graph, other):
-        pairing = [0] * len(arcs)
-        for (i, j), k in pos.items():
-            pairing[k] = pos[(other.pairing[j], graph.pairing[i])]
-    else:
-        pairing = _complete_pairing(arcs)
-        pairs.extend([None] * (len(arcs) - len(pairs)))
-    composed = WeightedGraph(graph.vertices, tuple(arcs), tuple(pairing))
-    return composed, tuple(pairs)
+    composed, left, right = _compose(graph, other)
+    pairs = tuple(
+        (i, j) if i >= 0 else None for i, j in zip(left.tolist(), right.tolist())
+    )
+    return composed, pairs
 
 
 def compose(graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
     """Composition graph; its operator is ``H_graph @ H_other``."""
-    return compose_with_pairs(graph, other)[0]
+    return _compose(graph, other)[0]
+
+
+GRAPH_OPS = SimpleNamespace(scale=scale, add_scalar=add_scalar, adjoint=adjoint, compose=compose)
+"""The graph operations, as the ``ops`` argument of :func:`deficiency_chain`."""
+
+
+class SkeletonCache:
+    """Graph operations that re-run one construction with new weights.
+
+    The arcs and pairing of a composition depend only on the arcs and
+    pairings of its factors.  The first ``compose`` builds them; later
+    calls reuse them and recompute only the weights, which come out bit
+    for bit as :func:`compose` would make them.  One cache serves one
+    call site whose factor skeletons never change, such as the single
+    composition of :func:`deficiency_chain` on a fixed graph and side.
+    """
+
+    scale = staticmethod(scale)
+    add_scalar = staticmethod(add_scalar)
+    adjoint = staticmethod(adjoint)
+
+    def __init__(self):
+        self._skeleton = None
+
+    def compose(self, graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
+        if self._skeleton is None:
+            self._skeleton = _compose(graph, other)
+        composed, left, right = self._skeleton
+        return composed.with_weights(_cmul(graph.weight[left], other.weight[right]))
+
+
+def deficiency_chain(x, lam, radius: float, side: str, ops):
+    """The five operations that assemble a deficiency graph, applied to ``x``.
+
+    ``ops`` supplies ``scale``, ``add_scalar``, ``adjoint`` and ``compose``
+    for the kind of object ``x`` is: :data:`GRAPH_OPS` for graphs, induced
+    coverings for a covering, or a :class:`SkeletonCache`.
+    """
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    shifted = ops.add_scalar(x, -complex(lam))
+    star = ops.adjoint(shifted)
+    if side == "right":
+        prod = ops.compose(star, shifted)
+    else:
+        prod = ops.compose(shifted, star)
+    return ops.add_scalar(ops.scale(prod, -1.0 / (radius * radius)), 1.0)
 
 
 def deficiency_graph(graph: WeightedGraph, lam, radius: float, side: str = "right") -> WeightedGraph:
@@ -278,17 +458,7 @@ def deficiency_graph(graph: WeightedGraph, lam, radius: float, side: str = "righ
     product order.  Assembled purely from ``add_scalar``, ``adjoint``,
     ``compose`` and ``scale``, so the matrix identity holds exactly.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    shifted = add_scalar(graph, -complex(lam))
-    star = adjoint(shifted)
-    if side == "right":
-        prod = compose(star, shifted)
-    else:
-        prod = compose(shifted, star)
-    return add_scalar(scale(prod, -1.0 / (radius * radius)), 1.0)
+    return deficiency_chain(graph, lam, radius, side, GRAPH_OPS)
 
 
 def normalize(graph: WeightedGraph) -> WeightedGraph:
@@ -298,13 +468,14 @@ def normalize(graph: WeightedGraph) -> WeightedGraph:
     arc per ordered vertex pair (reverse directions are kept or created so
     the pairing stays total; loops become a single self-paired arc).
     """
-    totals: dict[tuple[str, str], complex] = {}
-    for a in graph.arcs:
-        key = (a.source, a.target)
-        totals[key] = totals.get(key, 0j) + a.weight
-    keys = set(totals) | {(t, s) for (s, t) in totals}
-    ordered = sorted(keys)
-    pos = {key: k for k, key in enumerate(ordered)}
-    arcs = tuple(Arc(s, t, totals.get((s, t), 0j)) for s, t in ordered)
-    pairing = tuple(pos[(t, s)] for (s, t) in ordered)
-    return WeightedGraph(graph.vertices, arcs, pairing)
+    n = len(graph.vertices)
+    s = graph.source.astype(np.int64)
+    t = graph.target.astype(np.int64)
+    keys = np.unique(np.concatenate([s * n + t, t * n + s]))
+    slot = np.searchsorted(keys, s * n + t)
+    weight = np.empty(len(keys), dtype=complex)
+    weight.real = np.bincount(slot, weights=graph.weight.real, minlength=len(keys))
+    weight.imag = np.bincount(slot, weights=graph.weight.imag, minlength=len(keys))
+    ks, kt = keys // n, keys % n
+    pair = np.searchsorted(keys, kt * n + ks)
+    return WeightedGraph(graph.vertices, ks, kt, weight, pair)

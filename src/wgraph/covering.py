@@ -13,15 +13,17 @@ graphs, transporting the eigenvalue-1 witness instead of eigenvectors;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (
+    SkeletonCache,
     WeightedGraph,
+    _compose,
     add_scalar,
     adjoint,
-    compose_with_pairs,
-    make_graph,
+    deficiency_chain,
     scale,
 )
 from .errors import CoveringError, GraphStructureError
@@ -38,6 +40,8 @@ __all__ = [
     "verify_covering",
     "induced_covering",
     "induced_deficiency_covering",
+    "COVERING_OPS",
+    "DeficiencyChain",
     "voltage_cover",
     "pullback_matrix",
     "spectral_inclusion_check",
@@ -72,12 +76,20 @@ def identity_covering(graph: WeightedGraph) -> CoveringMap:
     return CoveringMap(graph, graph, {v: v for v in graph.vertices}, tuple(range(len(graph.arcs))))
 
 
+def _vertex_images(covering: CoveringMap) -> np.ndarray:
+    """Base vertex index of each cover vertex, in cover vertex order."""
+    base_pos = covering.base._vertex_pos
+    return np.array([base_pos[covering.vertex_map[v]] for v in covering.cover.vertices], dtype=np.int64)
+
+
 def verify_covering(covering: CoveringMap) -> list[Violation]:
     """Check every covering invariant; an empty list means valid.
 
-    All violations are reported, not just the first.  Maps that reference
-    unknown vertices or arc indices are malformed inputs and raise
-    GraphStructureError instead of being reported as violations.
+    All violations are reported, not just the first: per arc in index
+    order its endpoint, pairing and weight violations, then per cover
+    vertex a local bijectivity violation, then surjectivity.  Maps that
+    reference unknown vertices or arc indices are malformed inputs and
+    raise GraphStructureError instead of being reported as violations.
     """
     cov, base = covering.cover, covering.base
     vm, am = covering.vertex_map, covering.arc_map
@@ -89,36 +101,48 @@ def verify_covering(covering: CoveringMap) -> list[Violation]:
             raise GraphStructureError(f"vertex map sends {v!r} to unknown vertex {w!r}")
     if len(am) != len(cov.arcs):
         raise GraphStructureError(f"arc map length {len(am)} does not match arc count {len(cov.arcs)}")
-    for i, j in enumerate(am):
-        if not 0 <= j < len(base.arcs):
-            raise GraphStructureError(f"arc map sends arc {i} to unknown arc index {j}")
+    am = np.array(am, dtype=np.int64)
+    out_of_range = np.flatnonzero((am < 0) | (am >= len(base.arcs)))
+    if out_of_range.size:
+        i = int(out_of_range[0])
+        raise GraphStructureError(f"arc map sends arc {i} to unknown arc index {am[i]}")
 
+    phi = _vertex_images(covering)
+    failed = np.stack([
+        (phi[cov.source] != base.source[am]) | (phi[cov.target] != base.target[am]),
+        am[cov.pair] != base.pair[am],
+        cov.weight != base.weight[am],
+    ], axis=1)
     violations: list[Violation] = []
-    for i, a in enumerate(cov.arcs):
-        img = base.arcs[am[i]]
-        if vm[a.source] != img.source or vm[a.target] != img.target:
+    # nonzero walks the (arc, check) table row by row: by arc, then by check
+    for i, kind in zip(*(ix.tolist() for ix in np.nonzero(failed))):
+        if kind == 0:
             violations.append(
                 Violation("endpoint", f"arc {i}", f"projects to arc {am[i]} with incompatible endpoints")
             )
-        if am[cov.pairing[i]] != base.pairing[am[i]]:
+        elif kind == 1:
             violations.append(
                 Violation("pairing", f"arc {i}", "reversal does not commute with the arc map")
             )
-        if complex(a.weight) != complex(img.weight):
-            violations.append(
-                Violation("weight", f"arc {i}", f"weight {a.weight} projects to {img.weight}")
+        else:
+            got, want = complex(cov.weight[i]), complex(base.weight[am[i]])
+            violations.append(Violation("weight", f"arc {i}", f"weight {got} projects to {want}"))
+
+    # local bijectivity at v: as many out-arcs as phi(v), each image leaving
+    # phi(v), and no image twice (one sort by vertex, then image, finds repeats)
+    bijective = cov._out_degree == base._out_degree[phi]
+    bijective[cov.source[base.source[am] != phi[cov.source]]] = False
+    order = np.lexsort((am, cov.source))
+    vertex, image = cov.source[order], am[order]
+    bijective[vertex[1:][(vertex[1:] == vertex[:-1]) & (image[1:] == image[:-1])]] = False
+    for v in np.flatnonzero(~bijective).tolist():
+        violations.append(
+            Violation(
+                "local_bijectivity",
+                f"vertex {cov.vertices[v]}",
+                "out-arcs do not map bijectively onto the base out-arcs",
             )
-    for v in cov.vertices:
-        images = sorted(am[i] for i in cov.out_arcs(v))
-        expected = sorted(base.out_arcs(vm[v]))
-        if images != expected:
-            violations.append(
-                Violation(
-                    "local_bijectivity",
-                    f"vertex {v}",
-                    "out-arcs do not map bijectively onto the base out-arcs",
-                )
-            )
+        )
     missing = sorted(set(base.vertices) - set(vm.values()))
     if missing:
         violations.append(Violation("surjectivity", f"vertices {missing}", "base vertices not covered"))
@@ -133,6 +157,47 @@ def _checked(covering: CoveringMap, context: str) -> CoveringMap:
     return covering
 
 
+def _induced(covering: CoveringMap, op: str, *, factor=None, other: CoveringMap | None = None) -> CoveringMap:
+    """:func:`induced_covering` without the final verification."""
+    vm = dict(covering.vertex_map)
+    if op == "scale":
+        return CoveringMap(scale(covering.cover, factor), scale(covering.base, factor), vm, covering.arc_map)
+    if op == "add_scalar":
+        loops = len(covering.base.arcs) + _vertex_images(covering)
+        arc_map = tuple(covering.arc_map) + tuple(loops.tolist())
+        return CoveringMap(add_scalar(covering.cover, factor), add_scalar(covering.base, factor), vm, arc_map)
+    if op == "adjoint":
+        return CoveringMap(adjoint(covering.cover), adjoint(covering.base), vm, covering.arc_map)
+    if op == "compose":
+        if other is None:
+            raise ValueError("compose needs a second covering")
+        if covering.vertex_map != other.vertex_map:
+            raise CoveringError("compose needs coverings with identical vertex maps")
+        cov2, cover_left, cover_right = _compose(covering.cover, other.cover)
+        base2, base_left, base_right = _compose(covering.base, other.base)
+        if (cover_left < 0).any():
+            raise CoveringError(
+                "composed cover needed zero-completion arcs; compose factors must share an arc skeleton"
+            )
+        # composed arcs are numbered by (left factor, right factor), so the
+        # base keys of the factor pairs come out sorted
+        width = max(len(other.base.arcs), 1)
+        paired = base_left >= 0
+        base_keys = base_left[paired] * width + base_right[paired]
+        want_left = np.array(covering.arc_map, dtype=np.int64)[cover_left]
+        want_right = np.array(other.arc_map, dtype=np.int64)[cover_right]
+        want = want_left * width + want_right
+        arc_map = np.searchsorted(base_keys, want)
+        found = arc_map < len(base_keys)
+        found[found] = base_keys[arc_map[found]] == want[found]
+        if not found.all():
+            i = int(np.argmin(found))
+            key = (int(want_left[i]), int(want_right[i]))
+            raise CoveringError(f"no base arc for the composed factor pair {key}")
+        return CoveringMap(cov2, base2, vm, tuple(arc_map.tolist()))
+    raise ValueError(f"unknown operation {op!r}")
+
+
 def induced_covering(covering: CoveringMap, op: str, *, factor=None, other: CoveringMap | None = None) -> CoveringMap:
     """Transport a covering through a graph operation.
 
@@ -143,71 +208,61 @@ def induced_covering(covering: CoveringMap, op: str, *, factor=None, other: Cove
     sends the composed arc (a, b) to (image of a, image of b).  The result
     is re-verified before being returned.
     """
-    vm = dict(covering.vertex_map)
-    if op == "scale":
-        out = CoveringMap(scale(covering.cover, factor), scale(covering.base, factor), vm, covering.arc_map)
-    elif op == "add_scalar":
-        cov2 = add_scalar(covering.cover, factor)
-        base2 = add_scalar(covering.base, factor)
-        base_pos = {v: i for i, v in enumerate(covering.base.vertices)}
-        offset = len(covering.base.arcs)
-        arc_map = list(covering.arc_map)
-        for v in covering.cover.vertices:
-            arc_map.append(offset + base_pos[vm[v]])
-        out = CoveringMap(cov2, base2, vm, tuple(arc_map))
-    elif op == "adjoint":
-        out = CoveringMap(adjoint(covering.cover), adjoint(covering.base), vm, covering.arc_map)
-    elif op == "compose":
-        if other is None:
-            raise ValueError("compose needs a second covering")
-        if covering.vertex_map != other.vertex_map:
-            raise CoveringError("compose needs coverings with identical vertex maps")
-        cov2, cover_pairs = compose_with_pairs(covering.cover, other.cover)
-        base2, base_pairs = compose_with_pairs(covering.base, other.base)
-        base_pos = {p: k for k, p in enumerate(base_pairs) if p is not None}
-        arc_map = []
-        for p in cover_pairs:
-            if p is None:
-                raise CoveringError(
-                    "composed cover needed zero-completion arcs; compose factors must share an arc skeleton"
-                )
-            i, j = p
-            key = (covering.arc_map[i], other.arc_map[j])
-            if key not in base_pos:
-                raise CoveringError(f"no base arc for the composed factor pair {key}")
-            arc_map.append(base_pos[key])
-        out = CoveringMap(cov2, base2, vm, tuple(arc_map))
-    else:
-        raise ValueError(f"unknown operation {op!r}")
-    return _checked(out, f"induced covering for {op}")
+    return _checked(_induced(covering, op, factor=factor, other=other), f"induced covering for {op}")
+
+
+COVERING_OPS = SimpleNamespace(
+    scale=lambda c, factor: _induced(c, "scale", factor=factor),
+    add_scalar=lambda c, factor: _induced(c, "add_scalar", factor=factor),
+    adjoint=lambda c: _induced(c, "adjoint"),
+    compose=lambda c, other: _induced(c, "compose", other=other),
+)
+"""Induced coverings, unverified, as the ``ops`` of :func:`wgraph.core.deficiency_chain`."""
 
 
 def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side: str = "right") -> CoveringMap:
     """Covering between the deficiency graphs of cover and base at ``lam``.
 
-    Built by chaining induced coverings through the same operations that
-    assemble :func:`wgraph.core.deficiency_graph`, so the two graphs equal
-    the direct constructions arc for arc.
+    Built by the same chain of operations as
+    :func:`wgraph.core.deficiency_graph`, each transported as an induced
+    covering, so the two graphs equal the direct constructions arc for
+    arc.  The result is verified once, at the end of the chain.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    shifted = induced_covering(covering, "add_scalar", factor=-complex(lam))
-    star = induced_covering(shifted, "adjoint")
-    if side == "right":
-        prod = induced_covering(star, "compose", other=shifted)
-    else:
-        prod = induced_covering(shifted, "compose", other=star)
-    scaled = induced_covering(prod, "scale", factor=-1.0 / (radius * radius))
-    return induced_covering(scaled, "add_scalar", factor=1.0)
+    chain = deficiency_chain(covering, lam, radius, side, COVERING_OPS)
+    return _checked(chain, "induced deficiency covering")
 
 
-def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
+class DeficiencyChain:
+    """The deficiency coverings of one covering at many values of lambda.
+
+    The arcs, pairings and arc map of
+    ``induced_deficiency_covering(covering, lam, radius, side)`` do not
+    depend on ``lam``.  The constructor builds that covering at ``lam0``
+    and verifies all of it once.  :meth:`at` recomputes only the weights
+    of cover and base through one :class:`wgraph.core.SkeletonCache`
+    each, and checks the weight axiom exactly; with the checks made once,
+    that is the whole covering check at the new ``lam``.
+    """
+
+    def __init__(self, covering: CoveringMap, lam0, radius: float, side: str):
+        self.covering = covering
+        self.radius = radius
+        self.side = side
+        self.reference = induced_deficiency_covering(covering, lam0, radius, side)
+        self._arc_map = np.array(self.reference.arc_map, dtype=np.int64)
+        self._cover_ops = SkeletonCache()
+        self._base_ops = SkeletonCache()
+
+    def at(self, lam) -> CoveringMap:
+        cover = deficiency_chain(self.covering.cover, lam, self.radius, self.side, self._cover_ops)
+        base = deficiency_chain(self.covering.base, lam, self.radius, self.side, self._base_ops)
+        wrong = np.flatnonzero(cover.weight != base.weight[self._arc_map])
+        if wrong.size:
+            raise CoveringError(
+                f"induced deficiency covering at {complex(lam)}: {wrong.size} weight violation(s), "
+                f"first at arc {int(wrong[0])}"
+            )
+        return CoveringMap(cover, base, self.reference.vertex_map, self.reference.arc_map)
 
 
 def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedGraph, CoveringMap]:
@@ -229,24 +284,31 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
     for k, p in enumerate(volts):
         if sorted(p) != list(range(d)):
             raise ValueError(f"voltage of arc {k} is not a permutation of 0..{d - 1}")
-    for k, p in enumerate(volts):
-        if p != _inverse_perm(volts[base.pairing[k]]):
-            raise ValueError(f"voltage of arc {k} is not inverse to the voltage of its reversal")
+    volt = np.array(volts, dtype=np.int64).reshape(len(volts), d)
+    inverse = np.empty_like(volt)
+    np.put_along_axis(inverse, volt, np.arange(d)[None, :], axis=1)
+    wrong = np.flatnonzero((volt != inverse[base.pair]).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"voltage of arc {int(wrong[0])} is not inverse to the voltage of its reversal")
 
-    names = {(v, i): f"{v}@{i + 1}" for v in base.vertices for i in range(d)}
-    if len(set(names.values())) != len(names):
+    # lifted vertex (v, i) is number v * d + i; its position in the cover is rank[v * d + i]
+    names = [f"{v}@{i + 1}" for v in base.vertices for i in range(d)]
+    if len(set(names)) != len(names):
         raise ValueError("lifted vertex names collide; rename the base vertices")
-    arcs = []
-    arc_map = []
-    pairing = []
-    for k, a in enumerate(base.arcs):
-        for i in range(d):
-            arcs.append((names[(a.source, i)], names[(a.target, volts[k][i])], a.weight))
-            arc_map.append(k)
-            pairing.append(base.pairing[k] * d + volts[k][i])
-    cover = make_graph(names.values(), arcs, pairing)
-    vertex_map = {names[(v, i)]: v for (v, i) in names}
-    covering = CoveringMap(cover, base, vertex_map, tuple(arc_map))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    sheets = np.arange(d)[None, :]
+    cover = WeightedGraph(
+        tuple(names[i] for i in order),
+        rank[base.source[:, None] * d + sheets].ravel(),
+        rank[base.target[:, None] * d + volt].ravel(),
+        np.repeat(base.weight, d),
+        (base.pair[:, None] * d + volt).ravel(),
+    )
+    vertex_map = dict(zip(names, [v for v in base.vertices for _ in range(d)]))
+    arc_map = tuple(np.repeat(np.arange(len(volts)), d).tolist())
+    covering = CoveringMap(cover, base, vertex_map, arc_map)
     return cover, _checked(covering, "voltage cover")
 
 
@@ -325,19 +387,23 @@ def deficiency_route_check(
     the eigenvalue-1 witness appears on both sides and that lam indeed
     lands in the cover spectrum.  A second, independent route to the same
     inclusion that :func:`spectral_inclusion_check` reaches via pullbacks.
+    The deficiency covering is built and verified once, at the first lam;
+    every lam recomputes its weights and checks the weight axiom (see
+    :class:`DeficiencyChain`).
     """
     _checked(covering, "deficiency route")
     if radius is None:
         radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base))
     if lambdas is None:
         lambdas = spectrum(materialize(covering.base)).values
+    lambdas = [complex(lam) for lam in lambdas]
     cover_vals = spectrum(materialize(covering.cover)).as_array()
     steps = []
+    chain = DeficiencyChain(covering, lambdas[0], radius, side) if lambdas else None
     for lam in lambdas:
-        lam = complex(lam)
-        chain = induced_deficiency_covering(covering, lam, radius, side)
-        base_vals = np.linalg.eigvalsh(materialize(chain.base))
-        cover_def_vals = np.linalg.eigvalsh(materialize(chain.cover))
+        step = chain.at(lam)
+        base_vals = np.linalg.eigvalsh(materialize(step.base))
+        cover_def_vals = np.linalg.eigvalsh(materialize(step.cover))
         base_w = float(np.min(np.abs(base_vals - 1.0)))
         cover_w = float(np.min(np.abs(cover_def_vals - 1.0)))
         sdist = float(np.min(np.abs(cover_vals - lam)))

@@ -157,11 +157,14 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
 
 
 def _graph_block_lines(graph: WeightedGraph) -> list[str]:
-    lines = [f"vertices {len(graph.vertices)}"]
-    lines.extend(graph.vertices)
-    lines.append(f"arcs {len(graph.arcs)}")
-    for k, a in enumerate(graph.arcs):
-        lines.append(f"{a.source} {a.target} {format_complex(a.weight)} {graph.pairing[k]}")
+    names = graph.vertices
+    lines = [f"vertices {len(names)}", *names, f"arcs {len(graph.weight)}"]
+    lines.extend(
+        f"{names[s]} {names[t]} {format_complex(w)} {p}"
+        for s, t, w, p in zip(
+            graph.source.tolist(), graph.target.tolist(), graph.weight.tolist(), graph.pair.tolist()
+        )
+    )
     return lines
 
 

@@ -8,11 +8,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WeightedGraph
+from .core import WeightedGraph, _cmul
 from .errors import DimensionCapError
 
 __all__ = [
     "MAX_DENSE_DIM",
+    "MAX_ARCS",
     "FinSuppVector",
     "StreamedGraph",
     "materialize",
@@ -23,6 +24,9 @@ __all__ = [
 ]
 
 MAX_DENSE_DIM = 2048
+# largest arc count a composition may build; at about 28 bytes an arc the
+# arc arrays stay below half a gigabyte
+MAX_ARCS = 1 << 24
 
 
 def _key_order(k):
@@ -128,10 +132,8 @@ def materialize(graph: WeightedGraph) -> np.ndarray:
     n = len(graph.vertices)
     if n > MAX_DENSE_DIM:
         raise DimensionCapError(f"graph has {n} vertices; the dense cap is {MAX_DENSE_DIM}")
-    pos = {v: i for i, v in enumerate(graph.vertices)}
     m = np.zeros((n, n), dtype=complex)
-    for a in graph.arcs:
-        m[pos[a.source], pos[a.target]] += a.weight
+    np.add.at(m, (graph.source, graph.target), graph.weight)
     return m
 
 
@@ -142,12 +144,20 @@ def apply(op, vec: FinSuppVector) -> FinSuppVector:
     of the input support and no rounding beyond complex arithmetic occurs.
     """
     if isinstance(op, WeightedGraph):
-        out: dict = {}
-        for a in op.arcs:
-            fv = vec[a.target]
-            if fv != 0:
-                out[a.source] = out.get(a.source, 0j) + a.weight * fv
-        return FinSuppVector(out)
+        values = np.zeros(op.order, dtype=complex)
+        for k, v in vec.items():
+            if k in op._vertex_pos:
+                values[op._vertex_pos[k]] = v
+        hit = np.flatnonzero(values[op.target] != 0)
+        source = op.source[hit]
+        terms = _cmul(op.weight[hit], values[op.target[hit]])
+        # sum each row in arc order; rows appear in the order of their first arc
+        rows, first = np.unique(source, return_index=True)
+        real = np.bincount(source, weights=terms.real, minlength=op.order)
+        imag = np.bincount(source, weights=terms.imag, minlength=op.order)
+        return FinSuppVector(
+            {op.vertices[i]: complex(real[i], imag[i]) for i in rows[np.argsort(first)].tolist()}
+        )
     if isinstance(op, StreamedGraph):
         if op.sources is None:
             raise ValueError(
@@ -176,13 +186,11 @@ def norm_bound(op) -> float:
     bounds; guessing is refused.
     """
     if isinstance(op, WeightedGraph):
-        outs = {v: 0.0 for v in op.vertices}
-        ins = {v: 0.0 for v in op.vertices}
-        for a in op.arcs:
-            w = abs(a.weight)
-            outs[a.source] += w
-            ins[a.target] += w
-        return math.sqrt(max(outs.values()) * max(ins.values()))
+        # hypot is what abs(complex) computes; np.abs may differ in the last bit
+        w = np.hypot(op.weight.real, op.weight.imag)
+        outs = np.bincount(op.source, weights=w, minlength=op.order)
+        ins = np.bincount(op.target, weights=w, minlength=op.order)
+        return math.sqrt(float(outs.max()) * float(ins.max()))
     if isinstance(op, StreamedGraph):
         if op.out_weight_sum is None or op.in_weight_sum is None:
             raise ValueError("streamed operator declares no weight-sum bounds; norm_bound is unavailable")

@@ -305,13 +305,15 @@ class LabeledOrbitalGraph:
         """Word-indexed adjacency: per vertex, the out- and then the
         in-neighbour along each alphabet word in alphabet order, None where
         the vertex has no such labeled arc."""
+        g = self.graph
         slot = {w: 2 * i for i, w in enumerate(self.alphabet)}
-        adj = {v: [None] * (2 * len(self.alphabet)) for v in self.graph.vertices}
-        for k, word in self.labels.items():
-            a = self.graph.arcs[k]
-            adj[a.source][slot[word]] = a.target
-            adj[a.target][slot[word] + 1] = a.source
-        return {v: tuple(ns) for v, ns in adj.items()}
+        adj = [[None] * (2 * len(self.alphabet)) for _ in g.vertices]
+        labeled = list(self.labels)
+        for k, s, t in zip(labeled, g.source[labeled].tolist(), g.target[labeled].tolist()):
+            i = slot[self.labels[k]]
+            adj[s][i] = g.vertices[t]
+            adj[t][i + 1] = g.vertices[s]
+        return {v: tuple(ns) for v, ns in zip(g.vertices, adj)}
 
     @cached_property
     def _neighbors(self) -> dict:
@@ -395,20 +397,24 @@ def ball(orbital: LabeledOrbitalGraph, center: str, radius: int) -> LabeledOrbit
     """Induced labeled subgraph on the radius-``radius`` ball around ``center``."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    g = orbital.graph
     dist = orbital.distances(center)
-    keep = {v for v, d in dist.items() if d <= radius}
-    remap: dict[int, int] = {}
-    arcs = []
-    labels = {}
-    for k, a in enumerate(orbital.graph.arcs):
-        if a.source in keep and a.target in keep:
-            remap[k] = len(arcs)
-            arcs.append(a)
-            if k in orbital.labels:
-                labels[len(arcs) - 1] = orbital.labels[k]
+    inside = np.zeros(g.order, dtype=bool)
+    inside[[g.vertex_index(v) for v, d in dist.items() if d <= radius]] = True
+    # vertices stay sorted, so a kept vertex's new position counts the kept ones before it
+    position = np.cumsum(inside) - 1
+    kept = np.flatnonzero(inside[g.source] & inside[g.target])
     # a reversal swaps endpoints, so it survives exactly when the arc does
-    pairing = [remap[orbital.graph.pairing[k]] for k in remap]
-    graph = make_graph(sorted(keep), arcs, pairing)
+    remap = np.full(len(g.weight), -1)
+    remap[kept] = np.arange(len(kept))
+    graph = WeightedGraph(
+        tuple(v for v, ok in zip(g.vertices, inside.tolist()) if ok),
+        position[g.source[kept]],
+        position[g.target[kept]],
+        g.weight[kept],
+        remap[g.pair[kept]],
+    )
+    labels = {i: orbital.labels[k] for i, k in enumerate(kept.tolist()) if k in orbital.labels}
     return LabeledOrbitalGraph(graph, labels, center, orbital.alphabet)
 
 
@@ -476,14 +482,19 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     be rooted-label-isomorphic to some ball of the other, and vice versa.
     Each ball is reduced to its canonical code (one traversal per ball and
     radius), and a vertex's match is the first vertex, in the other graph's
-    vertex order, whose ball has the same code.  Matching is monotone in
-    the radius (an isomorphism at l restricts to one at l-1), so once a
-    radius fails, all larger radii are reported failed without re-testing.
+    vertex order, whose ball has the same code; when both graphs have the
+    same labeled adjacency, each code is computed once.  Matching is
+    monotone in the radius (an isomorphism at l restricts to one at l-1),
+    so once a radius fails, all larger radii are reported failed without
+    re-testing.
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
+    # codes depend on the labeled adjacency alone; one action with both roots
+    # in one orbit gives the same adjacency twice, so the y codes are the x codes
+    same = gx.graph.vertices == gy.graph.vertices and gx._adjacency == gy._adjacency
     verdicts: list[RadiusVerdict] = []
     failed = False
     for radius in range(max_radius + 1):
@@ -491,7 +502,7 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
             verdicts.append(RadiusVerdict(radius, False, {}, {}))
             continue
         xcodes = {v: _ball_code(gx, v, radius)[0] for v in gx.graph.vertices}
-        ycodes = {v: _ball_code(gy, v, radius)[0] for v in gy.graph.vertices}
+        ycodes = xcodes if same else {v: _ball_code(gy, v, radius)[0] for v in gy.graph.vertices}
         x_matches = _first_matches(xcodes, ycodes)
         y_matches = _first_matches(ycodes, xcodes)
         ok = None not in x_matches.values() and None not in y_matches.values()

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from wgraph import (
+    Arc,
+    CoveringMap,
+    GraphStructureError,
     GroupAction,
     GroupAlgebraElement,
     LabeledOrbitalGraph,
     LocalIsoResult,
     RadiusVerdict,
+    Violation,
     WeightedGraph,
     make_graph,
     voltage_cover,
@@ -216,3 +221,125 @@ def reference_local_iso(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_ra
         verdicts.append(RadiusVerdict(radius, ok, *matches))
         failed = not ok
     return LocalIsoResult(tuple(verdicts))
+
+
+# Arc-by-arc references for the array-backed core: the tuple implementations
+# the arrays replaced, kept as oracles of a differential test.
+
+
+def reference_complete_pairing(arcs: list[Arc]) -> list[int]:
+    """Involutive reversal pairing for an arc list, appending weight-0
+    reverse arcs to ``arcs`` for directions without a counterpart."""
+    pairing = [-1] * len(arcs)
+    buckets: dict[tuple[str, str], list[int]] = {}
+    for k, a in enumerate(arcs):
+        buckets.setdefault((a.source, a.target), []).append(k)
+    for s, t in sorted({(min(s, t), max(s, t)) for s, t in buckets}):
+        idx = buckets.get((s, t), [])
+        if s == t:
+            for k in idx:
+                pairing[k] = k
+            continue
+        rev = buckets.get((t, s), [])
+        for k, r in zip(idx, rev):
+            pairing[k] = r
+            pairing[r] = k
+        for k in idx[len(rev):]:
+            pairing[k] = len(arcs)
+            pairing.append(k)
+            arcs.append(Arc(t, s, 0j))
+        for r in rev[len(idx):]:
+            pairing[r] = len(arcs)
+            pairing.append(r)
+            arcs.append(Arc(s, t, 0j))
+    return pairing
+
+
+def reference_compose_with_pairs(graph: WeightedGraph, other: WeightedGraph):
+    """Returns ``(arcs, pairing, pairs)`` of the composition, built arc by arc."""
+    by_source: dict[str, list[int]] = {}
+    for j, b in enumerate(other.arcs):
+        by_source.setdefault(b.source, []).append(j)
+    arcs: list[Arc] = []
+    pairs: list[tuple[int, int] | None] = []
+    pos: dict[tuple[int, int], int] = {}
+    for i, a in enumerate(graph.arcs):
+        for j in by_source.get(a.target, ()):
+            b = other.arcs[j]
+            pos[(i, j)] = len(arcs)
+            arcs.append(Arc(a.source, b.target, a.weight * b.weight))
+            pairs.append((i, j))
+    same_skeleton = (
+        len(graph.arcs) == len(other.arcs)
+        and graph.pairing == other.pairing
+        and all(a.source == b.source and a.target == b.target for a, b in zip(graph.arcs, other.arcs))
+    )
+    if same_skeleton:
+        pairing = [0] * len(arcs)
+        for (i, j), k in pos.items():
+            pairing[k] = pos[(other.pairing[j], graph.pairing[i])]
+    else:
+        pairing = reference_complete_pairing(arcs)
+        pairs.extend([None] * (len(arcs) - len(pairs)))
+    return arcs, pairing, pairs
+
+
+def reference_materialize(graph: WeightedGraph) -> np.ndarray:
+    pos = {v: i for i, v in enumerate(graph.vertices)}
+    m = np.zeros((graph.order, graph.order), dtype=complex)
+    for a in graph.arcs:
+        m[pos[a.source], pos[a.target]] += a.weight
+    return m
+
+
+def reference_norm_bound(graph: WeightedGraph) -> float:
+    outs = {v: 0.0 for v in graph.vertices}
+    ins = {v: 0.0 for v in graph.vertices}
+    for a in graph.arcs:
+        w = abs(a.weight)
+        outs[a.source] += w
+        ins[a.target] += w
+    return math.sqrt(max(outs.values()) * max(ins.values()))
+
+
+def reference_verify_covering(covering: CoveringMap) -> list[Violation]:
+    cov, base = covering.cover, covering.base
+    vm, am = covering.vertex_map, covering.arc_map
+    if set(vm.keys()) != set(cov.vertices):
+        raise GraphStructureError("vertex map domain does not equal the cover vertex set")
+    base_vs = set(base.vertices)
+    for v, w in vm.items():
+        if w not in base_vs:
+            raise GraphStructureError(f"vertex map sends {v!r} to unknown vertex {w!r}")
+    if len(am) != len(cov.arcs):
+        raise GraphStructureError(f"arc map length {len(am)} does not match arc count {len(cov.arcs)}")
+    for i, j in enumerate(am):
+        if not 0 <= j < len(base.arcs):
+            raise GraphStructureError(f"arc map sends arc {i} to unknown arc index {j}")
+    cov_arcs, base_arcs = list(cov.arcs), list(base.arcs)
+    violations: list[Violation] = []
+    for i, a in enumerate(cov_arcs):
+        img = base_arcs[am[i]]
+        if vm[a.source] != img.source or vm[a.target] != img.target:
+            violations.append(
+                Violation("endpoint", f"arc {i}", f"projects to arc {am[i]} with incompatible endpoints")
+            )
+        if am[cov.pairing[i]] != base.pairing[am[i]]:
+            violations.append(Violation("pairing", f"arc {i}", "reversal does not commute with the arc map"))
+        if complex(a.weight) != complex(img.weight):
+            violations.append(Violation("weight", f"arc {i}", f"weight {a.weight} projects to {img.weight}"))
+    for v in cov.vertices:
+        images = sorted(am[i] for i, a in enumerate(cov_arcs) if a.source == v)
+        expected = [j for j, b in enumerate(base_arcs) if b.source == vm[v]]
+        if images != expected:
+            violations.append(
+                Violation(
+                    "local_bijectivity",
+                    f"vertex {v}",
+                    "out-arcs do not map bijectively onto the base out-arcs",
+                )
+            )
+    missing = sorted(set(base.vertices) - set(vm.values()))
+    if missing:
+        violations.append(Violation("surjectivity", f"vertices {missing}", "base vertices not covered"))
+    return violations

@@ -21,6 +21,10 @@ from wgraph import (
     FinSuppVector,
     GroupAction,
     GroupAlgebraElement,
+    LabeledOrbitalGraph,
+    LocalIsoResult,
+    RadiusVerdict,
+    WeightedGraph,
     apply,
     ball,
     default_radius_bound,
@@ -36,6 +40,7 @@ from wgraph import (
     spectrum,
     word_str,
 )
+import wgraph.orbital
 from wgraph.orbital import _ball_code
 
 
@@ -450,3 +455,44 @@ def test_spectrum_helper_on_orbital_matches_closed_form():
     og = orbital_graph(odometer_action(4), "0000", adjacency_element())
     s = spectrum(materialize(og.graph))
     assert np.max(np.abs(s.as_array() - circulant_spectrum(16))) <= 1e-10
+
+
+def _prefixed(g: LabeledOrbitalGraph, prefix: str) -> LabeledOrbitalGraph:
+    """The same labeled graph with every vertex renamed ``prefix + v``; the
+    vertex order, and so every first match, is unchanged."""
+    graph = WeightedGraph(tuple(prefix + v for v in g.graph.vertices), g.graph.source,
+                          g.graph.target, g.graph.weight, g.graph.pair)
+    return LabeledOrbitalGraph(graph, g.labels, prefix + g.root, g.alphabet)
+
+
+def _unprefixed(result: LocalIsoResult, prefix: str) -> LocalIsoResult:
+    def strip(v):
+        return None if v is None else v[len(prefix):]
+
+    return LocalIsoResult(tuple(
+        RadiusVerdict(v.radius, v.ok, {x: strip(y) for x, y in v.x_matches.items()},
+                      {strip(y): x for y, x in v.y_matches.items()})
+        for v in result.radii
+    ))
+
+
+@pytest.mark.parametrize("case", ["odometer", "grigorchuk"])
+def test_same_orbit_reuses_codes_with_an_equal_result(case, monkeypatch):
+    if case == "odometer":
+        act, elem, x, y = odometer_action(5), adjacency_element(), "00000", "10110"
+    else:
+        act = GroupAction.from_mealy(GRIGORCHUK_TRANSITIONS, ["0", "1"], 5)
+        elem = GroupAlgebraElement({(w,): 1.0 for w in "abcd"})
+        x, y = "00000", "01101"
+    gx, gy = orbital_graph(act, x, elem), orbital_graph(act, y, elem)
+    assert gx.graph.vertices == gy.graph.vertices and gx.graph != gy.graph  # arcs listed per root
+    cap = max(gx.diameter(), gy.diameter()) + 1
+    # a renamed copy has the same codes but not the same adjacency, so it takes the long way
+    without = _unprefixed(local_iso_check(gx, _prefixed(gy, "y"), cap), "y")
+    coded = []
+    real = wgraph.orbital._ball_code
+    monkeypatch.setattr(wgraph.orbital, "_ball_code", lambda g, v, r: coded.append(g) or real(g, v, r))
+    with_shortcut = local_iso_check(gx, gy, cap)
+    assert with_shortcut == without
+    assert with_shortcut.max_ok_radius == cap
+    assert all(g is gx for g in coded) and len(coded) == len(gx.graph.vertices) * (cap + 1)
