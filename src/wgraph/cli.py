@@ -21,6 +21,7 @@ requested check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -85,8 +86,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _spectrum_str(values) -> str:
-    return " ".join(format_complex(v) for v in values)
+def _spectrum_kv(rep: Report, key: str, spectral_set):
+    values = [format_complex(v) for v in spectral_set.values]
+    rep.kv(key, " ".join(values), values)
 
 
 def _verdict_fields(rep: Report, prefix: str, verdict):
@@ -130,16 +132,23 @@ def cmd_graph_op(args) -> int:
         lam = parse_complex(args.lam)
         side = args.side
         result = deficiency_graph(graph, lam, args.radius, side=side)
-        shifted = m - lam * np.eye(graph.order)
-        prod = shifted @ shifted.conj().T if side == "left" else shifted.conj().T @ shifted
-        expected = np.eye(graph.order) - prod / args.radius**2
+        # I - prod / R^2 built in place: the dense n x n copies set the memory peak
+        diag = np.diag_indices(graph.order)
+        m[diag] -= lam
+        expected = m @ m.conj().T if side == "left" else m.conj().T @ m
+        del m
+        expected /= args.radius**2
+        np.negative(expected, out=expected)
+        expected[diag] += 1
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(args.radius), args.radius)
         rep.kv("SIDE", side)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown operation {args.op!r}")
     rep.kv("RESULT ARCS", len(result.arcs))
-    deviation = float(np.max(np.abs(materialize(result) - expected))) if result.order else 0.0
+    got = materialize(result)
+    got -= expected
+    deviation = float(np.max(np.abs(got), initial=0.0))
     ok = deviation <= args.tol
     rep.kv("SELF-CHECK DEVIATION", _fmt(deviation), deviation)
     rep.kv("SELF-CHECK", "ok" if ok else "FAILED", ok)
@@ -159,8 +168,7 @@ def cmd_spectrum(args) -> int:
         m = read_matrix(args.matrix)
     rep = Report()
     rep.kv("ORDER", m.shape[0])
-    spec = spectrum(m)
-    rep.kv("SPECTRUM", _spectrum_str(spec.values), [format_complex(v) for v in spec.values])
+    _spectrum_kv(rep, "SPECTRUM", spectrum(m))
     code = 0
     if args.check_lambda is not None:
         lam = parse_complex(args.check_lambda)
@@ -229,10 +237,8 @@ def cmd_cover_include(args) -> int:
         rep.emit(args.json)
         return 1
     inc = spectral_inclusion_check(covering, tol=args.tol)
-    rep.kv("BASE SPECTRUM", _spectrum_str(inc.base_spectrum.values),
-           [format_complex(v) for v in inc.base_spectrum.values])
-    rep.kv("COVER SPECTRUM", _spectrum_str(inc.cover_spectrum.values),
-           [format_complex(v) for v in inc.cover_spectrum.values])
+    _spectrum_kv(rep, "BASE SPECTRUM", inc.base_spectrum)
+    _spectrum_kv(rep, "COVER SPECTRUM", inc.cover_spectrum)
     rep.kv("INTERTWINING RESIDUAL", _fmt(inc.intertwining_residual), inc.intertwining_residual)
     rep.kv("SUBSET DEVIATION", _fmt(inc.subset.max_deviation), inc.subset.max_deviation)
     route = deficiency_route_check(covering, radius=args.radius, tol=args.tol, side=args.side)
@@ -278,10 +284,8 @@ def cmd_orbital(args) -> int:
     rep.kv("ORBIT Y", f"{comp.root_y} size={comp.orbit_size_y}",
            {"root": comp.root_y, "size": comp.orbit_size_y})
     rep.kv("R", _fmt(comp.radius), comp.radius)
-    rep.kv("SPECTRUM X", _spectrum_str(comp.spectrum_x.values),
-           [format_complex(v) for v in comp.spectrum_x.values])
-    rep.kv("SPECTRUM Y", _spectrum_str(comp.spectrum_y.values),
-           [format_complex(v) for v in comp.spectrum_y.values])
+    _spectrum_kv(rep, "SPECTRUM X", comp.spectrum_x)
+    _spectrum_kv(rep, "SPECTRUM Y", comp.spectrum_y)
     rep.kv("HAUSDORFF", _fmt(comp.hausdorff), comp.hausdorff)
     rep.kv("LOCAL-ISO RADIUS", comp.max_common_radius)
     rep.kv("LOCAL-ISO SATURATED", "yes" if comp.saturated else "no", comp.saturated)
@@ -323,24 +327,9 @@ def cmd_orbital(args) -> int:
 def cmd_demo_shift(args) -> int:
     report = shift_counterexample_report(depth=args.depth, trials=args.trials, seed=args.seed)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "depth": report.depth,
-                    "trials": report.trials,
-                    "radius": report.radius,
-                    "isometry-exact": report.isometry_exact,
-                    "corange-kills-origin": report.corange_kills_origin,
-                    "range-orthogonal-to-origin": report.range_orthogonal_to_origin,
-                    "right-distance": report.right_distance,
-                    "left-distance": report.left_distance,
-                    "one-sided-misses-membership": report.one_sided_misses_membership,
-                    "passed": report.passed,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        data = {k.replace("_", "-"): v for k, v in dataclasses.asdict(report).items()}
+        data["passed"] = report.passed
+        print(json.dumps(data, indent=2, sort_keys=True))
     else:
         for line in report.lines():
             print(line)
@@ -360,8 +349,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|i$)")
 
 
-def _add_common(p: argparse.ArgumentParser, tol_default: float):
-    p.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
+def _add_common(p: argparse.ArgumentParser, tol_default: float | None = None):
+    """``--json`` everywhere; ``--tol`` only where the command reads it."""
+    if tol_default is not None:
+        p.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
     p.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
 
 
@@ -398,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("verify", help="check the covering axioms")
     q.add_argument("--map", required=True, help="covering file (.cov)")
-    _add_common(q, 1e-12)
+    _add_common(q)
     q.set_defaults(func=cmd_cover_verify)
 
     q = csub.add_parser("lift", help="build a cover from a voltage assignment")
     q.add_argument("--graph", required=True, help="base graph file (.wg)")
     q.add_argument("--volt", required=True, help="voltage file (.volt)")
     q.add_argument("--out", help="write the covering here (.cov)")
-    _add_common(q, 1e-12)
+    _add_common(q)
     q.set_defaults(func=cmd_cover_lift)
 
     q = csub.add_parser("include", help="spectral inclusion along a covering")
@@ -429,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=100, help="how far out to test exact identities")
     p.add_argument("--trials", type=int, default=100, help="random vectors for the exact checks")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, 1e-12)
+    _add_common(p)
     p.set_defaults(func=cmd_demo_shift)
 
     return parser

@@ -13,6 +13,7 @@ graphs, transporting the eigenvalue-1 witness instead of eigenvectors;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,11 @@ class CoveringMap:
     base: WeightedGraph
     vertex_map: dict
     arc_map: tuple[int, ...]
+
+    @cached_property
+    def spectra(self) -> tuple[SpectralSet, SpectralSet]:
+        """Spectra of base and cover, computed once per covering."""
+        return spectrum(materialize(self.base)), spectrum(materialize(self.cover))
 
 
 @dataclass(frozen=True)
@@ -314,11 +320,9 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
 
 def pullback_matrix(covering: CoveringMap) -> np.ndarray:
     """Matrix of f -> f o vertex_map from base functions to cover functions."""
-    cov, base = covering.cover, covering.base
-    base_pos = {v: i for i, v in enumerate(base.vertices)}
-    p = np.zeros((len(cov.vertices), len(base.vertices)))
-    for i, v in enumerate(cov.vertices):
-        p[i, base_pos[covering.vertex_map[v]]] = 1.0
+    n = covering.cover.order
+    p = np.zeros((n, covering.base.order))
+    p[np.arange(n), _vertex_images(covering)] = 1.0
     return p
 
 
@@ -347,8 +351,7 @@ def spectral_inclusion_check(covering: CoveringMap, tol: float = DEFAULT_SUBSET_
     h2 = materialize(covering.base)
     p = pullback_matrix(covering)
     residual = float(np.abs(h1 @ p - p @ h2).max())
-    cover_spec = spectrum(h1)
-    base_spec = spectrum(h2)
+    base_spec, cover_spec = covering.spectra
     return InclusionReport(base_spec, cover_spec, subset_check(base_spec, cover_spec, tol), residual)
 
 
@@ -394,10 +397,11 @@ def deficiency_route_check(
     _checked(covering, "deficiency route")
     if radius is None:
         radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base))
+    base_spec, cover_spec = covering.spectra
     if lambdas is None:
-        lambdas = spectrum(materialize(covering.base)).values
+        lambdas = base_spec.values
     lambdas = [complex(lam) for lam in lambdas]
-    cover_vals = spectrum(materialize(covering.cover)).as_array()
+    cover_vals = cover_spec.as_array()
     steps = []
     chain = DeficiencyChain(covering, lambdas[0], radius, side) if lambdas else None
     for lam in lambdas:

@@ -10,6 +10,7 @@ offending line number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ def parse_complex(text: str) -> complex:
         z = complex(s)
     except ValueError:
         raise ValueError(f"bad complex number {text!r}") from None
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"non-finite complex number {text!r}")
     return z
 

@@ -5,13 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import ODOMETER_TRANSITIONS, circulant_spectrum
+from helpers import ODOMETER_TRANSITIONS, circulant_spectrum, random_graph
 
 from wgraph import (
     ActionSpec,
     CoveringMap,
     GroupAlgebraElement,
+    deficiency_graph,
     make_graph,
+    materialize,
+    norm_bound,
     parse_complex,
     read_covering,
     read_graph,
@@ -23,6 +26,7 @@ from wgraph import (
     write_matrix,
     write_voltages,
 )
+import wgraph.covering
 from wgraph.cli import main
 
 
@@ -342,3 +346,56 @@ def test_subprocess_runs_are_byte_identical(files):
     b = subprocess.run(argv, capture_output=True, check=True)
     assert a.stdout == b.stdout and a.stdout
     assert json.loads(a.stdout.decode())["local-iso-saturated"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "verify", "--map", "good.cov"],
+    ["cover", "lift", "--graph", "base2.wg", "--volt", "volt2.volt"],
+    ["demo-shift", "--depth", "5", "--trials", "2"],
+])
+def test_tol_is_a_usage_error_where_nothing_reads_it(files, argv):
+    argv = [files.get(a, a) for a in argv]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--tol", "1e-3"])
+    assert e.value.code == 2
+
+
+def test_cover_include_computes_each_spectrum_once(files, capsys, monkeypatch):
+    calls = []
+    real = wgraph.covering.spectrum
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(wgraph.covering, "spectrum", counted)
+    code, out, _ = run(capsys, ["cover", "include", "--map", files["good.cov"]])
+    assert code == 0 and "INCLUDED: ok" in out
+    assert sorted(calls) == [2, 4]
+
+
+def test_deficiency_self_check_matches_the_out_of_place_formula(capsys, tmp_path):
+    rng = np.random.default_rng(7)
+    path = str(tmp_path / "g.wg")
+    nonzero = 0
+    for _ in range(6):
+        graph = random_graph(rng, max_n=12)
+        write_graph(graph, path)
+        radius = 2.0 * norm_bound(graph) + 1.0
+        for lam in (0.3 - 0.7j, -0.5 - 0.25j):
+            for side in ("left", "right"):
+                code, out, _ = run(capsys, [
+                    "graph-op", "deficiency", "--graph", path, f"--lambda={lam.real!r}{lam.imag!r}i",
+                    "--R", repr(radius), "--side", side, "--json",
+                ])
+                assert code == 0
+                m = materialize(graph)
+                shifted = m - lam * np.eye(graph.order)
+                prod = shifted @ shifted.conj().T if side == "left" else shifted.conj().T @ shifted
+                expected = np.eye(graph.order) - prod / radius**2
+                got = materialize(deficiency_graph(graph, lam, radius, side=side))
+                want = float(np.max(np.abs(got - expected)))
+                assert json.loads(out)["self-check-deviation"] == want
+                nonzero += want > 0
+    assert nonzero
