@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -452,8 +453,8 @@ def _ball_code(g: LabeledOrbitalGraph, root: str, radius: int):
 class RadiusVerdict:
     radius: int
     ok: bool
-    x_matches: dict  # x vertex -> matched y vertex or None
-    y_matches: dict
+    x_matches: Mapping  # x vertex -> matched y vertex or None
+    y_matches: Mapping
 
 
 @dataclass(frozen=True)
@@ -475,39 +476,103 @@ class LocalIsoResult:
         return self.radii[radius]
 
 
+def _same_adjacency(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph) -> bool:
+    """Whether both graphs have the same vertices and labeled adjacency, so
+    that every ball of one is the same ball of the other.  One action with
+    both roots in one orbit gives this, with arcs listed in another order."""
+    return gx.graph.vertices == gy.graph.vertices and gx._adjacency == gy._adjacency
+
+
+def _codes(g: LabeledOrbitalGraph, radius: int) -> dict:
+    """Each vertex of ``g`` -> the code of its ball of ``radius``."""
+    return {v: _ball_code(g, v, radius)[0] for v in g.graph.vertices}
+
+
+class _RadiusMatches:
+    """Both first-match maps of one radius, computed together when first
+    read.  The codes they come from are dropped as soon as the maps are
+    built, so a result keeps no codes however long it lives.  With the
+    same adjacency, the y codes and the y map are the x ones.
+    """
+
+    def __init__(self, gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, same: bool, radius: int):
+        self.gx, self.gy, self.same, self.radius = gx, gy, same, radius
+        self._maps = None
+
+    def maps(self) -> tuple[dict, dict]:
+        if self._maps is None:
+            xcodes = _codes(self.gx, self.radius)
+            if self.same:
+                x_matches = _first_matches(xcodes, xcodes)
+                self._maps = (x_matches, x_matches)
+            else:
+                ycodes = _codes(self.gy, self.radius)
+                self._maps = (_first_matches(xcodes, ycodes), _first_matches(ycodes, xcodes))
+        return self._maps
+
+
+class _LazyMatches(Mapping):
+    """Read-only first-match map of one graph's vertices at one radius.
+
+    Keys and length come from the vertex list; the matches are computed
+    when a value is first read, then kept.
+    """
+
+    def __init__(self, source: _RadiusMatches, side: int):
+        self._source, self._side = source, side
+        self._vertices = (source.gx, source.gy)[side].graph.vertices
+
+    def _data(self) -> dict:
+        return self._source.maps()[self._side]
+
+    def __getitem__(self, vertex):
+        return self._data()[vertex]
+
+    def __iter__(self):
+        return iter(self._vertices)
+
+    def __len__(self) -> int:
+        return len(self._vertices)
+
+    def __repr__(self) -> str:
+        return repr(self._data())
+
+
 def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius: int) -> LocalIsoResult:
     """Per-radius two-way rooted ball matching between two labeled graphs.
 
     For each radius l <= max_radius, every radius-l ball of one graph must
     be rooted-label-isomorphic to some ball of the other, and vice versa.
-    Each ball is reduced to its canonical code (one traversal per ball and
-    radius), and a vertex's match is the first vertex, in the other graph's
-    vertex order, whose ball has the same code; when both graphs have the
-    same labeled adjacency, each code is computed once.  Matching is
-    monotone in the radius (an isomorphism at l restricts to one at l-1),
-    so once a radius fails, all larger radii are reported failed without
-    re-testing.
+    Each ball is reduced to its canonical code (see :func:`_ball_code`),
+    and a vertex's match is the first vertex, in the other graph's vertex
+    order, whose ball has the same code.  Radii are checked in increasing
+    order by comparing the sets of codes, one radius at a time.  Matching
+    is monotone in the radius (an isomorphism at l restricts to one at
+    l-1), so once a radius fails, all larger radii are reported failed
+    with empty matches.  When both graphs have the same labeled adjacency,
+    the identity map passes every radius and no ball is coded.  The match
+    maps of the passing radii and of the first failing one are read-only
+    mappings, coded when first read.
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
-    # codes depend on the labeled adjacency alone; one action with both roots
-    # in one orbit gives the same adjacency twice, so the y codes are the x codes
-    same = gx.graph.vertices == gy.graph.vertices and gx._adjacency == gy._adjacency
-    verdicts: list[RadiusVerdict] = []
-    failed = False
+    same = _same_adjacency(gx, gy)
+    failed = max_radius + 1  # the first failing radius, past the cap when none fails
+    if not same:
+        failed = next((r for r in range(max_radius + 1)
+                       if set(_codes(gx, r).values()) != set(_codes(gy, r).values())), failed)
+    verdicts = []
     for radius in range(max_radius + 1):
-        if failed:
+        if radius > failed:
             verdicts.append(RadiusVerdict(radius, False, {}, {}))
             continue
-        xcodes = {v: _ball_code(gx, v, radius)[0] for v in gx.graph.vertices}
-        ycodes = xcodes if same else {v: _ball_code(gy, v, radius)[0] for v in gy.graph.vertices}
-        x_matches = _first_matches(xcodes, ycodes)
-        y_matches = _first_matches(ycodes, xcodes)
-        ok = None not in x_matches.values() and None not in y_matches.values()
-        verdicts.append(RadiusVerdict(radius, ok, x_matches, y_matches))
-        failed = not ok
+        source = _RadiusMatches(gx, gy, same, radius)
+        x_matches = _LazyMatches(source, 0)
+        # with the same codes on both sides, the two match maps are equal
+        y_matches = x_matches if same else _LazyMatches(source, 1)
+        verdicts.append(RadiusVerdict(radius, radius < failed, x_matches, y_matches))
     return LocalIsoResult(tuple(verdicts))
 
 
@@ -637,23 +702,30 @@ def spectra_compare_orbits(
     element's default radius bound.  The two labeled orbital graphs come
     back as ``graph_x`` and ``graph_y`` for follow-up checks.
     """
+    if max_radius is not None and max_radius < 0:
+        raise ValueError("max_radius must be nonnegative")
     gx = orbital_graph(action_x, x, element)
     gy = orbital_graph(action_y, y, element)
     mx = materialize(gx.graph)
     my = materialize(gy.graph)
+    # bit for bit, so that a signed zero counts as a difference; the uint64
+    # views compare without copying either matrix
+    same_matrix = np.array_equal(mx.view(np.uint64), my.view(np.uint64))
     sx = spectrum(mx)
-    sy = spectrum(my)
-    cap = max_radius if max_radius is not None else max(gx.diameter(), gy.diameter()) + 1
+    sy = sx if same_matrix else spectrum(my)
+    if max_radius is not None:
+        cap = max_radius
+    elif _same_adjacency(gx, gy):
+        cap = gx.diameter() + 1
+    else:
+        cap = max(gx.diameter(), gy.diameter()) + 1
     iso = local_iso_check(gx, gy, cap)
     radius = default_radius_bound(element)
-    cross = tuple(
-        MembershipCross(
-            lam,
-            membership_by_deficiency(mx, lam, radius, tol),
-            membership_by_deficiency(my, lam, radius, tol),
-        )
-        for lam in sx.values
-    )
+    cross = []
+    for lam in sx.values:
+        in_x = membership_by_deficiency(mx, lam, radius, tol)
+        in_y = in_x if same_matrix else membership_by_deficiency(my, lam, radius, tol)
+        cross.append(MembershipCross(lam, in_x, in_y))
     return OrbitComparison(
         root_x=x,
         root_y=y,
@@ -666,7 +738,7 @@ def spectra_compare_orbits(
         local_iso=iso,
         max_common_radius=iso.max_ok_radius,
         saturated=iso.max_ok_radius == cap,
-        cross_checks=cross,
+        cross_checks=tuple(cross),
         graph_x=gx,
         graph_y=gy,
     )

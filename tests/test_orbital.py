@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,8 @@ from wgraph import (
     word_str,
 )
 import wgraph.orbital
+from wgraph.cli import main
+from wgraph.fileio import ActionSpec, write_action, write_element
 from wgraph.orbital import _ball_code
 
 
@@ -496,3 +501,200 @@ def test_same_orbit_reuses_codes_with_an_equal_result(case, monkeypatch):
     assert with_shortcut == without
     assert with_shortcut.max_ok_radius == cap
     assert all(g is gx for g in coded) and len(coded) == len(gx.graph.vertices) * (cap + 1)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``wgraph.orbital.<name>`` by a wrapper that records each call."""
+    calls = []
+    real = getattr(wgraph.orbital, name)
+    monkeypatch.setattr(wgraph.orbital, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _grigorchuk(level):
+    act = GroupAction.from_mealy(GRIGORCHUK_TRANSITIONS, ["0", "1"], level)
+    return act, GroupAlgebraElement({(w,): 1.0 for w in "abcd"})
+
+
+def test_same_adjacency_codes_balls_only_when_a_match_is_read(monkeypatch):
+    act, elem = _grigorchuk(5)
+    gx, gy = orbital_graph(act, "00000", elem), orbital_graph(act, "01101", elem)
+    n, cap = len(gx.graph.vertices), gx.diameter() + 1
+    want = reference_local_iso(gx, gy, 4).radii
+    coded = _counting(monkeypatch, "_ball_code")
+    res = local_iso_check(gx, gy, cap)
+    assert len(coded) == 0
+    assert res.max_ok_radius == cap and len(res.radii) == cap + 1 and all(v.ok for v in res.radii)
+    x_matches = res.radii[4].x_matches
+    assert len(x_matches) == n and list(x_matches) == list(gx.graph.vertices)
+    assert len(coded) == 0
+    assert x_matches == want[4].x_matches
+    assert len(coded) == n and all(args[0] is gx and args[2] == 4 for args in coded)
+    assert res.radii[4].y_matches == want[4].y_matches
+    assert len(coded) == n
+    with pytest.raises(TypeError):
+        x_matches["00000"] = None  # read-only
+
+
+class _TrackedCode:
+    """A ball code that a weak reference can follow, to see whether any
+    code outlives the call that made it."""
+
+    __slots__ = ("code", "__weakref__")
+
+    def __init__(self, code):
+        self.code = code
+
+    def __eq__(self, other):
+        return self.code == other.code
+
+    def __hash__(self):
+        return hash(self.code)
+
+
+def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
+    act, elem = _grigorchuk(4)
+    gx, gy = orbital_graph(act, "0000", elem), _prefixed(orbital_graph(act, "1011", elem), "y")
+    n = len(gx.graph.vertices)
+    want = reference_local_iso(gx, gy, 5).radii
+    codes = []
+    real = wgraph.orbital._ball_code
+
+    def tracked_ball_code(g, v, r):
+        code, order = real(g, v, r)
+        codes.append(weakref.ref(tracked := _TrackedCode(code)))
+        return tracked, order
+
+    monkeypatch.setattr(wgraph.orbital, "_ball_code", tracked_ball_code)
+    res = local_iso_check(gx, gy, 5)
+    assert len(codes) == 2 * n * 6 and res.max_ok_radius == 5  # the scan, radii 0-5
+    first = dict(res.radii[2].x_matches)
+    assert len(codes) == 2 * n * 7  # the x and the y codes of radius 2
+    assert dict(res.radii[2].y_matches) == want[2].y_matches  # ... which gave both maps
+    assert dict(res.radii[3].x_matches) == want[3].x_matches
+    assert len(codes) == 2 * n * 8
+    assert dict(res.radii[2].x_matches) == first == want[2].x_matches  # a map once read is kept
+    assert len(codes) == 2 * n * 8
+    gc.collect()
+    assert all(ref() is None for ref in codes)  # while the result lives, no code does
+
+
+def test_different_adjacency_codes_no_radius_past_the_first_failure(monkeypatch):
+    g3 = orbital_graph(odometer_action(3), "000", adjacency_element())
+    g4 = orbital_graph(odometer_action(4), "0000", adjacency_element())
+    relabeled = repermuted(np.random.default_rng(1209), odometer_action(4))
+    g4_relabeled = orbital_graph(relabeled, "0000", adjacency_element())
+    act, elem = _grigorchuk(6)
+    # the same permutations under swapped names b <-> d, a different labeled graph
+    swapped = GroupAction(act.points, {**act.perms, "b": act.perms["d"], "d": act.perms["b"]})
+    gz, gz_swapped = orbital_graph(act, "000000", elem), orbital_graph(swapped, "000000", elem)
+    for gx, gy, cap, max_ok in ((g3, g4, 5, 3), (g4, g4_relabeled, 9, 9), (gz, gz_swapped, 65, 0)):
+        want = reference_local_iso(gx, gy, min(cap, 5)).radii
+        coded = _counting(monkeypatch, "_ball_code")
+        res = local_iso_check(gx, gy, cap)
+        scanned = min(max_ok + 1, cap)  # every radius up to the first failure, and no further
+        assert {args[2] for args in coded} == set(range(scanned + 1))
+        assert len(coded) == (len(gx.graph.vertices) + len(gy.graph.vertices)) * (scanned + 1)
+        assert res.max_ok_radius == max_ok
+        assert res.radii[:len(want)] == want
+        monkeypatch.undo()
+
+
+def test_equal_operators_share_spectrum_diameter_and_cross_checks(monkeypatch):
+    act = odometer_action(3)
+    gx, gy = orbital_graph(act, "000", adjacency_element()), orbital_graph(act, "011", adjacency_element())
+    assert materialize(gx.graph).tobytes() == materialize(gy.graph).tobytes()
+    member = _counting(monkeypatch, "membership_by_deficiency")
+    spectra = _counting(monkeypatch, "spectrum")
+    diameters = []
+    real_diameter = LabeledOrbitalGraph.diameter
+    monkeypatch.setattr(LabeledOrbitalGraph, "diameter",
+                        lambda g: diameters.append(g) or real_diameter(g))
+    comp = spectra_compare_orbits(act, act, "000", "011", adjacency_element())
+    assert len(member) == 8 and len(spectra) == 1 and len(diameters) == 1
+    assert comp.spectrum_y == comp.spectrum_x and comp.saturated
+    assert all(c.in_y == c.in_x for c in comp.cross_checks)
+
+    del member[:], spectra[:], diameters[:]
+    comp = spectra_compare_orbits(odometer_action(3), odometer_action(4), "000", "0000",
+                                  adjacency_element())
+    assert len(member) == 16 and len(spectra) == 2 and len(diameters) == 2
+
+
+def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
+    act = odometer_action(3)
+    real = wgraph.orbital.materialize
+    built = []
+
+    def materialize_flipping_a_zero(graph):
+        m = real(graph)
+        if built:
+            m[tuple(np.argwhere(m == 0)[0])] = complex(-0.0, 0.0)
+        built.append(m)
+        return m
+
+    monkeypatch.setattr(wgraph.orbital, "materialize", materialize_flipping_a_zero)
+    member = _counting(monkeypatch, "membership_by_deficiency")
+    spectra = _counting(monkeypatch, "spectrum")
+    spectra_compare_orbits(act, act, "000", "011", adjacency_element())
+    assert np.array_equal(built[0], built[1]) and built[0].tobytes() != built[1].tobytes()
+    assert len(member) == 16 and len(spectra) == 2
+
+
+def _write_inputs(tmp_path, transitions, element):
+    act_path, elt_path = str(tmp_path / "g.act"), str(tmp_path / "g.elt")
+    write_action(ActionSpec("mealy", transitions=transitions, alphabet=("0", "1")), act_path)
+    write_element(element, elt_path)
+    return act_path, elt_path
+
+
+def test_negative_max_radius_is_refused_before_any_graph_is_built(monkeypatch, tmp_path, capsys):
+    built = _counting(monkeypatch, "orbital_graph")
+    with pytest.raises(ValueError, match="max_radius must be nonnegative"):
+        spectra_compare_orbits(odometer_action(3), odometer_action(3), "000", "011",
+                               adjacency_element(), max_radius=-1)
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, adjacency_element())
+    code = main(["orbital", "--action", act_path, "--element", elt_path,
+                 "--x", "000", "--y", "011", "--level", "3", "--radius", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "ERROR: max_radius must be nonnegative\n"
+    assert built == []
+
+
+def test_cli_report_equals_the_one_from_the_reference_matcher(monkeypatch, tmp_path, capsys):
+    act, elem = _grigorchuk(5)
+    act_path, elt_path = _write_inputs(tmp_path, GRIGORCHUK_TRANSITIONS, elem)
+    argv = ["orbital", "--action", act_path, "--element", elt_path,
+            "--x", "00000", "--y", "10110", "--level", "5"]
+
+    def reports():
+        out = []
+        for extra in ([], ["--json"]):
+            code = main(argv + extra)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    got = reports()
+    cached = {}  # the reference takes seconds, so both reports share one run
+
+    def reference(gx, gy, cap):
+        key = (gx.root, gy.root, cap)
+        if key not in cached:
+            cached[key] = reference_local_iso(gx, gy, cap)
+        return cached[key]
+
+    monkeypatch.setattr(wgraph.orbital, "local_iso_check", reference)
+    want = reports()
+    assert len(cached) == 1
+    assert got == want
+    assert "LOCAL-ISO SATURATED: yes" in got[0][1] and "TRANSFER: ok" in got[0][1]
+
+
+def test_cli_codes_only_the_transfer_radius(monkeypatch, tmp_path, capsys):
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, adjacency_element())
+    coded = _counting(monkeypatch, "_ball_code")
+    code = main(["orbital", "--action", act_path, "--element", elt_path,
+                 "--x", "00000", "--y", "10110", "--level", "5"])
+    assert code == 0 and "TRANSFER: ok" in capsys.readouterr().out
+    # the matches at the transfer reach, then the two balls rayleigh_transfer compares
+    assert {args[2] for args in coded} == {1} and len(coded) == 32 + 2
