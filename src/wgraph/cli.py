@@ -44,14 +44,17 @@ from .fileio import (
     write_graph,
     write_matrix,
 )
-from .operator import FinSuppVector, materialize, matrix_norm_bound
+from .operator import FinSuppVector, materialize
 from .orbital import (
     positive_element_graph,
     rayleigh_transfer,
     spectra_compare_orbits,
     word_str,
 )
-from .spectra import membership_by_deficiency, shift_counterexample_report, spectrum
+from .spectra import (
+    DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _deficiency_matrix,
+    membership_by_deficiency, shift_counterexample_report, spectrum,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -132,14 +135,10 @@ def cmd_graph_op(args) -> int:
         lam = parse_complex(args.lam)
         side = args.side
         result = deficiency_graph(graph, lam, args.radius, side=side)
-        # I - prod / R^2 built in place: the dense n x n copies set the memory peak
-        diag = np.diag_indices(graph.order)
-        m[diag] -= lam
-        expected = m @ m.conj().T if side == "left" else m.conj().T @ m
+        # shifted in place: the dense n x n copies set the memory peak
+        m[np.diag_indices(graph.order)] -= lam
+        expected = _deficiency_matrix(m, args.radius, side)
         del m
-        expected /= args.radius**2
-        np.negative(expected, out=expected)
-        expected[diag] += 1
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(args.radius), args.radius)
         rep.kv("SIDE", side)
@@ -169,20 +168,18 @@ def cmd_spectrum(args) -> int:
     rep = Report()
     rep.kv("ORDER", m.shape[0])
     _spectrum_kv(rep, "SPECTRUM", spectrum(m))
-    code = 0
     if args.check_lambda is not None:
         lam = parse_complex(args.check_lambda)
-        radius = args.radius if args.radius is not None else 2.0 * max(matrix_norm_bound(m), 1e-12)
-        verdict = membership_by_deficiency(m, lam, radius, tol=args.tol)
+        verdict = membership_by_deficiency(m, lam, args.radius, tol=args.tol)
         rep.kv("LAMBDA", format_complex(lam))
-        rep.kv("R", _fmt(radius), radius)
+        rep.kv("R", _fmt(verdict.R_used), verdict.R_used)
         rep.kv("TOL", _fmt(args.tol), args.tol)
         _verdict_fields(rep, "", verdict)
     if args.out:
         write_matrix(m, args.out)
         rep.kv("WROTE", args.out)
     rep.emit(args.json)
-    return code
+    return 0
 
 
 def cmd_cover_verify(args) -> int:
@@ -299,15 +296,13 @@ def cmd_orbital(args) -> int:
         )
     rep.jset("cross-miss-list", [format_complex(c.lam) for c in misses])
     code = 0
-    gx, gy = comp.graph_x, comp.graph_y
-    reach = gx.transfer_reach
-    verdict_idx = min(reach, len(comp.local_iso.radii) - 1)
-    match = comp.local_iso.radii[verdict_idx].x_matches.get(args.x)
-    if comp.max_common_radius >= reach and match is not None:
+    reach = comp.graph_x.transfer_reach
+    if comp.max_common_radius >= reach:
+        match = comp.local_iso.radii[reach].x_matches[args.x]  # a passing radius matches every vertex
         alpha = comp.spectrum_x.values[-1]
         builder = lambda g: positive_element_graph(g, element, alpha, comp.radius)
         vx, vy = rayleigh_transfer(
-            gx, gy, builder, FinSuppVector.delta(args.x), 0, (args.x, match)
+            comp.graph_x, comp.graph_y, builder, FinSuppVector.delta(args.x), 0, (args.x, match)
         )
         dev = abs(vx - vy)
         rep.kv("TRANSFER ALPHA", format_complex(alpha))
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-lambda", help="test this point for spectral membership")
     p.add_argument("--R", dest="radius", type=float, help="membership radius (default 2x norm bound)")
     p.add_argument("--out", help="write the materialized matrix here")
-    _add_common(p, 1e-9)
+    _add_common(p, DEFAULT_MEMBERSHIP_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("cover", help="covering-map tools")
@@ -403,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--map", required=True, help="covering file (.cov)")
     q.add_argument("--R", dest="radius", type=float, help="deficiency radius override")
     q.add_argument("--side", choices=["left", "right"], default="right")
-    _add_common(q, 1e-8)
+    _add_common(q, DEFAULT_SUBSET_TOL)
     q.set_defaults(func=cmd_cover_include)
 
     p = sub.add_parser("orbital", help="compare orbital operators at two base points")
@@ -413,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="second base point")
     p.add_argument("--level", type=int, help="expansion level for transducer actions")
     p.add_argument("--radius", dest="max_radius", type=int, help="cap for the local-iso scan")
-    _add_common(p, 1e-9)
+    _add_common(p, DEFAULT_MEMBERSHIP_TOL)
     p.set_defaults(func=cmd_orbital)
 
     p = sub.add_parser("demo-shift", help="one-sided shift: why both deficiency sides matter")

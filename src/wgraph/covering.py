@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import CoveringError, GraphStructureError
 from .operator import materialize, norm_bound
-from .spectra import DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, spectrum, subset_check
+from .spectra import DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _distance_to_one, spectrum, subset_check
 
 __all__ = [
     "CoveringMap",
@@ -406,10 +406,8 @@ def deficiency_route_check(
     chain = DeficiencyChain(covering, lambdas[0], radius, side) if lambdas else None
     for lam in lambdas:
         step = chain.at(lam)
-        base_vals = np.linalg.eigvalsh(materialize(step.base))
-        cover_def_vals = np.linalg.eigvalsh(materialize(step.cover))
-        base_w = float(np.min(np.abs(base_vals - 1.0)))
-        cover_w = float(np.min(np.abs(cover_def_vals - 1.0)))
+        base_w = _distance_to_one(materialize(step.base))
+        cover_w = _distance_to_one(materialize(step.cover))
         sdist = float(np.min(np.abs(cover_vals - lam)))
         steps.append(RouteStep(lam, base_w, cover_w, sdist, base_w <= tol and cover_w <= tol and sdist <= tol))
     return DeficiencyRouteReport(float(radius), tol, side, tuple(steps))

@@ -18,6 +18,7 @@ import numpy as np
 from .core import WeightedGraph, make_graph
 from .covering import CoveringMap
 from .errors import ActionError, GraphStructureError, ParseError
+from .operator import MAX_DENSE_DIM
 from .orbital import GroupAction, GroupAlgebraElement, parse_word, word_str
 
 __all__ = [
@@ -100,7 +101,7 @@ class _Cursor:
         if parts[1] != "1":
             self.fail(lineno, f"unsupported {kind} format version {parts[1]!r}")
 
-    def count(self, keyword: str, minimum: int = 0) -> int:
+    def count(self, keyword: str, minimum: int = 0, cap: int | None = None) -> int:
         lineno, line = self.next_line(f"{keyword!r} count")
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
@@ -111,6 +112,8 @@ class _Cursor:
             self.fail(lineno, f"bad count {parts[1]!r}")
         if n < minimum:
             self.fail(lineno, f"{keyword} count must be at least {minimum}")
+        if cap is not None and n > cap:
+            self.fail(lineno, f"{keyword} {n} exceeds the dense cap {cap}")
         return n
 
     def complex_field(self, lineno: int, token: str) -> complex:
@@ -186,7 +189,7 @@ def write_graph(graph: WeightedGraph, path: str):
 def read_matrix(path: str) -> np.ndarray:
     cur = _open(path)
     cur.header("matrix")
-    n = cur.count("dim", minimum=1)
+    n = cur.count("dim", minimum=1, cap=MAX_DENSE_DIM)
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         lineno, line = cur.next_line("matrix row")

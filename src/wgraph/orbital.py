@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -488,42 +488,31 @@ def _codes(g: LabeledOrbitalGraph, radius: int) -> dict:
     return {v: _ball_code(g, v, radius)[0] for v in g.graph.vertices}
 
 
-class _RadiusMatches:
-    """Both first-match maps of one radius, computed together when first
-    read.  The codes they come from are dropped as soon as the maps are
-    built, so a result keeps no codes however long it lives.  With the
+def _match_maps(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, same: bool, radius: int) -> tuple[dict, dict]:
+    """Both first-match maps of one radius.  The codes they come from die
+    on return, so a result keeps no codes however long it lives.  With the
     same adjacency, the y codes and the y map are the x ones.
     """
-
-    def __init__(self, gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, same: bool, radius: int):
-        self.gx, self.gy, self.same, self.radius = gx, gy, same, radius
-        self._maps = None
-
-    def maps(self) -> tuple[dict, dict]:
-        if self._maps is None:
-            xcodes = _codes(self.gx, self.radius)
-            if self.same:
-                x_matches = _first_matches(xcodes, xcodes)
-                self._maps = (x_matches, x_matches)
-            else:
-                ycodes = _codes(self.gy, self.radius)
-                self._maps = (_first_matches(xcodes, ycodes), _first_matches(ycodes, xcodes))
-        return self._maps
+    xcodes = _codes(gx, radius)
+    if same:
+        x_matches = _first_matches(xcodes, xcodes)
+        return x_matches, x_matches
+    ycodes = _codes(gy, radius)
+    return _first_matches(xcodes, ycodes), _first_matches(ycodes, xcodes)
 
 
 class _LazyMatches(Mapping):
     """Read-only first-match map of one graph's vertices at one radius.
 
-    Keys and length come from the vertex list; the matches are computed
-    when a value is first read, then kept.
+    Keys and length come from the vertex list; ``maps`` gives both match
+    maps of the radius, computed when a value is first read, then kept.
     """
 
-    def __init__(self, source: _RadiusMatches, side: int):
-        self._source, self._side = source, side
-        self._vertices = (source.gx, source.gy)[side].graph.vertices
+    def __init__(self, vertices, maps, side: int):
+        self._vertices, self._maps, self._side = vertices, maps, side
 
     def _data(self) -> dict:
-        return self._source.maps()[self._side]
+        return self._maps()[self._side]
 
     def __getitem__(self, vertex):
         return self._data()[vertex]
@@ -568,10 +557,10 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
         if radius > failed:
             verdicts.append(RadiusVerdict(radius, False, {}, {}))
             continue
-        source = _RadiusMatches(gx, gy, same, radius)
-        x_matches = _LazyMatches(source, 0)
+        maps = cache(partial(_match_maps, gx, gy, same, radius))
+        x_matches = _LazyMatches(gx.graph.vertices, maps, 0)
         # with the same codes on both sides, the two match maps are equal
-        y_matches = x_matches if same else _LazyMatches(source, 1)
+        y_matches = x_matches if same else _LazyMatches(gy.graph.vertices, maps, 1)
         verdicts.append(RadiusVerdict(radius, radius < failed, x_matches, y_matches))
     return LocalIsoResult(tuple(verdicts))
 

@@ -113,7 +113,23 @@ class MembershipVerdict:
     dist_right: float
 
 
-def membership_by_deficiency(matrix, lam, radius: float, tol: float = DEFAULT_MEMBERSHIP_TOL) -> MembershipVerdict:
+def _deficiency_matrix(shifted: np.ndarray, radius: float, side: str) -> np.ndarray:
+    """``I - AA*/R^2`` (left) or ``I - A*A/R^2`` (right) of the shifted ``A``, built in its
+    product.  Subtracting from zero, unlike negating, gives each zero the sign that
+    ``np.eye(n) - X`` gives it, so the result is that formula bit for bit."""
+    prod = shifted @ shifted.conj().T if side == "left" else shifted.conj().T @ shifted
+    prod /= radius * radius
+    np.subtract(0.0, prod, out=prod)
+    prod[np.diag_indices(len(prod))] += 1
+    return prod
+
+
+def _distance_to_one(h: np.ndarray) -> float:
+    """Distance of 1 to the spectrum of the Hermitian matrix ``h``."""
+    return float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0)))
+
+
+def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: float = DEFAULT_MEMBERSHIP_TOL) -> MembershipVerdict:
     """Two-sided spectral membership test, valid without normality.
 
     Forms both Hermitian deficiency operators
@@ -122,25 +138,24 @@ def membership_by_deficiency(matrix, lam, radius: float, tol: float = DEFAULT_ME
     member when either has an eigenvalue within ``tol`` of 1.  The
     distance of 1 to either spectrum equals ``sigma_min(M - lam)^2 /
     radius^2``, so the verdict matches the ground truth
-    ``sigma_min(M - lam) <= radius * sqrt(tol)``.  Testing a single
+    ``sigma_min(M - lam) <= radius * sqrt(tol)``.  ``radius`` defaults to
+    twice the Schur norm bound (at least 2e-12).  Testing a single
     product order is sound only for normal operators; see
     :func:`shift_counterexample_report`.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    bound = matrix_norm_bound(m)
+    if radius is None:
+        radius = 2.0 * max(bound, 1e-12)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    bound = matrix_norm_bound(m)
     if radius < 2.0 * bound - 1e-12 * max(1.0, bound):
         raise ValueError(f"radius {radius} is below twice the norm bound {bound}")
-    n = m.shape[0]
-    a = m - complex(lam) * np.eye(n)
-    rr = radius * radius
-    left = np.eye(n) - (a @ a.conj().T) / rr
-    right = np.eye(n) - (a.conj().T @ a) / rr
-    dist_left = float(np.min(np.abs(np.linalg.eigvalsh(left) - 1.0)))
-    dist_right = float(np.min(np.abs(np.linalg.eigvalsh(right) - 1.0)))
+    a = m.copy()
+    a[np.diag_indices(len(a))] -= complex(lam)
+    dist_left, dist_right = (_distance_to_one(_deficiency_matrix(a, radius, s)) for s in ("left", "right"))
     member = dist_left <= tol or dist_right <= tol
     if member:
         side = "left" if dist_left <= dist_right else "right"

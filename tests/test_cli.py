@@ -312,6 +312,14 @@ def test_parse_errors_surface_with_location(files, capsys, tmp_path):
     assert code == 2 and "ERROR:" in err
 
 
+def test_matrix_over_the_dense_cap_is_refused_at_its_dim_line(capsys, tmp_path):
+    big = tmp_path / "big.mat"
+    big.write_text("matrix 1\ndim 100000000\n")
+    code, out, err = run(capsys, ["spectrum", "--matrix", str(big), "--check-lambda", "0"])
+    assert code == 2 and out == ""
+    assert err == f"ERROR: {big}:2: dim 100000000 exceeds the dense cap 2048\n"
+
+
 def test_missing_required_argument_exits_two(files):
     with pytest.raises(SystemExit) as e:
         main(["cover", "verify"])

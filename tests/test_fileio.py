@@ -223,6 +223,7 @@ def test_parse_errors_carry_path_and_line(tmp_path):
         ("badversion.wg", "wgraph 2\nvertices 1\nv\narcs 0\n", read_graph, 1, "version"),
         ("badcount.wg", "wgraph 1\nvertices x\n", read_graph, 2, "bad count"),
         ("zerodim.mat", "matrix 1\ndim 0\n", read_matrix, 2, "at least 1"),
+        ("bigdim.mat", "matrix 1\ndim 2049\n", read_matrix, 2, "dim 2049 exceeds the dense cap 2048"),
         ("truncated.wg", "wgraph 1\nvertices 2\nv\n", read_graph, 4, "unexpected end"),
         ("badarc.wg", "wgraph 1\nvertices 1\nv\narcs 1\nv v nope 0\n", read_graph, 5, "bad complex"),
         ("badrow.mat", "matrix 1\ndim 2\n1 0\n1\n", read_matrix, 4, "expected 2"),

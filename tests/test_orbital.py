@@ -698,3 +698,13 @@ def test_cli_codes_only_the_transfer_radius(monkeypatch, tmp_path, capsys):
     assert code == 0 and "TRANSFER: ok" in capsys.readouterr().out
     # the matches at the transfer reach, then the two balls rayleigh_transfer compares
     assert {args[2] for args in coded} == {1} and len(coded) == 32 + 2
+
+
+def test_cli_codes_no_ball_when_the_transfer_is_skipped(monkeypatch, tmp_path, capsys):
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, adjacency_element())
+    coded = _counting(monkeypatch, "_ball_code")
+    code = main(["orbital", "--action", act_path, "--element", elt_path,
+                 "--x", "00000", "--y", "10110", "--level", "5", "--radius", "0"])
+    out = capsys.readouterr().out
+    assert code == 0 and "TRANSFER: skipped (no match at transfer radius)" in out
+    assert coded == []  # radius 0 is below the transfer reach, so no match is read

@@ -96,6 +96,42 @@ def test_membership_rejects_bad_parameters():
         membership_by_deficiency(NILPOTENT, 0.0, 0.5)  # R below 2*norm bound
 
 
+def _textbook_distances(m, lam, radius):
+    n = m.shape[0]
+    a = m - complex(lam) * np.eye(n)
+    left = np.eye(n) - (a @ a.conj().T) / radius**2
+    right = np.eye(n) - (a.conj().T @ a) / radius**2
+    return tuple(float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0))) for h in (left, right))
+
+
+def _sparse_complex(rng, n):
+    """About 70% exact zeros; about 30% of their real parts and 30% of their imaginary parts are -0.0."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    zero = rng.random((n, n)) < 0.7
+    m[zero] = 0.0
+    m.real[zero & (rng.random((n, n)) < 0.3)] = -0.0
+    m.imag[zero & (rng.random((n, n)) < 0.3)] = -0.0
+    return m
+
+
+def test_membership_distances_equal_the_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(2012)
+    for _ in range(60):
+        m = _sparse_complex(rng, int(rng.integers(1, 9)))
+        radius = 2.0 * max(matrix_norm_bound(m), 1e-12)
+        for lam in (0.0, -0.5 + 0.25j, 0.3 - 0.7j):
+            v = membership_by_deficiency(m, lam, radius)
+            assert (v.dist_left, v.dist_right) == _textbook_distances(m, lam, radius)
+
+
+def test_membership_radius_defaults_to_twice_the_schur_bound():
+    rng = np.random.default_rng(13565)
+    for m in (NILPOTENT, np.zeros((3, 3)), *(_sparse_complex(rng, 5) for _ in range(5))):
+        for lam in (0.0, -0.5 + 0.25j):
+            want = membership_by_deficiency(m, lam, radius=2.0 * max(matrix_norm_bound(m), 1e-12))
+            assert membership_by_deficiency(m, lam) == want
+
+
 def test_graph_route_matches_matrix_route_for_deficiency():
     rng = np.random.default_rng(23)
     for _ in range(10):
