@@ -8,197 +8,16 @@ two-sided membership tests, covers that transport spectra, orbital graphs
 of group actions — checkable at the graph level.
 """
 
-from .core import (
-    Arc,
-    WeightedGraph,
-    add_scalar,
-    adjoint,
-    compose,
-    compose_with_pairs,
-    deficiency_chain,
-    deficiency_graph,
-    identity_graph,
-    make_graph,
-    normalize,
-    scale,
-)
-from .covering import (
-    CoveringMap,
-    DeficiencyChain,
-    DeficiencyRouteReport,
-    InclusionReport,
-    Violation,
-    deficiency_route_check,
-    identity_covering,
-    induced_covering,
-    induced_deficiency_covering,
-    pullback_matrix,
-    spectral_inclusion_check,
-    verify_covering,
-    voltage_cover,
-)
-from .errors import (
-    ActionError,
-    CoveringError,
-    DimensionCapError,
-    GraphStructureError,
-    ParseError,
-    WGraphError,
-)
-from .fileio import (
-    ActionSpec,
-    format_complex,
-    parse_complex,
-    read_action,
-    read_covering,
-    read_element,
-    read_graph,
-    read_matrix,
-    read_voltages,
-    write_action,
-    write_covering,
-    write_element,
-    write_graph,
-    write_matrix,
-    write_voltages,
-)
-from .operator import (
-    MAX_ARCS,
-    MAX_DENSE_DIM,
-    FinSuppVector,
-    StreamedGraph,
-    apply,
-    materialize,
-    matrix_norm_bound,
-    norm_bound,
-    shift_graph,
-)
-from .orbital import (
-    IDENTITY_TOKEN,
-    GroupAction,
-    GroupAlgebraElement,
-    LabeledOrbitalGraph,
-    LocalIsoResult,
-    MembershipCross,
-    OrbitComparison,
-    RadiusVerdict,
-    ball,
-    default_radius_bound,
-    invert_word,
-    local_iso_check,
-    orbit,
-    orbital_graph,
-    parse_word,
-    positive_element_graph,
-    rayleigh_transfer,
-    spectra_compare_orbits,
-    word_str,
-)
-from .spectra import (
-    DEFAULT_MEMBERSHIP_TOL,
-    DEFAULT_SUBSET_TOL,
-    HERMITIAN_ATOL,
-    MembershipVerdict,
-    ShiftReport,
-    SpectralSet,
-    SubsetResult,
-    hausdorff_distance,
-    is_hermitian,
-    membership_by_deficiency,
-    shift_counterexample_report,
-    spectrum,
-    subset_check,
-)
+from . import core, covering, errors, fileio, operator, orbital, spectra
+from .core import *
+from .covering import *
+from .errors import *
+from .fileio import *
+from .operator import *
+from .orbital import *
+from .spectra import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "WeightedGraph",
-    "make_graph",
-    "identity_graph",
-    "scale",
-    "add_scalar",
-    "adjoint",
-    "compose",
-    "compose_with_pairs",
-    "deficiency_chain",
-    "deficiency_graph",
-    "normalize",
-    "FinSuppVector",
-    "StreamedGraph",
-    "MAX_DENSE_DIM",
-    "MAX_ARCS",
-    "materialize",
-    "apply",
-    "norm_bound",
-    "matrix_norm_bound",
-    "shift_graph",
-    "SpectralSet",
-    "spectrum",
-    "is_hermitian",
-    "HERMITIAN_ATOL",
-    "DEFAULT_MEMBERSHIP_TOL",
-    "DEFAULT_SUBSET_TOL",
-    "MembershipVerdict",
-    "membership_by_deficiency",
-    "hausdorff_distance",
-    "SubsetResult",
-    "subset_check",
-    "ShiftReport",
-    "shift_counterexample_report",
-    "CoveringMap",
-    "Violation",
-    "verify_covering",
-    "identity_covering",
-    "induced_covering",
-    "induced_deficiency_covering",
-    "DeficiencyChain",
-    "voltage_cover",
-    "pullback_matrix",
-    "InclusionReport",
-    "spectral_inclusion_check",
-    "DeficiencyRouteReport",
-    "deficiency_route_check",
-    "IDENTITY_TOKEN",
-    "GroupAction",
-    "GroupAlgebraElement",
-    "LabeledOrbitalGraph",
-    "parse_word",
-    "word_str",
-    "invert_word",
-    "orbit",
-    "orbital_graph",
-    "default_radius_bound",
-    "ball",
-    "RadiusVerdict",
-    "LocalIsoResult",
-    "local_iso_check",
-    "positive_element_graph",
-    "rayleigh_transfer",
-    "MembershipCross",
-    "OrbitComparison",
-    "spectra_compare_orbits",
-    "format_complex",
-    "parse_complex",
-    "read_graph",
-    "write_graph",
-    "read_matrix",
-    "write_matrix",
-    "read_covering",
-    "write_covering",
-    "read_voltages",
-    "write_voltages",
-    "ActionSpec",
-    "read_action",
-    "write_action",
-    "read_element",
-    "write_element",
-    "WGraphError",
-    "GraphStructureError",
-    "DimensionCapError",
-    "CoveringError",
-    "ActionError",
-    "ParseError",
-    "__version__",
-]
+__all__ = [*core.__all__, *operator.__all__, *spectra.__all__, *covering.__all__,
+           *orbital.__all__, *fileio.__all__, *errors.__all__, "__version__"]

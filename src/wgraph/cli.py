@@ -102,6 +102,8 @@ def _verdict_fields(rep: Report, prefix: str, verdict):
 
 
 def cmd_graph_op(args) -> int:
+    if not 0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     graph = read_graph(args.graph)
     rep = Report()
     rep.kv("OPERATION", args.op)

@@ -30,6 +30,7 @@ from .errors import DimensionCapError, GraphStructureError
 
 __all__ = [
     "Arc",
+    "ArcView",
     "WeightedGraph",
     "make_graph",
     "identity_graph",
@@ -430,6 +431,12 @@ class SkeletonCache:
         return composed.with_weights(_cmul(graph.weight[left], other.weight[right]))
 
 
+def _check_radius(radius: float):
+    """Refuse a deficiency radius whose square is not a positive finite number."""
+    if not (radius > 0 and 0 < radius * radius < np.inf):
+        raise ValueError(f"radius must be positive with a finite nonzero square, got {radius!r}")
+
+
 def deficiency_chain(x, lam, radius: float, side: str, ops):
     """The five operations that assemble a deficiency graph, applied to ``x``.
 
@@ -437,8 +444,7 @@ def deficiency_chain(x, lam, radius: float, side: str, ops):
     for the kind of object ``x`` is: :data:`GRAPH_OPS` for graphs, induced
     coverings for a covering, or a :class:`SkeletonCache`.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     shifted = ops.add_scalar(x, -complex(lam))

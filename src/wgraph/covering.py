@@ -27,7 +27,7 @@ from .core import (
     deficiency_chain,
     scale,
 )
-from .errors import CoveringError, GraphStructureError
+from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
 from .spectra import DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _distance_to_one, spectrum, subset_check
 
@@ -279,11 +279,18 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
     inverse permutation, so a self-paired arc needs an involutive voltage.
     Arc ``k = (v -> w)`` lifts to the d arcs ``(v, i) -> (w, volt[k][i])``
     with the same weight; vertex ``(v, i)`` is named ``"v@<i+1>"``.
+    Both ``d * order`` and ``d * arcs`` are checked against
+    :data:`wgraph.operator.MAX_ARCS` before anything is built.
     Returns the cover and the (already verified) covering map.
     """
+    from .operator import MAX_ARCS
+
     d = int(degree)
     if d < 1:
         raise ValueError("degree must be at least 1")
+    order, arcs = d * base.order, d * len(base.weight)
+    if max(order, arcs) > MAX_ARCS:
+        raise DimensionCapError(f"cover would have {order} vertices and {arcs} arcs; the arc cap is {MAX_ARCS}")
     volts = [tuple(int(x) for x in p) for p in voltages]
     if len(volts) != len(base.arcs):
         raise ValueError(f"need one voltage per arc: got {len(volts)} for {len(base.arcs)} arcs")
@@ -394,9 +401,11 @@ def deficiency_route_check(
     every lam recomputes its weights and checks the weight axiom (see
     :class:`DeficiencyChain`).
     """
+    if not np.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     _checked(covering, "deficiency route")
     if radius is None:
-        radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base))
+        radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base), 1e-12)
     base_spec, cover_spec = covering.spectra
     if lambdas is None:
         lambdas = base_spec.values

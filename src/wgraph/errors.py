@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["WGraphError", "GraphStructureError", "DimensionCapError", "CoveringError", "ActionError", "ParseError"]
+
 
 class WGraphError(Exception):
     """Base class for all library errors."""

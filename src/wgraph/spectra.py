@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_radius
 from .errors import DimensionCapError
 from .operator import MAX_DENSE_DIM, FinSuppVector, apply, matrix_norm_bound, shift_graph
 
@@ -144,13 +145,12 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     :func:`shift_counterexample_report`.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     bound = matrix_norm_bound(m)
     if radius is None:
         radius = 2.0 * max(bound, 1e-12)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     if radius < 2.0 * bound - 1e-12 * max(1.0, bound):
         raise ValueError(f"radius {radius} is below twice the norm bound {bound}")
     a = m.copy()
@@ -196,8 +196,8 @@ def subset_check(first, second, tol: float = DEFAULT_SUBSET_TOL) -> SubsetResult
 
     Reports the worst offender alongside the verdict.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     p = _points(first)
     if p.size == 0:
         return SubsetResult(True, 0.0, None)

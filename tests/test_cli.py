@@ -407,3 +407,58 @@ def test_deficiency_self_check_matches_the_out_of_place_formula(capsys, tmp_path
                 assert json.loads(out)["self-check-deviation"] == want
                 nonzero += want > 0
     assert nonzero
+
+
+SPECTRUM = ["spectrum", "--graph", "swap.wg", "--check-lambda", "0.5"]
+ORBITAL = ["orbital", "--action", "odo.act", "--element", "adj.elt", "--x", "000", "--y", "011",
+           "--level", "3"]
+INCLUDE = ["cover", "include", "--map", "good.cov"]
+DEFICIENCY = ["graph-op", "deficiency", "--graph", "swap.wg", "--lambda", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    SPECTRUM + ["--R", "inf"],
+    SPECTRUM + ["--R", "1e200"],
+    SPECTRUM + ["--R", "nan"],
+    SPECTRUM + ["--tol", "nan"],
+    SPECTRUM + ["--tol", "inf"],
+    ORBITAL + ["--tol", "nan"],
+    ORBITAL + ["--tol", "inf"],
+    INCLUDE + ["--R", "nan"],
+    INCLUDE + ["--R", "inf"],
+    INCLUDE + ["--tol", "nan"],
+    INCLUDE + ["--tol", "inf"],
+    DEFICIENCY + ["--R", "inf"],
+    DEFICIENCY + ["--R", "4", "--tol", "-1"],
+    DEFICIENCY + ["--R", "4", "--tol", "nan"],
+    DEFICIENCY + ["--R", "4", "--tol", "inf"],
+])
+def test_radius_or_tol_out_of_range_is_an_input_error(files, capsys, argv):
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR:") and err.count("\n") == 1
+    assert ("radius" if argv[-2] == "--R" else "tol") in err
+
+
+def test_graph_op_tol_zero_is_an_exact_check(files, capsys):
+    code, out, _ = run(capsys, ["graph-op", "adjoint", "--graph", files["swap.wg"], "--tol", "0"])
+    assert code == 0 and "SELF-CHECK: ok" in out
+
+
+def test_cover_lift_over_the_arc_cap_exits_two(files, capsys, monkeypatch):
+    argv = ["cover", "lift", "--graph", files["base2.wg"], "--volt", files["volt2.volt"]]
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 3)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "ERROR: cover would have 4 vertices and 4 arcs; the arc cap is 3\n"
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 4)
+    assert run(capsys, argv)[0] == 0
+
+
+def test_cover_include_accepts_an_all_zero_covering(capsys, tmp_path):
+    base = make_graph(["x", "y"], [("x", "y", 0.0), ("y", "x", 0.0)], [1, 0])
+    path = str(tmp_path / "zero.cov")
+    write_covering(voltage_cover(base, 2, [(1, 0), (1, 0)])[1], path)
+    code, out, _ = run(capsys, ["cover", "include", "--map", path])
+    assert code == 0 and "INCLUDED: ok" in out
+    assert "ROUTE R: 2e-12" in out

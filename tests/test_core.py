@@ -245,3 +245,9 @@ def test_property_ops_preserve_pairing_structure(g, re, im):
 def test_property_adjoint_involutive_and_normalize_stable(g):
     assert adjoint(adjoint(g)) == g
     assert np.array_equal(materialize(normalize(g)), materialize(g))
+
+
+@pytest.mark.parametrize("radius", [np.inf, 1e200, np.nan, 1e-200, -2.0])
+def test_deficiency_graph_refuses_a_radius_whose_square_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        deficiency_graph(two_cycle(), 0.5, radius)

@@ -3,9 +3,11 @@ import pytest
 
 from helpers import random_voltage_cover
 
+import wgraph.operator
 from wgraph import (
     CoveringError,
     CoveringMap,
+    DimensionCapError,
     GraphStructureError,
     deficiency_route_check,
     identity_covering,
@@ -241,3 +243,37 @@ def test_deficiency_route_with_explicit_lambdas_and_radius():
     cov = c4_over_c2()
     report = deficiency_route_check(cov, lambdas=[2.0, -2.0], radius=8.0, tol=1e-8)
     assert report.radius == 8.0 and report.all_ok
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_deficiency_route_refuses_a_non_finite_tol(tol):
+    cov = voltage_cover(c2_base(), 2, [(1, 0), (1, 0), (0, 1), (0, 1)])[1]
+    with pytest.raises(ValueError, match="tol must be finite"):
+        deficiency_route_check(cov, tol=tol)
+
+
+@pytest.mark.parametrize("radius", [np.inf, np.nan, 1e200])
+def test_deficiency_route_refuses_a_radius_whose_square_is_not_finite(radius):
+    cov = voltage_cover(c2_base(), 2, [(1, 0), (1, 0), (0, 1), (0, 1)])[1]
+    with pytest.raises(ValueError, match="radius must be positive"):
+        deficiency_route_check(cov, radius=radius)
+
+
+def test_deficiency_route_default_radius_has_a_floor_for_zero_weights():
+    base = make_graph(["x", "y"], [("x", "y", 0.0), ("y", "x", 0.0)], [1, 0])
+    report = deficiency_route_check(voltage_cover(base, 2, [(1, 0), (1, 0)])[1])
+    assert report.radius == 2e-12 and report.all_ok
+
+
+def test_voltage_cover_checks_the_lift_budget_before_reading_voltages(monkeypatch):
+    def unread():
+        raise AssertionError("voltages read before the budget check")
+        yield
+
+    # three vertices and two arcs: at degree 2 the vertex count is the larger
+    base = make_graph(["x", "y", "z"], [("x", "y", 1.0), ("y", "x", 1.0)], [1, 0])
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 5)
+    with pytest.raises(DimensionCapError, match="cover would have 6 vertices and 4 arcs; the arc cap is 5"):
+        voltage_cover(base, 2, unread())
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 6)
+    assert voltage_cover(base, 2, [(1, 0), (1, 0)])[0].order == 6

@@ -208,3 +208,17 @@ def test_shift_report_demonstrates_one_sided_failure():
     text = "\n".join(rep.lines())
     assert "one-sided" in text.lower()
     assert shift_counterexample_report(depth=1, trials=1).passed
+
+
+@pytest.mark.parametrize("radius", [np.inf, 1e200, np.nan, 1e-200, -4.0])
+def test_membership_refuses_a_radius_whose_square_is_not_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        membership_by_deficiency(NILPOTENT, 0.5, radius)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_membership_and_subset_refuse_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        membership_by_deficiency(NILPOTENT, 0.5, 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        subset_check(SpectralSet((0j,)), SpectralSet((0j,)), tol=tol)
