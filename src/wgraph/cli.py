@@ -204,10 +204,6 @@ def cmd_cover_verify(args) -> int:
 def cmd_cover_lift(args) -> int:
     base = read_graph(args.graph)
     degree, volts = read_voltages(args.volt)
-    if len(volts) != len(base.arcs):
-        raise ValueError(
-            f"voltage file lists {len(volts)} arcs but the graph has {len(base.arcs)}"
-        )
     cover, covering = voltage_cover(base, degree, volts)
     rep = Report()
     rep.kv("BASE ORDER", base.order)

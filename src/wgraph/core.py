@@ -437,6 +437,14 @@ def _check_radius(radius: float):
         raise ValueError(f"radius must be positive with a finite nonzero square, got {radius!r}")
 
 
+def _check_lambda(lam) -> complex:
+    """``lam`` as a complex number, refused unless both of its parts are finite."""
+    z = complex(lam)
+    if not np.isfinite(z):
+        raise ValueError(f"lambda must be finite, got {z!r}")
+    return z
+
+
 def deficiency_chain(x, lam, radius: float, side: str, ops):
     """The five operations that assemble a deficiency graph, applied to ``x``.
 
@@ -447,7 +455,7 @@ def deficiency_chain(x, lam, radius: float, side: str, ops):
     _check_radius(radius)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    shifted = ops.add_scalar(x, -complex(lam))
+    shifted = ops.add_scalar(x, -_check_lambda(lam))
     star = ops.adjoint(shifted)
     if side == "right":
         prod = ops.compose(star, shifted)

@@ -29,7 +29,8 @@ from .core import (
 )
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
-from .spectra import DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _distance_to_one, spectrum, subset_check
+from .spectra import (DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
+                      _distance_to_one, spectrum, subset_check)
 
 __all__ = [
     "CoveringMap",
@@ -401,11 +402,9 @@ def deficiency_route_check(
     every lam recomputes its weights and checks the weight axiom (see
     :class:`DeficiencyChain`).
     """
-    if not np.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    _check_tol(tol)
     _checked(covering, "deficiency route")
-    if radius is None:
-        radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base), 1e-12)
+    radius = _deficiency_radius(max(norm_bound(covering.cover), norm_bound(covering.base)), radius)
     base_spec, cover_spec = covering.spectra
     if lambdas is None:
         lambdas = base_spec.values
@@ -419,4 +418,4 @@ def deficiency_route_check(
         cover_w = _distance_to_one(materialize(step.cover))
         sdist = float(np.min(np.abs(cover_vals - lam)))
         steps.append(RouteStep(lam, base_w, cover_w, sdist, base_w <= tol and cover_w <= tol and sdist <= tol))
-    return DeficiencyRouteReport(float(radius), tol, side, tuple(steps))
+    return DeficiencyRouteReport(radius, tol, side, tuple(steps))

@@ -61,36 +61,27 @@ def parse_complex(text: str) -> complex:
 
 
 class _Cursor:
-    """Line reader that skips blanks/comments and tracks line numbers."""
+    """Reader of the non-blank, non-comment lines, each with its line number."""
 
     def __init__(self, path: str, text: str):
         self.path = path
-        self._lines = text.splitlines()
-        self._pos = 0
+        raw = text.splitlines()
+        self._end = len(raw) + 1
+        self._lines = ((i, line) for i, line in enumerate((r.strip() for r in raw), 1)
+                       if line and not line.startswith("#"))
+        self.lineno = 0  # the line last read
 
     def fail(self, lineno: int, message: str):
         raise ParseError(self.path, lineno, message)
 
     def next_line(self, what: str) -> tuple[int, str]:
-        while self._pos < len(self._lines):
-            self._pos += 1
-            line = self._lines[self._pos - 1].strip()
-            if line and not line.startswith("#"):
-                return self._pos, line
-        raise ParseError(self.path, len(self._lines) + 1, f"unexpected end of file, wanted {what}")
-
-    def at_end(self) -> bool:
-        pos = self._pos
-        while pos < len(self._lines):
-            line = self._lines[pos].strip()
-            if line and not line.startswith("#"):
-                return False
-            pos += 1
-        return True
+        self.lineno, line = next(self._lines, (self._end, None))
+        if line is None:
+            self.fail(self._end, f"unexpected end of file, wanted {what}")
+        return self.lineno, line
 
     def expect_end(self):
-        if not self.at_end():
-            lineno, line = self.next_line("end of file")
+        for lineno, line in self._lines:  # the first line left, if any
             self.fail(lineno, f"trailing content {line!r}")
 
     def header(self, kind: str):
@@ -143,7 +134,7 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
             cur.fail(lineno, f"vertex id must be a single token, got {line!r}")
         vertices.append(line)
     m = cur.count("arcs")
-    start = cur._pos
+    start = cur.lineno
     arcs = []
     pairing = []
     for _ in range(m):

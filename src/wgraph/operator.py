@@ -177,6 +177,13 @@ def apply(op, vec: FinSuppVector) -> FinSuppVector:
     raise TypeError(f"cannot apply object of type {type(op).__name__}")
 
 
+def _schur_bound(row_sum: float, col_sum: float) -> float:
+    """``sqrt(row_sum * col_sum)``, or ``sqrt(row_sum) * sqrt(col_sum)`` where the product
+    overflows: every bound the product can carry keeps its bits, and no finite bound is inf."""
+    product = row_sum * col_sum
+    return math.sqrt(product) if product < math.inf else math.sqrt(row_sum) * math.sqrt(col_sum)
+
+
 def norm_bound(op) -> float:
     """Upper bound on the operator norm.
 
@@ -190,11 +197,11 @@ def norm_bound(op) -> float:
         w = np.hypot(op.weight.real, op.weight.imag)
         outs = np.bincount(op.source, weights=w, minlength=op.order)
         ins = np.bincount(op.target, weights=w, minlength=op.order)
-        return math.sqrt(float(outs.max()) * float(ins.max()))
+        return _schur_bound(float(outs.max()), float(ins.max()))
     if isinstance(op, StreamedGraph):
         if op.out_weight_sum is None or op.in_weight_sum is None:
             raise ValueError("streamed operator declares no weight-sum bounds; norm_bound is unavailable")
-        return math.sqrt(float(op.out_weight_sum) * float(op.in_weight_sum))
+        return _schur_bound(float(op.out_weight_sum), float(op.in_weight_sum))
     raise TypeError(f"no norm bound for object of type {type(op).__name__}")
 
 
@@ -204,7 +211,7 @@ def matrix_norm_bound(matrix: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     absm = np.abs(m)
-    return float(np.sqrt(absm.sum(axis=1).max() * absm.sum(axis=0).max()))
+    return _schur_bound(float(absm.sum(axis=1).max()), float(absm.sum(axis=0).max()))
 
 
 def shift_graph(direction: str = "forward") -> StreamedGraph:

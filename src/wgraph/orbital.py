@@ -27,6 +27,7 @@ from .spectra import (
     DEFAULT_MEMBERSHIP_TOL,
     MembershipVerdict,
     SpectralSet,
+    _deficiency_radius,
     hausdorff_distance,
     membership_by_deficiency,
     spectrum,
@@ -588,11 +589,8 @@ def positive_element_graph(
     """
     if element.support() != tuple(orbital.alphabet):
         raise ActionError("element support does not match the graph labels")
-    bound = default_radius_bound(element)
-    slack = 1e-9 * max(1.0, float(radius))
-    if radius < bound - slack:
-        raise ValueError(f"radius {radius} is below the safe bound {bound}")
-    if abs(complex(center_value)) > radius / 2.0 + slack:
+    radius = _deficiency_radius(default_radius_bound(element) / 2.0, radius)
+    if abs(complex(center_value)) > radius / 2.0 + 1e-9 * max(1.0, radius):
         raise ValueError(f"|center value| exceeds radius/2 = {radius / 2.0}")
     return deficiency_graph(orbital.graph, center_value, radius, side="left")
 

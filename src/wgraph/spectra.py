@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_radius
+from .core import _check_lambda, _check_radius
 from .errors import DimensionCapError
-from .operator import MAX_DENSE_DIM, FinSuppVector, apply, matrix_norm_bound, shift_graph
+from .operator import MAX_DENSE_DIM, FinSuppVector, apply, matrix_norm_bound, norm_bound, shift_graph
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -130,6 +130,26 @@ def _distance_to_one(h: np.ndarray) -> float:
     return float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0)))
 
 
+def _check_tol(tol: float):
+    """Refuse a verdict tolerance that is not a positive finite number."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _deficiency_radius(bound: float, radius: float | None = None) -> float:
+    """Radius of a deficiency verdict on an operator of norm at most ``bound``: by default
+    ``2 * max(bound, 1e-12)``, refused below ``2 * bound`` (less a relative slack of 1e-12),
+    where the membership identity no longer holds."""
+    if radius is None:
+        radius = 2.0 * max(bound, 1e-12)
+        if not radius * radius < np.inf:
+            raise ValueError(f"the default radius, twice the norm bound {bound!r}, has no finite square")
+    _check_radius(radius)
+    if radius < 2.0 * bound - 1e-12 * max(1.0, bound):
+        raise ValueError(f"radius {radius} is below twice the norm bound {bound}")
+    return float(radius)
+
+
 def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: float = DEFAULT_MEMBERSHIP_TOL) -> MembershipVerdict:
     """Two-sided spectral membership test, valid without normality.
 
@@ -145,23 +165,17 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     :func:`shift_counterexample_report`.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    bound = matrix_norm_bound(m)
-    if radius is None:
-        radius = 2.0 * max(bound, 1e-12)
-    _check_radius(radius)
-    if radius < 2.0 * bound - 1e-12 * max(1.0, bound):
-        raise ValueError(f"radius {radius} is below twice the norm bound {bound}")
+    _check_tol(tol)
+    radius = _deficiency_radius(matrix_norm_bound(m), radius)
     a = m.copy()
-    a[np.diag_indices(len(a))] -= complex(lam)
+    a[np.diag_indices(len(a))] -= _check_lambda(lam)
     dist_left, dist_right = (_distance_to_one(_deficiency_matrix(a, radius, s)) for s in ("left", "right"))
     member = dist_left <= tol or dist_right <= tol
     if member:
         side = "left" if dist_left <= dist_right else "right"
     else:
         side = "none"
-    return MembershipVerdict(member, side, min(dist_left, dist_right), float(radius), dist_left, dist_right)
+    return MembershipVerdict(member, side, min(dist_left, dist_right), radius, dist_left, dist_right)
 
 
 def _points(values) -> np.ndarray:
@@ -196,8 +210,7 @@ def subset_check(first, second, tol: float = DEFAULT_SUBSET_TOL) -> SubsetResult
 
     Reports the worst offender alongside the verdict.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     p = _points(first)
     if p.size == 0:
         return SubsetResult(True, 0.0, None)
@@ -283,7 +296,7 @@ def shift_counterexample_report(depth: int = 100, trials: int = 100, seed: int =
         raise ValueError("depth must be at least 1")
     fwd = shift_graph("forward")
     adj = shift_graph("adjoint")
-    radius = 2.0  # twice the declared norm bound of the shift
+    radius = _deficiency_radius(norm_bound(fwd))
 
     isometry = all(
         apply(adj, apply(fwd, FinSuppVector.delta(k))) == FinSuppVector.delta(k)

@@ -462,3 +462,35 @@ def test_cover_include_accepts_an_all_zero_covering(capsys, tmp_path):
     code, out, _ = run(capsys, ["cover", "include", "--map", path])
     assert code == 0 and "INCLUDED: ok" in out
     assert "ROUTE R: 2e-12" in out
+
+
+def test_cover_include_refuses_a_radius_below_twice_the_bound(capsys, tmp_path):
+    # at R = 1e-4 the route's distances are rounding noise of order 1e-8, no verdict
+    base = make_graph(
+        ["x", "y", "z"],
+        [("x", "y", 0.3 + 0.4j), ("y", "x", 0.7), ("y", "z", -0.6j), ("z", "y", 0.2), ("z", "z", 0.9)],
+        [1, 0, 3, 2, 4],
+    )
+    path = str(tmp_path / "tri.cov")
+    write_covering(voltage_cover(base, 2, [(1, 0), (1, 0), (0, 1), (0, 1), (1, 0)])[1], path)
+    code, out, err = run(capsys, ["cover", "include", "--map", path, "--R", "1e-4"])
+    assert code == 2 and out == ""
+    assert err.startswith("ERROR: radius 0.0001 is below twice the norm bound") and err.count("\n") == 1
+
+
+def test_spectrum_of_huge_entries_has_a_finite_bound(capsys, tmp_path):
+    path = str(tmp_path / "huge.mat")
+    write_matrix(np.full((2, 2), 1e200), path)
+    code, out, _ = run(capsys, ["spectrum", "--matrix", path])
+    assert code == 0 and "ORDER: 2" in out
+    code, out, err = run(capsys, ["spectrum", "--matrix", path, "--check-lambda", "0"])
+    assert code == 2 and out == ""
+    assert err == "ERROR: the default radius, twice the norm bound 2e+200, has no finite square\n"
+
+
+def test_cover_lift_leaves_the_voltage_count_to_the_library(files, capsys, tmp_path):
+    short = str(tmp_path / "short.volt")
+    write_voltages(2, [(1, 0)], short)
+    code, out, err = run(capsys, ["cover", "lift", "--graph", files["base2.wg"], "--volt", short])
+    assert code == 2 and out == ""
+    assert err == "ERROR: need one voltage per arc: got 1 for 2 arcs\n"

@@ -248,7 +248,7 @@ def test_deficiency_route_with_explicit_lambdas_and_radius():
 @pytest.mark.parametrize("tol", [np.nan, np.inf])
 def test_deficiency_route_refuses_a_non_finite_tol(tol):
     cov = voltage_cover(c2_base(), 2, [(1, 0), (1, 0), (0, 1), (0, 1)])[1]
-    with pytest.raises(ValueError, match="tol must be finite"):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
         deficiency_route_check(cov, tol=tol)
 
 
