@@ -231,12 +231,13 @@ def cmd_cover_include(args) -> int:
         rep.kv("INCLUDED", "FAILED", False)
         rep.emit(args.json)
         return 1
+    # the route refuses a bad --R or --tol before it computes the spectra, which both checks share
+    route = deficiency_route_check(covering, radius=args.radius, tol=args.tol, side=args.side)
     inc = spectral_inclusion_check(covering, tol=args.tol)
     _spectrum_kv(rep, "BASE SPECTRUM", inc.base_spectrum)
     _spectrum_kv(rep, "COVER SPECTRUM", inc.cover_spectrum)
     rep.kv("INTERTWINING RESIDUAL", _fmt(inc.intertwining_residual), inc.intertwining_residual)
     rep.kv("SUBSET DEVIATION", _fmt(inc.subset.max_deviation), inc.subset.max_deviation)
-    route = deficiency_route_check(covering, radius=args.radius, tol=args.tol, side=args.side)
     rep.kv("ROUTE R", _fmt(route.radius), route.radius)
     rep.kv("ROUTE SIDE", route.side)
     steps = []

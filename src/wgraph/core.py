@@ -43,7 +43,6 @@ __all__ = [
     "deficiency_graph",
     "normalize",
     "GRAPH_OPS",
-    "SkeletonCache",
 ]
 
 
@@ -170,14 +169,6 @@ class WeightedGraph:
     @property
     def order(self) -> int:
         return len(self.vertices)
-
-    def max_out_degree(self) -> int:
-        """Largest number of arcs leaving a single vertex (boundedness witness)."""
-        return int(self._out_degree.max())
-
-    def max_abs_weight(self) -> float:
-        w = self.weight
-        return float(np.hypot(w.real, w.imag).max()) if len(w) else 0.0
 
 
 def _check_pairing(source: np.ndarray, target: np.ndarray, pairing: list[int]):
@@ -406,31 +397,6 @@ GRAPH_OPS = SimpleNamespace(scale=scale, add_scalar=add_scalar, adjoint=adjoint,
 """The graph operations, as the ``ops`` argument of :func:`deficiency_chain`."""
 
 
-class SkeletonCache:
-    """Graph operations that re-run one construction with new weights.
-
-    The arcs and pairing of a composition depend only on the arcs and
-    pairings of its factors.  The first ``compose`` builds them; later
-    calls reuse them and recompute only the weights, which come out bit
-    for bit as :func:`compose` would make them.  One cache serves one
-    call site whose factor skeletons never change, such as the single
-    composition of :func:`deficiency_chain` on a fixed graph and side.
-    """
-
-    scale = staticmethod(scale)
-    add_scalar = staticmethod(add_scalar)
-    adjoint = staticmethod(adjoint)
-
-    def __init__(self):
-        self._skeleton = None
-
-    def compose(self, graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
-        if self._skeleton is None:
-            self._skeleton = _compose(graph, other)
-        composed, left, right = self._skeleton
-        return composed.with_weights(_cmul(graph.weight[left], other.weight[right]))
-
-
 def _check_radius(radius: float):
     """Refuse a deficiency radius whose square is not a positive finite number."""
     if not (radius > 0 and 0 < radius * radius < np.inf):
@@ -449,8 +415,8 @@ def deficiency_chain(x, lam, radius: float, side: str, ops):
     """The five operations that assemble a deficiency graph, applied to ``x``.
 
     ``ops`` supplies ``scale``, ``add_scalar``, ``adjoint`` and ``compose``
-    for the kind of object ``x`` is: :data:`GRAPH_OPS` for graphs, induced
-    coverings for a covering, or a :class:`SkeletonCache`.
+    for the kind of object ``x`` is: :data:`GRAPH_OPS` for graphs, or
+    induced coverings for a covering.
     """
     _check_radius(radius)
     if side not in ("left", "right"):

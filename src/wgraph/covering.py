@@ -18,15 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (
-    SkeletonCache,
-    WeightedGraph,
-    _compose,
-    add_scalar,
-    adjoint,
-    deficiency_chain,
-    scale,
-)
+from .core import WeightedGraph, _compose, add_scalar, adjoint, deficiency_chain, deficiency_graph, scale
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
 from .spectra import (DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
@@ -66,8 +58,10 @@ class CoveringMap:
 
     @cached_property
     def spectra(self) -> tuple[SpectralSet, SpectralSet]:
-        """Spectra of base and cover, computed once per covering."""
-        return spectrum(materialize(self.base)), spectrum(materialize(self.cover))
+        """Spectra of base and cover, computed once per covering.  The cover goes first: it is
+        never smaller than the base, so a covering over the dense cap is refused with its order."""
+        cover = spectrum(materialize(self.cover))
+        return spectrum(materialize(self.base)), cover
 
 
 @dataclass(frozen=True)
@@ -245,10 +239,10 @@ class DeficiencyChain:
     The arcs, pairings and arc map of
     ``induced_deficiency_covering(covering, lam, radius, side)`` do not
     depend on ``lam``.  The constructor builds that covering at ``lam0``
-    and verifies all of it once.  :meth:`at` recomputes only the weights
-    of cover and base through one :class:`wgraph.core.SkeletonCache`
-    each, and checks the weight axiom exactly; with the checks made once,
-    that is the whole covering check at the new ``lam``.
+    and verifies all of it once.  :meth:`at` builds the deficiency graphs
+    of cover and base with :func:`wgraph.core.deficiency_graph` and checks
+    the weight axiom exactly against the verified arc map; with the other
+    checks made once, that is the whole covering check at the new ``lam``.
     """
 
     def __init__(self, covering: CoveringMap, lam0, radius: float, side: str):
@@ -257,12 +251,10 @@ class DeficiencyChain:
         self.side = side
         self.reference = induced_deficiency_covering(covering, lam0, radius, side)
         self._arc_map = np.array(self.reference.arc_map, dtype=np.int64)
-        self._cover_ops = SkeletonCache()
-        self._base_ops = SkeletonCache()
 
     def at(self, lam) -> CoveringMap:
-        cover = deficiency_chain(self.covering.cover, lam, self.radius, self.side, self._cover_ops)
-        base = deficiency_chain(self.covering.base, lam, self.radius, self.side, self._base_ops)
+        cover = deficiency_graph(self.covering.cover, lam, self.radius, self.side)
+        base = deficiency_graph(self.covering.base, lam, self.radius, self.side)
         wrong = np.flatnonzero(cover.weight != base.weight[self._arc_map])
         if wrong.size:
             raise CoveringError(
@@ -399,8 +391,8 @@ def deficiency_route_check(
     lands in the cover spectrum.  A second, independent route to the same
     inclusion that :func:`spectral_inclusion_check` reaches via pullbacks.
     The deficiency covering is built and verified once, at the first lam;
-    every lam recomputes its weights and checks the weight axiom (see
-    :class:`DeficiencyChain`).
+    every lam rebuilds both deficiency graphs and checks the weight axiom
+    (see :class:`DeficiencyChain`).
     """
     _check_tol(tol)
     _checked(covering, "deficiency route")

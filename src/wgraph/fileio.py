@@ -353,6 +353,7 @@ def read_action(path: str) -> ActionSpec:
         cur.fail(lineno, "alphabet letters must be distinct single characters")
     s = cur.count("states", minimum=1)
     transitions: dict = {}
+    targets = []  # (line, state, next state) of every transition, in file order
     for _ in range(s):
         lineno, line = cur.next_line("'state' line")
         parts = line.split()
@@ -373,12 +374,12 @@ def read_action(path: str) -> ActionSpec:
             if inp in row:
                 cur.fail(lineno, f"duplicate transition for input {inp!r}")
             row[inp] = (out, nxt)
+            targets.append((lineno, name, nxt))
         transitions[name] = row
     cur.expect_end()
-    for name, row in transitions.items():
-        for out, nxt in row.values():
-            if nxt not in transitions:
-                raise ParseError(str(path), 1, f"state {name!r} references unknown state {nxt!r}")
+    for lineno, name, nxt in targets:
+        if nxt not in transitions:
+            cur.fail(lineno, f"state {name!r} references unknown state {nxt!r}")
     return ActionSpec("mealy", transitions=transitions, alphabet=alphabet)
 
 

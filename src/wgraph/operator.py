@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,7 +121,6 @@ class StreamedGraph:
     sources: Callable[[object], list] | None = None
     out_weight_sum: float | None = None
     in_weight_sum: float | None = None
-    name: str = "streamed"
 
 
 def materialize(graph: WeightedGraph) -> np.ndarray:
@@ -179,9 +179,12 @@ def apply(op, vec: FinSuppVector) -> FinSuppVector:
 
 def _schur_bound(row_sum: float, col_sum: float) -> float:
     """``sqrt(row_sum * col_sum)``, or ``sqrt(row_sum) * sqrt(col_sum)`` where the product
-    overflows: every bound the product can carry keeps its bits, and no finite bound is inf."""
+    overflows or falls below the normal range: every bound the product can carry keeps its
+    bits, no finite bound is inf and no nonzero bound is 0."""
     product = row_sum * col_sum
-    return math.sqrt(product) if product < math.inf else math.sqrt(row_sum) * math.sqrt(col_sum)
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(row_sum) * math.sqrt(col_sum)
 
 
 def norm_bound(op) -> float:
@@ -236,7 +239,7 @@ def shift_graph(direction: str = "forward") -> StreamedGraph:
             _check(n)
             return [n + 1]
 
-        return StreamedGraph(rule, sources, 1.0, 1.0, "shift")
+        return StreamedGraph(rule, sources, 1.0, 1.0)
     if direction == "adjoint":
 
         def rule(n):
@@ -246,5 +249,5 @@ def shift_graph(direction: str = "forward") -> StreamedGraph:
         def sources(n):
             return [n - 1] if _check(n) >= 1 else []
 
-        return StreamedGraph(rule, sources, 1.0, 1.0, "shift-adjoint")
+        return StreamedGraph(rule, sources, 1.0, 1.0)
     raise ValueError("direction must be 'forward' or 'adjoint'")

@@ -158,12 +158,6 @@ class GroupAction:
         return self.points[self.act_index(word, self.point_index(point))]
 
     @classmethod
-    def from_permutations(cls, points, perms) -> "GroupAction":
-        pts = tuple(str(p) for p in points)
-        table = {str(name): tuple(int(i) for i in perm) for name, perm in perms.items()}
-        return cls(pts, table)
-
-    @classmethod
     def from_mealy(cls, transitions, alphabet, level: int) -> "GroupAction":
         """Expand an invertible letter transducer to its level-n word action.
 
@@ -473,9 +467,6 @@ class LocalIsoResult:
                 break
         return best
 
-    def verdict(self, radius: int) -> RadiusVerdict:
-        return self.radii[radius]
-
 
 def _same_adjacency(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph) -> bool:
     """Whether both graphs have the same vertices and labeled adjacency, so
@@ -602,7 +593,6 @@ def rayleigh_transfer(
     vec: FinSuppVector,
     support_radius: int,
     match: tuple[str, str],
-    reach: int | None = None,
 ) -> tuple[float, float]:
     """Transport a ball-supported vector and compare quadratic forms.
 
@@ -610,9 +600,9 @@ def rayleigh_transfer(
     ``vec`` must be supported in the radius-``support_radius`` ball around
     ``vx``.  ``s_builder`` maps a labeled orbital graph to the operator
     graph whose quadratic form is compared (for example a
-    :func:`positive_element_graph` closure).  ``reach`` is the extra
-    radius the built operator can see past the support (default: the
-    longest label word); the balls of radius ``support_radius + reach``
+    :func:`positive_element_graph` closure).  The built operator sees
+    ``gx.transfer_reach`` (the longest label word, at least 1) past the
+    support, so the balls of radius ``support_radius + gx.transfer_reach``
     around the roots must be isomorphic — for operators assembled from
     products of two element factors the interior path midpoints stay
     within that reach, so the two quadratic forms agree exactly.
@@ -620,9 +610,7 @@ def rayleigh_transfer(
     Returns ``(value_x, value_y)`` with ``value = <H vec, vec>`` as reals.
     """
     vx, vy = match
-    if reach is None:
-        reach = gx.transfer_reach
-    radius = support_radius + int(reach)
+    radius = support_radius + gx.transfer_reach
     code_x, order_x = _ball_code(gx, vx, radius)
     code_y, order_y = _ball_code(gy, vy, radius)
     if gx.alphabet != gy.alphabet or code_x != code_y:

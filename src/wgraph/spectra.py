@@ -74,22 +74,20 @@ def _as_square_matrix(matrix, what: str) -> np.ndarray:
     return m
 
 
-def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
-    """Entrywise conjugate-symmetry check."""
+def is_hermitian(matrix) -> bool:
+    """Entrywise conjugate-symmetry check at :data:`HERMITIAN_ATOL`."""
     m = np.asarray(matrix, dtype=complex)
-    return bool(np.all(np.abs(m - m.conj().T) <= atol))
+    return bool(np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL))
 
 
-def spectrum(matrix, hermitian: bool | None = None) -> SpectralSet:
+def spectrum(matrix) -> SpectralSet:
     """Eigenvalue multiset of a finite matrix, canonically ordered.
 
-    Hermitian inputs (detected entrywise at 1e-12 unless overridden) go
-    through the symmetric solver and come back exactly real.
+    Hermitian inputs (see :func:`is_hermitian`) go through the symmetric
+    solver and come back exactly real.
     """
     m = _as_square_matrix(matrix, "spectrum")
-    if hermitian is None:
-        hermitian = is_hermitian(m)
-    if hermitian:
+    if is_hermitian(m):
         vals = np.linalg.eigvalsh(m).astype(complex)
     else:
         vals = np.linalg.eigvals(m)

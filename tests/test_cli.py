@@ -383,6 +383,23 @@ def test_cover_include_computes_each_spectrum_once(files, capsys, monkeypatch):
     assert sorted(calls) == [2, 4]
 
 
+def test_cover_include_refuses_a_bad_radius_or_tol_before_any_spectrum(files, capsys, monkeypatch):
+    calls = []
+    real = wgraph.covering.spectrum
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return real(matrix)
+
+    monkeypatch.setattr(wgraph.covering, "spectrum", counted)
+    for bad in (["--R", "1e-4"], ["--tol", "0"]):
+        code, out, err = run(capsys, ["cover", "include", "--map", files["good.cov"], *bad])
+        assert code == 2 and out == "" and err.startswith("ERROR: ")
+        assert calls == []
+    code, out, _ = run(capsys, ["cover", "include", "--map", files["good.cov"]])
+    assert code == 0 and len(calls) == 2
+
+
 def test_deficiency_self_check_matches_the_out_of_place_formula(capsys, tmp_path):
     rng = np.random.default_rng(7)
     path = str(tmp_path / "g.wg")
@@ -453,6 +470,14 @@ def test_cover_lift_over_the_arc_cap_exits_two(files, capsys, monkeypatch):
     assert err == "ERROR: cover would have 4 vertices and 4 arcs; the arc cap is 3\n"
     monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 4)
     assert run(capsys, argv)[0] == 0
+
+
+def test_cover_include_over_the_dense_cap_names_the_cover_order(files, capsys, monkeypatch):
+    # both graphs exceed the cap; the cover, with 4 vertices, is the one refused
+    monkeypatch.setattr(wgraph.operator, "MAX_DENSE_DIM", 1)
+    code, out, err = run(capsys, ["cover", "include", "--map", files["good.cov"]])
+    assert code == 2 and out == ""
+    assert err == "ERROR: graph has 4 vertices; the dense cap is 1\n"
 
 
 def test_cover_include_accepts_an_all_zero_covering(capsys, tmp_path):

@@ -162,7 +162,7 @@ def test_action_file_validation(tmp_path):
     )
     with pytest.raises(ParseError) as e:
         read_action(dangling)
-    assert "unknown state 'zz'" in e.value.message
+    assert e.value.line == 6 and "unknown state 'zz'" in e.value.message
 
     notperm = tmp_path / "notperm.act"
     notperm.write_text("action 1\nkind perm\npoints 2\np\nq\ngenerators 1\na 1 1\n")

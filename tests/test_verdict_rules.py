@@ -2,8 +2,8 @@
 
 Every deficiency verdict (membership, the covering route, the orbital
 positive-element graph) must refuse the same inputs with the same message,
-and the norm bounds must neither overflow nor change a bit where the plain
-product ``sqrt(r * c)`` is finite.
+and the norm bounds must neither overflow nor underflow, nor change a bit
+where the plain product ``sqrt(r * c)`` is finite and normal.
 """
 
 import warnings
@@ -97,6 +97,14 @@ def test_schur_bounds_of_huge_entries_are_finite():
         warnings.simplefilter("error")
         assert matrix_norm_bound(np.full((2, 2), 1e200)) == 2e200
         assert norm_bound(full) == 2e200
+
+
+def test_schur_bounds_of_tiny_entries_are_not_zero():
+    # the product of the row and column sums underflows below the normal range here
+    cycle = make_graph(["x", "y"], [("x", "y", 1e-170), ("y", "x", 1e-170)], [1, 0])
+    assert matrix_norm_bound(np.full((2, 2), 1e-170)) == 2e-170
+    assert norm_bound(cycle) == 1e-170
+    assert matrix_norm_bound(np.full((2, 2), 5e-324)) == 1e-323
 
 
 def test_schur_bounds_keep_the_bits_of_the_plain_product():
