@@ -18,6 +18,7 @@ agree bit for bit with arc-by-arc arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -205,7 +206,7 @@ def make_graph(vertices: Iterable[str], arcs, pairing) -> WeightedGraph:
         if not v or any(ch.isspace() for ch in v):
             raise GraphStructureError(f"vertex id {v!r} is empty or contains whitespace")
     if len(set(verts)) != len(verts):
-        dup = sorted(v for v in set(verts) if verts.count(v) > 1)
+        dup = sorted(v for v, c in Counter(verts).items() if c > 1)
         raise GraphStructureError(f"duplicate vertex ids: {dup}")
     vt = tuple(sorted(verts))
     pos = {v: i for i, v in enumerate(vt)}

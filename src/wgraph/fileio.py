@@ -10,6 +10,7 @@ offending line number.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ __all__ = [
     "read_element",
     "write_element",
 ]
+
+_CHUNK = 8192  # lines per write
 
 
 def format_complex(value) -> str:
@@ -107,6 +110,14 @@ class _Cursor:
             self.fail(lineno, f"{keyword} {n} exceeds the dense cap {cap}")
         return n
 
+    def fields(self, what: str, count: int, shape: str) -> tuple[int, str, list[str]]:
+        """Next line, split into exactly ``count`` fields; ``shape`` names them."""
+        lineno, line = self.next_line(what)
+        parts = line.split()
+        if len(parts) != count:
+            self.fail(lineno, f"{what} needs {shape}, got {line!r}")
+        return lineno, line, parts
+
     def complex_field(self, lineno: int, token: str) -> complex:
         try:
             return parse_complex(token)
@@ -125,6 +136,17 @@ def _open(path: str) -> _Cursor:
         return _Cursor(str(path), fh.read())
 
 
+def _write_lines(path: str, lines):
+    """Write ``lines`` to ``path``, each followed by a newline, ``_CHUNK`` lines at a time.
+
+    Writers call it after every check that can refuse, so a refused write creates no file.
+    """
+    lines = iter(lines)  # islice of a list would restart at its first line on every chunk
+    with open(path, "w", encoding="utf-8") as fh:
+        while chunk := list(itertools.islice(lines, _CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
+
+
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:
     n = cur.count("vertices", minimum=1)
     vertices = []
@@ -138,11 +160,7 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
     arcs = []
     pairing = []
     for _ in range(m):
-        lineno, line = cur.next_line("arc line")
-        parts = line.split()
-        if len(parts) != 4:
-            cur.fail(lineno, f"arc line needs 'source target weight pair', got {line!r}")
-        src, tgt, wtok, ptok = parts
+        lineno, _, (src, tgt, wtok, ptok) = cur.fields("arc line", 4, "'source target weight pair'")
         arcs.append((src, tgt, cur.complex_field(lineno, wtok)))
         pairing.append(cur.int_field(lineno, ptok, "pairing index"))
     try:
@@ -151,16 +169,16 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
         cur.fail(start, str(e))
 
 
-def _graph_block_lines(graph: WeightedGraph) -> list[str]:
+def _graph_block_lines(graph: WeightedGraph):
+    """Lines of a graph block; reads every attribute now, formats the arcs a chunk at a time."""
     names = graph.vertices
-    lines = [f"vertices {len(names)}", *names, f"arcs {len(graph.weight)}"]
-    lines.extend(
+    columns = (graph.source, graph.target, graph.weight, graph.pair)
+    arcs = (
         f"{names[s]} {names[t]} {format_complex(w)} {p}"
-        for s, t, w, p in zip(
-            graph.source.tolist(), graph.target.tolist(), graph.weight.tolist(), graph.pair.tolist()
-        )
+        for i in range(0, len(graph.weight), _CHUNK)
+        for s, t, w, p in zip(*(c[i:i + _CHUNK].tolist() for c in columns))
     )
-    return lines
+    return itertools.chain([f"vertices {len(names)}", *names, f"arcs {len(graph.weight)}"], arcs)
 
 
 def read_graph(path: str) -> WeightedGraph:
@@ -172,9 +190,7 @@ def read_graph(path: str) -> WeightedGraph:
 
 
 def write_graph(graph: WeightedGraph, path: str):
-    lines = ["wgraph 1"] + _graph_block_lines(graph)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, itertools.chain(["wgraph 1"], _graph_block_lines(graph)))
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -197,11 +213,8 @@ def write_matrix(matrix: np.ndarray, path: str):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    lines = ["matrix 1", f"dim {m.shape[0]}"]
-    for row in m:
-        lines.append(" ".join(format_complex(z) for z in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (" ".join(format_complex(z) for z in row) for row in m)
+    _write_lines(path, itertools.chain(["matrix 1", f"dim {m.shape[0]}"], rows))
 
 
 def read_covering(path: str) -> CoveringMap:
@@ -218,41 +231,31 @@ def read_covering(path: str) -> CoveringMap:
     n = cur.count("vertex-map")
     vertex_map = {}
     for _ in range(n):
-        lineno, line = cur.next_line("vertex-map entry")
-        parts = line.split()
-        if len(parts) != 2:
-            cur.fail(lineno, f"vertex-map entry needs 'cover base', got {line!r}")
-        if parts[0] in vertex_map:
-            cur.fail(lineno, f"duplicate vertex-map entry for {parts[0]!r}")
-        vertex_map[parts[0]] = parts[1]
+        lineno, _, (v, b) = cur.fields("vertex-map entry", 2, "'cover base'")
+        if v in vertex_map:
+            cur.fail(lineno, f"duplicate vertex-map entry for {v!r}")
+        vertex_map[v] = b
     m = cur.count("arc-map")
     arc_map = []
     for _ in range(m):
-        lineno, line = cur.next_line("arc-map entry")
-        parts = line.split()
-        if len(parts) != 2:
-            cur.fail(lineno, f"arc-map entry needs 'cover_arc base_arc', got {line!r}")
-        k = cur.int_field(lineno, parts[0], "cover arc index")
+        lineno, _, (ktok, btok) = cur.fields("arc-map entry", 2, "'cover_arc base_arc'")
+        k = cur.int_field(lineno, ktok, "cover arc index")
         if k != len(arc_map):
             cur.fail(lineno, f"arc-map entries must list cover arcs 0,1,... in order; got {k}")
-        arc_map.append(cur.int_field(lineno, parts[1], "base arc index"))
+        arc_map.append(cur.int_field(lineno, btok, "base arc index"))
     cur.expect_end()
     return CoveringMap(cover, base, vertex_map, tuple(arc_map))
 
 
 def write_covering(covering: CoveringMap, path: str):
-    lines = ["covering 1", "cover"]
-    lines.extend(_graph_block_lines(covering.cover))
-    lines.append("base")
-    lines.extend(_graph_block_lines(covering.base))
-    lines.append(f"vertex-map {len(covering.vertex_map)}")
-    for v in covering.cover.vertices:
-        lines.append(f"{v} {covering.vertex_map[v]}")
-    lines.append(f"arc-map {len(covering.arc_map)}")
-    for k, b in enumerate(covering.arc_map):
-        lines.append(f"{k} {b}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    cover = covering.cover.vertices
+    images = [covering.vertex_map[v] for v in cover]  # a missing entry fails before the file opens
+    _write_lines(path, itertools.chain(
+        ["covering 1", "cover"], _graph_block_lines(covering.cover),
+        ["base"], _graph_block_lines(covering.base),
+        [f"vertex-map {len(covering.vertex_map)}"], (f"{v} {b}" for v, b in zip(cover, images)),
+        [f"arc-map {len(covering.arc_map)}"], (f"{k} {b}" for k, b in enumerate(covering.arc_map)),
+    ))
 
 
 def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -284,8 +287,7 @@ def write_voltages(degree: int, voltages, path: str):
     lines = ["voltage 1", f"degree {degree}", f"arcs {len(voltages)}"]
     for perm in voltages:
         lines.append(" ".join(str(i + 1) for i in perm))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 @dataclass(frozen=True)
@@ -328,10 +330,7 @@ def read_action(path: str) -> ActionSpec:
         g = cur.count("generators", minimum=1)
         perms = {}
         for _ in range(g):
-            lineno, line = cur.next_line("generator line")
-            parts = line.split()
-            if len(parts) != n + 1:
-                cur.fail(lineno, f"generator line needs a name and {n} images, got {line!r}")
+            lineno, _, parts = cur.fields("generator line", n + 1, f"a name and {n} images")
             name = parts[0]
             if name in perms:
                 cur.fail(lineno, f"duplicate generator {name!r}")
@@ -364,11 +363,7 @@ def read_action(path: str) -> ActionSpec:
             cur.fail(lineno, f"duplicate state {name!r}")
         row = {}
         for _ in alphabet:
-            lineno, line = cur.next_line("transition line")
-            parts = line.split()
-            if len(parts) != 3:
-                cur.fail(lineno, f"transition line needs 'input output next', got {line!r}")
-            inp, out, nxt = parts
+            lineno, line, (inp, out, nxt) = cur.fields("transition line", 3, "'input output next'")
             if inp not in alphabet or out not in alphabet:
                 cur.fail(lineno, f"transition letters must come from the alphabet, got {line!r}")
             if inp in row:
@@ -401,8 +396,7 @@ def write_action(spec: ActionSpec, path: str):
             for ch in spec.alphabet:
                 out, nxt = spec.transitions[name][ch]
                 lines.append(f"{ch} {out} {nxt}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_element(path: str) -> GroupAlgebraElement:
@@ -432,5 +426,4 @@ def write_element(element: GroupAlgebraElement, path: str):
     lines = ["element 1", f"terms {len(words)}"]
     for w in words:
         lines.append(f"{word_str(w)} {format_complex(element.terms[w])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

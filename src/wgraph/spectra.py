@@ -75,9 +75,13 @@ def _as_square_matrix(matrix, what: str) -> np.ndarray:
 
 
 def is_hermitian(matrix) -> bool:
-    """Entrywise conjugate-symmetry check at :data:`HERMITIAN_ATOL`."""
+    """Entrywise conjugate-symmetry check at ``HERMITIAN_ATOL * min(1, max|m_ij|)``.
+
+    The scale keeps a small non-normal matrix from being solved as Hermitian.
+    """
     m = np.asarray(matrix, dtype=complex)
-    return bool(np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL))
+    scale = min(1.0, float(np.abs(m).max(initial=0.0)))
+    return bool(np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL * scale))
 
 
 def spectrum(matrix) -> SpectralSet:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,15 @@ def test_make_graph_rejects_bad_input():
         make_graph(["a"], [("a", "a", 1)], [0, 0])
     with pytest.raises(GraphStructureError):
         make_graph(["a", "b"], [("a", "b", 1), ("b", "a", 1)], [0, 1])
+
+
+def test_duplicate_vertex_ids_are_found_in_linear_time():
+    verts = [f"v{i}" for i in range(60_000)] + ["v59999", "v7"]
+    start = time.perf_counter()
+    with pytest.raises(GraphStructureError) as e:
+        make_graph(verts, [], [])
+    assert time.perf_counter() - start < 5.0
+    assert str(e.value) == "duplicate vertex ids: ['v59999', 'v7']"
 
 
 def test_make_graph_accepts_arc_values_and_loop_styles():

@@ -1,3 +1,6 @@
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from helpers import ODOMETER_TRANSITIONS, odometer_action, random_graph, random_
 from wgraph import (
     ActionError,
     ActionSpec,
+    CoveringMap,
     GroupAlgebraElement,
     ParseError,
+    WeightedGraph,
     format_complex,
     parse_complex,
     read_action,
@@ -27,6 +32,7 @@ from wgraph import (
     write_matrix,
     write_voltages,
 )
+from wgraph import fileio
 
 
 def test_complex_formatting_examples():
@@ -102,6 +108,7 @@ def test_matrix_round_trip_exact(tmp_path):
     assert np.array_equal(read_matrix(p), m)
     with pytest.raises(ValueError):
         write_matrix(np.zeros((2, 3)), tmp_path / "bad.mat")
+    assert not (tmp_path / "bad.mat").exists()
 
 
 def test_covering_round_trip_still_verifies(tmp_path):
@@ -113,6 +120,80 @@ def test_covering_round_trip_still_verifies(tmp_path):
         back = read_covering(p)
         assert back == covering
         assert verify_covering(back) == []
+
+
+def test_covering_with_an_unmapped_vertex_is_not_written(tmp_path):
+    covering = random_voltage_cover(np.random.default_rng(74))[2]
+    v = covering.cover.vertices[-1]
+    vertex_map = {u: b for u, b in covering.vertex_map.items() if u != v}
+    with pytest.raises(KeyError):
+        write_covering(CoveringMap(covering.cover, covering.base, vertex_map, covering.arc_map),
+                       tmp_path / "c.cov")
+    assert not (tmp_path / "c.cov").exists()
+
+
+def _graph_block(g):
+    arcs = (f"{a.source} {a.target} {format_complex(a.weight)} {p}" for a, p in zip(g.arcs, g.pairing))
+    return [f"vertices {len(g.vertices)}", *g.vertices, f"arcs {len(g.arcs)}", *arcs]
+
+
+def test_writers_stream_the_same_bytes_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_CHUNK", 3)
+    rng = np.random.default_rng(89)
+    g = random_graph(rng, n=8, max_pairs=8)
+    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    covering = random_voltage_cover(rng)[2]
+    vertex_map, arc_map = covering.vertex_map, covering.arc_map
+    cases = [
+        (g, write_graph, ["wgraph 1", *_graph_block(g)]),
+        (m, write_matrix, ["matrix 1", "dim 8", *(" ".join(map(format_complex, row)) for row in m)]),
+        (covering, write_covering, [
+            "covering 1", "cover", *_graph_block(covering.cover), "base", *_graph_block(covering.base),
+            f"vertex-map {len(vertex_map)}", *(f"{v} {vertex_map[v]}" for v in covering.cover.vertices),
+            f"arc-map {len(arc_map)}", *(f"{k} {b}" for k, b in enumerate(arc_map)),
+        ]),
+    ]
+    assert len(g.arcs) > 6 and len(covering.cover.arcs) > 6
+    for obj, write, lines in cases:
+        p = tmp_path / "out"
+        write(obj, p)
+        assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_write_lines_writes_a_list_once(monkeypatch):
+    written = []
+
+    class Sink(io.StringIO):  # stops a writer that repeats its lines before it fills the disk
+        def write(self, text):
+            written.append(text)
+            assert len(written) == 1, "the lines were written again"
+
+    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: Sink(), raising=False)
+    fileio._write_lines("ab.txt", ["a", "b"])
+    assert written == ["a\nb\n"]
+
+
+def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path):
+    rng = np.random.default_rng(97)
+    n, half = 1500, 150_000
+    s, t = rng.integers(0, n, size=(2, half))
+    g = WeightedGraph(
+        tuple(f"v{i:04d}" for i in range(n)),
+        np.stack([s, t], axis=1).ravel(),
+        np.stack([t, s], axis=1).ravel(),
+        rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
+        np.arange(2 * half) ^ 1,
+    )
+    p = tmp_path / "big.wg"
+    tracemalloc.start()
+    try:
+        write_graph(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    with open(p, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 1 + n + 1 + 2 * half
 
 
 def test_voltage_round_trip_and_validation(tmp_path):
@@ -240,6 +321,31 @@ def test_parse_errors_carry_path_and_line(tmp_path):
         assert str(e.value).startswith(f"{p}:{line}:")
 
 
+def test_line_shape_errors_quote_the_offending_line(tmp_path):
+    loop = "vertices 1\nv\narcs 1\nv v 1.0 0\n"
+    mealy = "action 1\nkind mealy\nalphabet 0 1\nstates 1\nstate a\n"
+    cases = [
+        ("arity.wg", "wgraph 1\nvertices 1\nv\narcs 1\n", "v v 1.0", read_graph,
+         "arc line needs 'source target weight pair'"),
+        ("vmap.cov", f"covering 1\ncover\n{loop}base\n{loop}vertex-map 1\n", "v", read_covering,
+         "vertex-map entry needs 'cover base'"),
+        ("amap.cov", f"covering 1\ncover\n{loop}base\n{loop}vertex-map 1\nv v\narc-map 1\n", "0 0 0",
+         read_covering, "arc-map entry needs 'cover_arc base_arc'"),
+        ("gen.act", "action 1\nkind perm\npoints 2\np\nq\ngenerators 1\n", "a 2", read_action,
+         "generator line needs a name and 2 images"),
+        ("trans.act", mealy, "0 1", read_action, "transition line needs 'input output next'"),
+        ("letter.act", mealy, "0 x a", read_action,
+         "transition letters must come from the alphabet"),
+    ]
+    for name, head, bad, reader, what in cases:
+        p = tmp_path / name
+        p.write_text(head + bad + "\n")
+        with pytest.raises(ParseError) as e:
+            reader(p)
+        assert e.value.line == head.count("\n") + 1, name
+        assert e.value.message == f"{what}, got {bad!r}", name
+
+
 def test_graph_file_with_broken_pairing_reports_arcs_block(tmp_path):
     p = tmp_path / "badpair.wg"
     p.write_text("wgraph 1\nvertices 2\nu\nv\narcs 2\nu v 1 1\nv u 1 0\n# pairing ok\n")
@@ -288,3 +394,4 @@ def test_streamed_graphs_are_not_serializable(tmp_path):
     s = shift_graph()
     with pytest.raises(AttributeError):
         write_graph(s, tmp_path / "s.wg")
+    assert not (tmp_path / "s.wg").exists()

@@ -60,6 +60,19 @@ def test_spectrum_of_hermitian_matrix_is_real():
     assert np.max(np.abs(s.as_array().imag)) <= 1e-10
 
 
+def test_hermitian_rule_scales_with_small_entries():
+    rotation = np.array([[0.0, -1e-13], [1e-13, 0.0]], dtype=complex)
+    assert not is_hermitian(rotation)
+    assert np.allclose(spectrum(rotation).as_array(), [-1e-13j, 1e-13j], rtol=0.0, atol=1e-25)
+
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    small = 1e-13 * (a + a.conj().T)
+    assert is_hermitian(small)
+    assert np.all(spectrum(small).as_array().imag == 0.0)
+    assert is_hermitian(np.zeros((3, 3)))
+
+
 def test_spectral_set_orders_canonically():
     s = SpectralSet((1 + 1j, -1 + 0j, 1 - 1j, 0j))
     assert s.values == (-1 + 0j, 0j, 1 - 1j, 1 + 1j)
