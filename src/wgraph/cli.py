@@ -53,7 +53,7 @@ from .orbital import (
 )
 from .spectra import (
     DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _deficiency_matrix,
-    membership_by_deficiency, shift_counterexample_report, spectrum,
+    _membership_verdicts, shift_counterexample_report, spectrum,
 )
 
 __all__ = ["main", "build_parser"]
@@ -169,10 +169,11 @@ def cmd_spectrum(args) -> int:
         m = read_matrix(args.matrix)
     rep = Report()
     rep.kv("ORDER", m.shape[0])
-    _spectrum_kv(rep, "SPECTRUM", spectrum(m))
+    spec = spectrum(m)
+    _spectrum_kv(rep, "SPECTRUM", spec)
     if args.check_lambda is not None:
         lam = parse_complex(args.check_lambda)
-        verdict = membership_by_deficiency(m, lam, args.radius, tol=args.tol)
+        (verdict,) = _membership_verdicts(m, spec, [lam], args.radius, args.tol)
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(verdict.R_used), verdict.R_used)
         rep.kv("TOL", _fmt(args.tol), args.tol)

@@ -28,8 +28,8 @@ from .spectra import (
     MembershipVerdict,
     SpectralSet,
     _deficiency_radius,
+    _membership_verdicts,
     hausdorff_distance,
-    membership_by_deficiency,
     spectrum,
 )
 
@@ -340,11 +340,38 @@ class LabeledOrbitalGraph:
         return dist
 
     def diameter(self) -> int:
-        best = 0
-        for v in self.graph.vertices:
-            d = self.distances(v)
-            best = max(best, max(d.values()))
-        return best
+        """Largest distance between two connected vertices.
+
+        A double sweep gives a lower bound.  Where it reaches n - 1, the
+        largest value possible (as on Grigorchuk Schreier graphs, which
+        are paths), that is the diameter; otherwise every vertex gets a
+        breadth-first search.
+        """
+        pos = {v: i for i, v in enumerate(self.graph.vertices)}
+        adj = [[pos[w] for w in self._neighbors[v]] for v in self.graph.vertices]
+        lower = _sweep(adj, _sweep(adj, 0)[0])[1]
+        if lower == len(adj) - 1:
+            return lower
+        return max(_sweep(adj, v)[1] for v in range(len(adj)))
+
+
+def _sweep(adj: list, start: int) -> tuple[int, int]:
+    """Breadth-first search over neighbour position lists: a vertex farthest
+    from ``start`` and its distance."""
+    seen = [False] * len(adj)
+    seen[start] = True
+    frontier, depth = [start], -1
+    while frontier:
+        depth += 1
+        last = frontier[-1]
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    nxt.append(w)
+        frontier = nxt
+    return last, depth
 
 
 def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement) -> LabeledOrbitalGraph:
@@ -696,11 +723,8 @@ def spectra_compare_orbits(
         cap = max(gx.diameter(), gy.diameter()) + 1
     iso = local_iso_check(gx, gy, cap)
     radius = default_radius_bound(element)
-    cross = []
-    for lam in sx.values:
-        in_x = membership_by_deficiency(mx, lam, radius, tol)
-        in_y = in_x if same_matrix else membership_by_deficiency(my, lam, radius, tol)
-        cross.append(MembershipCross(lam, in_x, in_y))
+    in_x = _membership_verdicts(mx, sx, sx.values, radius, tol)
+    in_y = in_x if same_matrix else _membership_verdicts(my, sy, sx.values, radius, tol)
     return OrbitComparison(
         root_x=x,
         root_y=y,
@@ -713,7 +737,7 @@ def spectra_compare_orbits(
         local_iso=iso,
         max_common_radius=iso.max_ok_radius,
         saturated=iso.max_ok_radius == cap,
-        cross_checks=tuple(cross),
+        cross_checks=tuple(map(MembershipCross, sx.values, in_x, in_y)),
         graph_x=gx,
         graph_y=gy,
     )

@@ -39,6 +39,9 @@ HERMITIAN_ATOL = 1e-12
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 DEFAULT_SUBSET_TOL = 1e-8
 _EIG_ACCURACY = 1e-8
+# eigvalsh's backward error is taken as p(n) eps ||M|| with p(n) = _EIGVALSH_GROWTH * n
+_EIGVALSH_GROWTH = 4
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,10 @@ class MembershipVerdict:
 
     ``witness_side`` names the product order whose deficiency operator
     carries the eigenvalue-1 witness ("none" for non-members);
-    ``witness_value`` is the smaller of the two distances below.
+    ``witness_value`` is the smaller of the two distances below.  Where a
+    verdict on a Hermitian matrix is read off its computed spectrum (see
+    ``_membership_verdicts``), both distances are ``(d/R)^2`` with ``d``
+    the distance of lambda to that spectrum, and a member's side is "left".
     """
 
     member: bool
@@ -130,6 +136,53 @@ def _deficiency_matrix(shifted: np.ndarray, radius: float, side: str) -> np.ndar
 def _distance_to_one(h: np.ndarray) -> float:
     """Distance of 1 to the spectrum of the Hermitian matrix ``h``."""
     return float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0)))
+
+
+def _eigvalsh_error(n: int, bound: float) -> float:
+    """Distance within which ``eigvalsh`` puts the spectrum of an ``n x n`` matrix that
+    :func:`is_hermitian` accepts, of Schur bound ``bound``: the backward error
+    ``p(n) eps max(1, bound)`` of the symmetric solver (LAPACK Users' Guide, 3rd ed.,
+    section 4.7), with ``p(n) = _EIGVALSH_GROWTH * n``, plus ``n * HERMITIAN_ATOL *
+    min(1, bound)``, which bounds the distance of the matrix to the Hermitian lower
+    triangle that ``eigvalsh`` factors (Weyl's inequality)."""
+    return _EIGVALSH_GROWTH * n * _EPS * max(1.0, bound) + n * HERMITIAN_ATOL * min(1.0, bound)
+
+
+def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None = None,
+                         tol: float = DEFAULT_MEMBERSHIP_TOL) -> list[MembershipVerdict]:
+    """:func:`membership_by_deficiency` of each of ``lams`` against ``matrix``, whose
+    :func:`spectrum` is ``spec``.
+
+    For a Hermitian ``M``, ``sigma_min(M - lam)`` is the distance of ``lam`` to the spectrum,
+    so both deficiency distances are ``(d/R)^2``, with ``d`` the distance of ``lam`` to the
+    computed spectrum, and the side is "left" for a member.  ``d`` is off by at most
+    :func:`_eigvalsh_error`.  A ``lam`` whose verdict that error could flip, and every
+    ``lam`` of a non-Hermitian matrix, gets the dense test.
+    """
+    m = _as_square_matrix(matrix, "membership_by_deficiency")
+    _check_tol(tol)
+    bound = matrix_norm_bound(m)
+    r = _deficiency_radius(bound, radius)
+    lams = [_check_lambda(lam) for lam in lams]
+    n = len(m)
+    if not is_hermitian(m):
+        return [membership_by_deficiency(m, lam, radius, tol) for lam in lams]
+    delta = _eigvalsh_error(n, bound)
+    # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
+    mu = spec.as_array().real
+    z = np.asarray(lams, dtype=complex)
+    above = np.minimum(np.searchsorted(mu, z.real), n - 1)
+    below = np.maximum(above - 1, 0)
+    gap = np.minimum(np.abs(z.real - mu[below]), np.abs(z.real - mu[above]))
+    verdicts = []
+    for lam, d in zip(lams, np.hypot(gap, z.imag).tolist()):
+        near, far, q = (d + delta) / r, max(d - delta, 0.0) / r, d / r
+        member = bool(near * near <= tol)
+        if member or far * far > tol:
+            verdicts.append(MembershipVerdict(member, "left" if member else "none", q * q, r, q * q, q * q))
+        else:
+            verdicts.append(membership_by_deficiency(m, lam, radius, tol))
+    return verdicts
 
 
 def _check_tol(tol: float):

@@ -155,6 +155,29 @@ def test_spectrum_membership_check(files, capsys):
     assert "MEMBER: no" in out
 
 
+def test_hermitian_membership_reads_the_distance_to_the_spectrum(files, capsys):
+    # the swap matrix has spectrum {-1, 1} and R = 2; both distances are (d/R)^2
+    for lam, member, side, dist in (("1", True, "left", 0.0), ("0.5", False, "none", 0.0625),
+                                    ("1+1i", False, "none", 0.25)):
+        code, out, _ = run(capsys, ["spectrum", "--graph", files["swap.wg"], "--check-lambda", lam, "--json"])
+        report = json.loads(out)
+        assert code == 0
+        assert (report["member"], report["side"]) == (member, side)
+        assert report["dist-left"] == report["dist-right"] == dist
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--R", "1.5"], "radius 1.5 is below twice the norm bound 1.0"),
+    (["--R", "1e200"], "radius must be positive with a finite nonzero square, got 1e+200"),
+    (["--tol", "0"], "tol must be positive and finite, got 0.0"),
+    (["--tol=-1"], "tol must be positive and finite, got -1.0"),
+    (["--check-lambda", "nan"], "non-finite complex number 'nan'"),
+])
+def test_hermitian_membership_refuses_bad_input_with_the_same_messages(files, capsys, flags, message):
+    argv = ["spectrum", "--graph", files["swap.wg"], "--check-lambda", "0.5", *flags]
+    assert run(capsys, argv) == (2, "", f"ERROR: {message}\n")
+
+
 def test_negative_complex_values_are_accepted_as_separate_arguments(files, capsys):
     for text, lam in (("-0.3+0.2i", -0.3 + 0.2j), ("-2i", -2j)):
         code, out, _ = run(capsys, [

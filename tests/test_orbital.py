@@ -516,6 +516,30 @@ def _grigorchuk(level):
     return act, GroupAlgebraElement({(w,): 1.0 for w in "abcd"})
 
 
+def _all_bfs_diameter(g):
+    """The diameter as one breadth-first search from every vertex finds it."""
+    return max(max(g.distances(v).values()) for v in g.graph.vertices)
+
+
+def test_diameter_equals_the_largest_distance_from_every_vertex():
+    graphs = [orbital_graph(odometer_action(k), "0" * k, adjacency_element()) for k in (1, 2, 3, 5)]
+    for level in range(1, 7):  # paths, where the double sweep alone decides
+        act, elem = _grigorchuk(level)
+        graphs.append(orbital_graph(act, "0" * level, elem))
+    rng = np.random.default_rng(9090)
+    intransitive = 0
+    for _ in range(60):
+        act = random_finite_action(rng)
+        elem = random_element(rng, list(act.generator_names()))
+        for point in act.points[:3]:
+            g = orbital_graph(act, point, elem)
+            intransitive += g.graph.order < len(act.points)
+            graphs += [g, ball(g, point, 1)]
+    assert intransitive
+    for g in graphs:
+        assert g.diameter() == _all_bfs_diameter(g)
+
+
 def test_same_adjacency_codes_balls_only_when_a_match_is_read(monkeypatch):
     act, elem = _grigorchuk(5)
     gx, gy = orbital_graph(act, "00000", elem), orbital_graph(act, "01101", elem)
@@ -604,21 +628,23 @@ def test_equal_operators_share_spectrum_diameter_and_cross_checks(monkeypatch):
     act = odometer_action(3)
     gx, gy = orbital_graph(act, "000", adjacency_element()), orbital_graph(act, "011", adjacency_element())
     assert materialize(gx.graph).tobytes() == materialize(gy.graph).tobytes()
-    member = _counting(monkeypatch, "membership_by_deficiency")
+    # one verdict call per distinct operator, each covering the whole x-spectrum
+    member = _counting(monkeypatch, "_membership_verdicts")
     spectra = _counting(monkeypatch, "spectrum")
     diameters = []
     real_diameter = LabeledOrbitalGraph.diameter
     monkeypatch.setattr(LabeledOrbitalGraph, "diameter",
                         lambda g: diameters.append(g) or real_diameter(g))
     comp = spectra_compare_orbits(act, act, "000", "011", adjacency_element())
-    assert len(member) == 8 and len(spectra) == 1 and len(diameters) == 1
+    assert len(member) == 1 and len(spectra) == 1 and len(diameters) == 1
     assert comp.spectrum_y == comp.spectrum_x and comp.saturated
     assert all(c.in_y == c.in_x for c in comp.cross_checks)
 
     del member[:], spectra[:], diameters[:]
     comp = spectra_compare_orbits(odometer_action(3), odometer_action(4), "000", "0000",
                                   adjacency_element())
-    assert len(member) == 16 and len(spectra) == 2 and len(diameters) == 2
+    assert len(member) == 2 and len(spectra) == 2 and len(diameters) == 2
+    assert all(len(lams) == 8 for _, _, lams, _, _ in member)
 
 
 def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
@@ -634,11 +660,11 @@ def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
         return m
 
     monkeypatch.setattr(wgraph.orbital, "materialize", materialize_flipping_a_zero)
-    member = _counting(monkeypatch, "membership_by_deficiency")
+    member = _counting(monkeypatch, "_membership_verdicts")
     spectra = _counting(monkeypatch, "spectrum")
     spectra_compare_orbits(act, act, "000", "011", adjacency_element())
     assert np.array_equal(built[0], built[1]) and built[0].tobytes() != built[1].tobytes()
-    assert len(member) == 16 and len(spectra) == 2
+    assert len(member) == 2 and len(spectra) == 2
 
 
 def _write_inputs(tmp_path, transitions, element):

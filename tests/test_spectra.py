@@ -4,6 +4,8 @@ import pytest
 from helpers import circulant_spectrum
 
 from wgraph import (
+    DEFAULT_MEMBERSHIP_TOL,
+    HERMITIAN_ATOL,
     SpectralSet,
     deficiency_graph,
     hausdorff_distance,
@@ -16,6 +18,8 @@ from wgraph import (
     spectrum,
     subset_check,
 )
+import wgraph.spectra
+from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _membership_verdicts
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -235,3 +239,103 @@ def test_membership_and_subset_refuse_a_tol_that_is_not_finite_and_positive(tol)
         membership_by_deficiency(NILPOTENT, 0.5, 2.0, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         subset_check(SpectralSet((0j,)), SpectralSet((0j,)), tol=tol)
+
+
+# --- Hermitian verdicts read off the computed spectrum
+
+
+def _random_hermitian(rng, n, scale=1.0):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (a + a.conj().T) / 2
+
+
+def _with_defect_near_the_limit(rng, h):
+    """``h`` plus a strict upper triangle and an imaginary diagonal that :func:`is_hermitian`
+    accepts, each at about half its limit (the rounding of an entry near 4e3 adds up to 0.45
+    of it); ``eigvalsh`` reads neither."""
+    n = len(h)
+    limit = HERMITIAN_ATOL * min(1.0, float(np.abs(h).max()))
+    m = h + np.triu(0.5 * limit * np.exp(2j * np.pi * rng.random((n, n))), 1)
+    m[np.diag_indices(n)] += 0.49j * limit
+    assert is_hermitian(m) and not np.array_equal(m, m.conj().T)
+    return m
+
+
+def _counting_dense(monkeypatch):
+    calls = []
+    real = wgraph.spectra.membership_by_deficiency
+    monkeypatch.setattr(wgraph.spectra, "membership_by_deficiency", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_eigvalsh_error_bounds_every_eigenvector_residual():
+    # for a unit x, ||Mx - mu x|| bounds sigma_min(M - mu), and for a Hermitian M the
+    # distance of mu to its spectrum
+    rng = np.random.default_rng(4242)
+    for n in (1, 2, 7, 30, 96, 256):
+        for scale in (1e-3, 1.0, 1e3):
+            h = _random_hermitian(rng, n, scale)
+            for m in (h, _with_defect_near_the_limit(rng, h)):
+                delta = _eigvalsh_error(n, matrix_norm_bound(m))
+                w, v = np.linalg.eigh(m)
+                assert np.linalg.norm(m @ v - v * w, axis=0).max() <= delta
+                assert np.abs(np.linalg.eigvalsh(m) - w).max() <= delta
+
+
+def test_the_hermitian_defect_term_covers_what_eigvalsh_cannot_see():
+    # eigvalsh reads the lower triangle only; an upper-triangle defect of size e moves
+    # sigma_min(M - mu) at the all-ones eigenvector by about (n - 1) e / 2, beyond the
+    # backward error of the solver alone
+    n = 30
+    m = np.ones((n, n), dtype=complex) / n
+    m += np.triu(np.full((n, n), 0.99 * HERMITIAN_ATOL / n), 1)
+    assert is_hermitian(m)
+    bound = matrix_norm_bound(m)
+    top = spectrum(m).values[-1]
+    sigma = np.linalg.svd(m - top * np.eye(n), compute_uv=False)[-1]
+    assert _EIGVALSH_GROWTH * n * np.finfo(float).eps * max(1.0, bound) < sigma <= _eigvalsh_error(n, bound)
+
+
+def test_hermitian_verdicts_agree_with_the_smallest_singular_value(monkeypatch):
+    dense = _counting_dense(monkeypatch)
+    rng = np.random.default_rng(777)
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        h = _random_hermitian(rng, n, 10.0 ** rng.uniform(-3, 3))
+        for m in (h, _with_defect_near_the_limit(rng, h)):
+            spec, bound = spectrum(m), matrix_norm_bound(m)
+            delta, radius = _eigvalsh_error(n, bound), 2.0 * bound
+            threshold = radius * np.sqrt(DEFAULT_MEMBERSHIP_TOL)
+            offsets = threshold * np.array([0.0, 0.5, 0.99, 1.01, 2.0, 1e3])
+            lams = spec.as_array().real[rng.integers(0, n, 6)] + offsets * np.exp(2j * np.pi * rng.random(6))
+            for lam, v in zip(lams, _membership_verdicts(m, spec, lams)):
+                sigma = np.linalg.svd(m - lam * np.eye(n), compute_uv=False)[-1]
+                assert abs(sigma - threshold) > delta  # off the band
+                assert v.member is bool(sigma <= threshold)
+                assert v.witness_side == ("left" if v.member else "none")
+                assert type(v.dist_left) is float and v.dist_left == v.dist_right == v.witness_value
+                assert abs(np.sqrt(v.dist_left) * radius - sigma) <= 2 * delta
+                assert v.R_used == radius
+    assert dense == []
+
+
+def test_a_lambda_in_the_band_gets_exactly_one_dense_verdict(monkeypatch):
+    dense = _counting_dense(monkeypatch)
+    m = _random_hermitian(np.random.default_rng(31), 6)
+    spec = spectrum(m)
+    threshold = 2.0 * matrix_norm_bound(m) * np.sqrt(DEFAULT_MEMBERSHIP_TOL)
+    mu = spec.values[2]
+    # mu + i * threshold lies exactly at the threshold, inside the band
+    lams = [mu, mu + 10j * threshold, mu + 1j * threshold, mu + 0.1 * threshold]
+    verdicts = _membership_verdicts(m, spec, lams)
+    assert len(dense) == 1 and dense[0][1] == lams[2]
+    assert verdicts[2] == membership_by_deficiency(m, lams[2])
+    assert [v.member for v in verdicts] == [True, False, verdicts[2].member, True]
+
+
+def test_non_hermitian_verdicts_are_the_dense_ones(monkeypatch):
+    dense = _counting_dense(monkeypatch)
+    lams = [0.0, 0.5, 0.25j]
+    verdicts = _membership_verdicts(NILPOTENT, spectrum(NILPOTENT), lams)
+    assert len(dense) == 3
+    assert verdicts == [membership_by_deficiency(NILPOTENT, lam) for lam in lams]
