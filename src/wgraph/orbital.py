@@ -13,14 +13,13 @@ connects the spectra of different orbits of the same element.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .core import WeightedGraph, deficiency_graph, make_graph
+from .core import WeightedGraph, _check_pairing, deficiency_graph
 from .errors import ActionError, DimensionCapError
 from .operator import FinSuppVector, MAX_DENSE_DIM, apply, materialize
 from .spectra import (
@@ -126,13 +125,7 @@ class GroupAction:
 
     @cached_property
     def _inverses(self) -> dict:
-        out = {}
-        for name, perm in self.perms.items():
-            inv = [0] * len(perm)
-            for i, j in enumerate(perm):
-                inv[j] = i
-            out[name] = tuple(inv)
-        return out
+        return {name: tuple(np.argsort(perm).tolist()) for name, perm in self.perms.items()}
 
     def point_index(self, point: str) -> int:
         try:
@@ -156,6 +149,14 @@ class GroupAction:
 
     def act_point(self, word: tuple[str, ...], point: str) -> str:
         return self.points[self.act_index(word, self.point_index(point))]
+
+    def _word_image(self, word: tuple[str, ...]) -> np.ndarray:
+        """Position of the image of every point under ``word``, tokens applied
+        right to left as in :meth:`act_index`."""
+        image = np.arange(len(self.points))
+        for token in reversed(word):
+            image = np.take(self._token_perm(token), image)
+        return image
 
     @classmethod
     def from_mealy(cls, transitions, alphabet, level: int) -> "GroupAction":
@@ -191,20 +192,19 @@ class GroupAction:
                     raise ActionError(f"state {state!r} references unknown state {nxt!r}")
 
         points = tuple("".join(p) for p in itertools.product(letters, repeat=level))
-        pos = {p: i for i, p in enumerate(points)}
-        perms = {}
-        for state in sorted(states):
-            if state == IDENTITY_TOKEN:
-                continue
-            images = []
-            for w in points:
-                out_word = []
-                cur = state
-                for ch in w:
-                    out, cur = transitions[cur][ch]
-                    out_word.append(str(out))
-                images.append(pos["".join(out_word)])
-            perms[state] = tuple(images)
+        letter_index = {x: i for i, x in enumerate(letters)}
+        # a state's image of "x w" is its output letter for x, then its successor's image
+        # of w: the output's index times |A|^(L-1) plus that image, one level shorter
+        images = dict.fromkeys(states, np.zeros(1, dtype=int))
+        for length in range(1, level + 1):
+            block = len(letters) ** (length - 1)
+            images = {
+                state: np.concatenate([letter_index[str(out)] * block + images[nxt]
+                                       for out, nxt in (row[x] for x in letters)])
+                for state, row in transitions.items()
+            }
+        perms = {state: tuple(images[state].tolist())
+                 for state in sorted(states) if state != IDENTITY_TOKEN}
         return cls(points, perms)
 
 
@@ -258,28 +258,18 @@ def default_radius_bound(element: GroupAlgebraElement) -> float:
 
 def orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
     """Closure of ``start`` under the words and their inverses, in BFS order."""
+    return tuple(action.points[i] for i in _orbit(action, start, words)[0])
+
+
+def _orbit(action: GroupAction, start: str, words) -> tuple[list[int], dict]:
+    """:func:`orbit` as point positions, with each step word's image of every point."""
     wl = sorted({tuple(w) for w in words}, key=_word_key)
     if not wl:
         raise ActionError("orbit needs at least one word")
-    steps: list[tuple[str, ...]] = []
-    for w in wl:
-        steps.append(w)
-        inv = invert_word(w)
-        if inv != w:
-            steps.append(inv)
     i0 = action.point_index(start)
-    seen = {i0}
-    order = [i0]
-    queue = deque([i0])
-    while queue:
-        i = queue.popleft()
-        for w in steps:
-            j = action.act_index(w, i)
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-                queue.append(j)
-    return tuple(action.points[i] for i in order)
+    # the search tries each word, then its inverse; a repeated step keeps its first place
+    images = {step: action._word_image(step) for w in wl for step in (w, invert_word(w))}
+    return _bfs(np.stack(list(images.values()), axis=1).tolist(), i0)[0], images
 
 
 @dataclass(frozen=True)
@@ -297,26 +287,26 @@ class LabeledOrbitalGraph:
     alphabet: tuple
 
     @cached_property
-    def _adjacency(self) -> dict:
-        """Word-indexed adjacency: per vertex, the out- and then the
-        in-neighbour along each alphabet word in alphabet order, None where
-        the vertex has no such labeled arc."""
+    def _adjacency(self) -> list:
+        """Word-indexed adjacency: per vertex position, the position of the
+        out- and then the in-neighbour along each alphabet word in alphabet
+        order, -1 where the vertex has no such labeled arc."""
         g = self.graph
         slot = {w: 2 * i for i, w in enumerate(self.alphabet)}
-        adj = [[None] * (2 * len(self.alphabet)) for _ in g.vertices]
+        adj = [[-1] * (2 * len(self.alphabet)) for _ in g.vertices]
         labeled = list(self.labels)
         for k, s, t in zip(labeled, g.source[labeled].tolist(), g.target[labeled].tolist()):
             i = slot[self.labels[k]]
-            adj[s][i] = g.vertices[t]
-            adj[t][i + 1] = g.vertices[s]
-        return {v: tuple(ns) for v, ns in zip(g.vertices, adj)}
+            adj[s][i] = t
+            adj[t][i + 1] = s
+        return [tuple(ns) for ns in adj]
 
     @cached_property
-    def _neighbors(self) -> dict:
-        return {
-            v: tuple(sorted({w for w in ns if w is not None and w != v}))
-            for v, ns in self._adjacency.items()
-        }
+    def _neighbors(self) -> list:
+        """Per vertex position, the positions of its other labeled neighbours in
+        ascending order, which is name order since ``vertices`` is sorted."""
+        return [tuple(sorted({w for w in ns if w >= 0 and w != v}))
+                for v, ns in enumerate(self._adjacency)]
 
     @property
     def transfer_reach(self) -> int:
@@ -328,16 +318,9 @@ class LabeledOrbitalGraph:
 
         Direction and weights are ignored; loops never shorten anything.
         """
-        self.graph.vertex_index(start)
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self._neighbors[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+        order, dist = _bfs(self._neighbors, self.graph.vertex_index(start))
+        names = self.graph.vertices
+        return {names[v]: dist[v] for v in order}
 
     def diameter(self) -> int:
         """Largest distance between two connected vertices.
@@ -347,31 +330,26 @@ class LabeledOrbitalGraph:
         are paths), that is the diameter; otherwise every vertex gets a
         breadth-first search.
         """
-        pos = {v: i for i, v in enumerate(self.graph.vertices)}
-        adj = [[pos[w] for w in self._neighbors[v]] for v in self.graph.vertices]
-        lower = _sweep(adj, _sweep(adj, 0)[0])[1]
+        adj = self._neighbors
+        lower = max(_bfs(adj, _bfs(adj, 0)[0][-1])[1])
         if lower == len(adj) - 1:
             return lower
-        return max(_sweep(adj, v)[1] for v in range(len(adj)))
+        return max(max(_bfs(adj, v)[1]) for v in range(len(adj)))
 
 
-def _sweep(adj: list, start: int) -> tuple[int, int]:
-    """Breadth-first search over neighbour position lists: a vertex farthest
-    from ``start`` and its distance."""
-    seen = [False] * len(adj)
-    seen[start] = True
-    frontier, depth = [start], -1
-    while frontier:
-        depth += 1
-        last = frontier[-1]
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(w)
-        frontier = nxt
-    return last, depth
+def _bfs(adj: list, start: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search over neighbour position lists: the visit order,
+    which ends at a vertex farthest from ``start``, and each vertex's
+    distance from ``start`` (-1 where unreached)."""
+    dist = [-1] * len(adj)
+    dist[start] = 0
+    order = [start]
+    for v in order:  # the loop also visits vertices appended below
+        for w in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    return order, dist
 
 
 def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement) -> LabeledOrbitalGraph:
@@ -389,30 +367,36 @@ def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement)
     if not element:
         raise ActionError("cannot build the orbital graph of the zero element")
     supp = element.support()
-    pts = orbit(action, start, supp)
-    arcs: list[tuple[str, str, complex]] = []
-    labels: dict[int, tuple[str, ...]] = {}
-    index: dict[tuple[tuple[str, ...], str], int] = {}
-    for g in supp:
-        coeff = element.coefficient(g)
-        for z in pts:
-            source = action.act_point(g, z)
-            index[(g, z)] = len(arcs)
-            labels[len(arcs)] = g
-            arcs.append((source, z, coeff))
-    pairing: list[int] = [-1] * len(arcs)
-    supp_set = set(supp)
-    for (g, z), k in list(index.items()):
-        h = invert_word(g)
-        if h in supp_set:
-            pairing[k] = index[(h, arcs[k][0])]
-    for (g, z), k in list(index.items()):
-        if pairing[k] == -1:
-            source, target, _ = arcs[k]
-            pairing[k] = len(arcs)
-            pairing.append(k)
-            arcs.append((target, source, 0j))
-    graph = make_graph(pts, arcs, pairing)
+    order, images = _orbit(action, start, supp)
+    n, orb = len(order), np.asarray(order)
+    names = [action.points[i] for i in order]
+    by_name = sorted(range(n), key=names.__getitem__)
+    # vertex[i] is the position of point i among the sorted orbit names, step[i] its place in order
+    vertex = np.full(len(action.points), -1)
+    vertex[orb[by_name]] = np.arange(n)
+    step = np.full(len(action.points), -1)
+    step[orb] = np.arange(n)
+    # arc k * n + i runs from g z to z, for the k-th support word g and the i-th orbit
+    # point z; the arc of g's inverse word at g z reverses it
+    moved = [images[g][orb] for g in supp]
+    source = vertex[np.concatenate(moved)]
+    target = np.tile(vertex[orb], len(supp))
+    weight = np.repeat(np.array([element.coefficient(g) for g in supp]), n)
+    word_index = {g: k for k, g in enumerate(supp)}
+    pair = np.full(len(supp) * n, -1)
+    for k, g in enumerate(supp):
+        h = word_index.get(invert_word(g))
+        if h is not None:
+            pair[k * n:(k + 1) * n] = h * n + step[moved[k]]
+    # the arcs of a word whose inverse is not in the support get weight-0 reversals
+    lone = np.flatnonzero(pair < 0)
+    pair[lone] = len(pair) + np.arange(len(lone))
+    source, target = np.concatenate([source, target[lone]]), np.concatenate([target, source[lone]])
+    pair = np.concatenate([pair, lone])
+    _check_pairing(source, target, pair.tolist())
+    graph = WeightedGraph(tuple(names[i] for i in by_name), source, target,
+                          np.concatenate([weight, np.zeros(len(lone))]), pair)
+    labels = dict(enumerate(g for g in supp for _ in range(n)))
     return LabeledOrbitalGraph(graph, labels, start, supp)
 
 
@@ -421,9 +405,8 @@ def ball(orbital: LabeledOrbitalGraph, center: str, radius: int) -> LabeledOrbit
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = orbital.graph
-    dist = orbital.distances(center)
-    inside = np.zeros(g.order, dtype=bool)
-    inside[[g.vertex_index(v) for v, d in dist.items() if d <= radius]] = True
+    dist = np.asarray(_bfs(orbital._neighbors, g.vertex_index(center))[1])
+    inside = (dist >= 0) & (dist <= radius)
     # vertices stay sorted, so a kept vertex's new position counts the kept ones before it
     position = np.cumsum(inside) - 1
     kept = np.flatnonzero(inside[g.source] & inside[g.target])
@@ -453,22 +436,23 @@ def _ball_code(g: LabeledOrbitalGraph, root: str, radius: int):
     when their codes are equal, and pairing their visit orders is then the
     isomorphism.  Returns ``(code, order)``.
     """
-    g.graph.vertex_index(root)
+    start = g.graph.vertex_index(root)
     adj = g._adjacency
-    index = {root: 0}
-    order = [root]
+    index = {start: 0}
+    order = [start]
     depth = [0]
     code = []
     for i, u in enumerate(order):  # the loop also visits vertices appended below
         inside = depth[i] < radius
         for t in adj[u]:
             j = index.get(t)
-            if j is None and t is not None and inside:
+            if j is None and t >= 0 and inside:
                 j = index[t] = len(order)
                 order.append(t)
                 depth.append(depth[i] + 1)
             code.append(j)
-    return tuple(code), order
+    names = g.graph.vertices
+    return tuple(code), [names[v] for v in order]
 
 
 @dataclass(frozen=True)

@@ -164,18 +164,13 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
     bound = matrix_norm_bound(m)
     r = _deficiency_radius(bound, radius)
     lams = [_check_lambda(lam) for lam in lams]
-    n = len(m)
     if not is_hermitian(m):
         return [membership_by_deficiency(m, lam, radius, tol) for lam in lams]
-    delta = _eigvalsh_error(n, bound)
+    delta = _eigvalsh_error(len(m), bound)
     # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
-    mu = spec.as_array().real
     z = np.asarray(lams, dtype=complex)
-    above = np.minimum(np.searchsorted(mu, z.real), n - 1)
-    below = np.maximum(above - 1, 0)
-    gap = np.minimum(np.abs(z.real - mu[below]), np.abs(z.real - mu[above]))
     verdicts = []
-    for lam, d in zip(lams, np.hypot(gap, z.imag).tolist()):
+    for lam, d in zip(lams, np.hypot(_gaps(spec.as_array().real, z.real), z.imag).tolist()):
         near, far, q = (d + delta) / r, max(d - delta, 0.0) / r, d / r
         member = bool(near * near <= tol)
         if member or far * far > tol:
@@ -183,6 +178,14 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
         else:
             verdicts.append(membership_by_deficiency(m, lam, radius, tol))
     return verdicts
+
+
+def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Distance of each real ``x`` to the sorted real points ``mu``: the smaller gap to its
+    two neighbours in ``mu``, found by one ``searchsorted``."""
+    above = np.minimum(np.searchsorted(mu, x), len(mu) - 1)
+    below = np.maximum(above - 1, 0)
+    return np.minimum(np.abs(x - mu[below]), np.abs(x - mu[above]))
 
 
 def _check_tol(tol: float):
@@ -239,6 +242,14 @@ def _points(values) -> np.ndarray:
     return np.asarray(tuple(complex(v) for v in values), dtype=complex)
 
 
+def _nearest(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Least ``|p_i - q_j|`` for each point of ``p``.  Two real finite sets need no matrix:
+    a difference with imaginary part 0 has the modulus of its real part, bit for bit."""
+    if not (p.imag.any() or q.imag.any()) and np.isfinite(p.real).all() and np.isfinite(q.real).all():
+        return _gaps(np.sort(q.real), p.real)
+    return np.abs(p[:, None] - q[None, :]).min(axis=1)
+
+
 def hausdorff_distance(first, second) -> float:
     """Symmetrized sup-min distance between two finite plane point sets.
 
@@ -249,8 +260,7 @@ def hausdorff_distance(first, second) -> float:
     q = _points(second)
     if p.size == 0 or q.size == 0:
         raise ValueError("hausdorff_distance needs nonempty sets")
-    d = np.abs(p[:, None] - q[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(_nearest(p, q).max(), _nearest(q, p).max()))
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,7 @@ def subset_check(first, second, tol: float = DEFAULT_SUBSET_TOL) -> SubsetResult
     q = _points(second)
     if q.size == 0:
         return SubsetResult(False, float("inf"), complex(p[0]))
-    dev = np.abs(p[:, None] - q[None, :]).min(axis=1)
+    dev = _nearest(p, q)
     k = int(dev.argmax())
     return SubsetResult(bool(dev[k] <= tol), float(dev[k]), complex(p[k]))
 

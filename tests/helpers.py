@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
@@ -18,6 +19,7 @@ from wgraph import (
     RadiusVerdict,
     Violation,
     WeightedGraph,
+    invert_word,
     make_graph,
     voltage_cover,
 )
@@ -158,11 +160,13 @@ def _reference_ball(g: LabeledOrbitalGraph, center: str, radius: int):
     verts = frozenset(v for v, d in dist.items() if d <= radius)
     out: dict[str, dict] = {v: {} for v in verts}
     inn: dict[str, dict] = {v: {} for v in verts}
-    for k, word in g.labels.items():
-        a = g.graph.arcs[k]
-        if a.source in verts and a.target in verts:
-            out[a.source][word] = a.target
-            inn[a.target][word] = a.source
+    arcs = g.graph.arcs
+    # the labeled arcs inside the ball, in arc-index order, read from their sources' out-arcs
+    for k in sorted(k for v in verts for k in g.graph.out_arcs(v) if k in g.labels):
+        a = arcs[k]
+        if a.target in verts:
+            out[a.source][g.labels[k]] = a.target
+            inn[a.target][g.labels[k]] = a.source
     return verts, out, inn
 
 
@@ -343,3 +347,120 @@ def reference_verify_covering(covering: CoveringMap) -> list[Violation]:
     if missing:
         violations.append(Violation("surjectivity", f"vertices {missing}", "base vertices not covered"))
     return violations
+
+
+# Name-based references for the orbital graphs: the implementations that word
+# images and vertex positions replaced, kept as oracles of a differential test.
+
+
+def reference_orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
+    wl = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
+    steps = []
+    for w in wl:
+        steps.append(w)
+        if invert_word(w) != w:
+            steps.append(invert_word(w))
+    i0 = action.point_index(start)
+    seen, order, queue = {i0}, [i0], deque([i0])
+    while queue:
+        i = queue.popleft()
+        for w in steps:
+            j = action.act_index(w, i)
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+                queue.append(j)
+    return tuple(action.points[i] for i in order)
+
+
+def reference_from_mealy(transitions, alphabet, level: int) -> GroupAction:
+    """The level-``level`` action of a valid transducer, each point's word walked letter by letter."""
+    letters = tuple(str(x) for x in alphabet)
+    points = tuple("".join(p) for p in itertools.product(letters, repeat=level))
+    pos = {p: i for i, p in enumerate(points)}
+    perms = {}
+    for state in sorted(transitions):
+        if state == "e":
+            continue
+        images = []
+        for w in points:
+            out_word, cur = [], state
+            for ch in w:
+                out, cur = transitions[cur][ch]
+                out_word.append(str(out))
+            images.append(pos["".join(out_word)])
+        perms[state] = tuple(images)
+    return GroupAction(points, perms)
+
+
+def reference_orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement) -> LabeledOrbitalGraph:
+    supp = element.support()
+    pts = reference_orbit(action, start, supp)
+    arcs, labels, index = [], {}, {}
+    for g in supp:
+        for z in pts:
+            index[(g, z)] = len(arcs)
+            labels[len(arcs)] = g
+            arcs.append((action.act_point(g, z), z, element.coefficient(g)))
+    pairing = [-1] * len(arcs)
+    for (g, z), k in index.items():
+        if invert_word(g) in supp:
+            pairing[k] = index[(invert_word(g), arcs[k][0])]
+    for k in range(len(pairing)):
+        if pairing[k] == -1:
+            source, target, _ = arcs[k]
+            pairing[k] = len(arcs)
+            pairing.append(k)
+            arcs.append((target, source, 0j))
+    return LabeledOrbitalGraph(make_graph(pts, arcs, pairing), labels, start, supp)
+
+
+def reference_adjacency(g: LabeledOrbitalGraph) -> dict:
+    """Per vertex name, the out- and then the in-neighbour name along each alphabet word."""
+    slot = {w: 2 * i for i, w in enumerate(g.alphabet)}
+    adj = {v: [None] * (2 * len(g.alphabet)) for v in g.graph.vertices}
+    arcs = list(g.graph.arcs)
+    for k, word in g.labels.items():
+        a = arcs[k]
+        adj[a.source][slot[word]] = a.target
+        adj[a.target][slot[word] + 1] = a.source
+    return adj
+
+
+def reference_distances(adj: dict, start: str) -> dict:
+    """Distances along labeled edges, over the :func:`reference_adjacency` ``adj``."""
+    neighbors = {v: sorted({w for w in ns if w is not None and w != v}) for v, ns in adj.items()}
+    dist, queue = {start: 0}, deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in neighbors[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_ball_code(adj: dict, root: str, radius: int):
+    index, order, depth, code = {root: 0}, [root], [0], []
+    for i, u in enumerate(order):
+        for t in adj[u]:
+            j = index.get(t)
+            if j is None and t is not None and depth[i] < radius:
+                j = index[t] = len(order)
+                order.append(t)
+                depth.append(depth[i] + 1)
+            code.append(j)
+    return tuple(code), order
+
+
+def reference_ball(g: LabeledOrbitalGraph, dist: dict, radius: int) -> LabeledOrbitalGraph:
+    """The induced labeled subgraph on the ball of ``radius`` around the vertex that the
+    :func:`reference_distances` ``dist`` start from, rebuilt arc by arc with ``make_graph``."""
+    center = next(iter(dist))
+    inside = {v for v, d in dist.items() if d <= radius}
+    arcs = list(g.graph.arcs)
+    kept = [k for k, a in enumerate(arcs) if a.source in inside and a.target in inside]
+    new = {k: i for i, k in enumerate(kept)}
+    graph = make_graph(inside, [arcs[k] for k in kept], [new[g.graph.pairing[k]] for k in kept])
+    labels = {new[k]: g.labels[k] for k in kept if k in g.labels}
+    return LabeledOrbitalGraph(graph, labels, center, g.alphabet)

@@ -14,8 +14,15 @@ from helpers import (
     odometer_action,
     random_element,
     random_finite_action,
+    reference_adjacency,
+    reference_ball,
+    reference_ball_code,
     reference_ball_iso,
+    reference_distances,
+    reference_from_mealy,
     reference_local_iso,
+    reference_orbit,
+    reference_orbital_graph,
 )
 
 from wgraph import (
@@ -26,6 +33,7 @@ from wgraph import (
     GroupAlgebraElement,
     LabeledOrbitalGraph,
     LocalIsoResult,
+    MAX_DENSE_DIM,
     RadiusVerdict,
     WeightedGraph,
     apply,
@@ -734,3 +742,94 @@ def test_cli_codes_no_ball_when_the_transfer_is_skipped(monkeypatch, tmp_path, c
     out = capsys.readouterr().out
     assert code == 0 and "TRANSFER: skipped (no match at transfer radius)" in out
     assert coded == []  # radius 0 is below the transfer reach, so no match is read
+
+
+def _assert_same_labeled_graph(got: LabeledOrbitalGraph, want: LabeledOrbitalGraph):
+    assert got.graph.vertices == want.graph.vertices
+    for name in ("source", "target", "weight", "pair"):
+        a, b = getattr(got.graph, name), getattr(want.graph, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name  # bit for bit
+    assert list(got.labels.items()) == list(want.labels.items())
+    assert (got.root, got.alphabet) == (want.root, want.alphabet)
+
+
+def _assert_graph_equals_reference(act: GroupAction, root: str, elem: GroupAlgebraElement, roots=None):
+    """Orbit, graph arrays, labels, distances, diameter, balls and ball codes against
+    the name-based references, from ``roots`` (default: every vertex)."""
+    words = list(elem.support())
+    assert orbit(act, root, words + words[:1]) == reference_orbit(act, root, words)
+    g, want = orbital_graph(act, root, elem), reference_orbital_graph(act, root, elem)
+    _assert_same_labeled_graph(g, want)
+    adj = reference_adjacency(want)
+    dist = {v: reference_distances(adj, v) for v in (want.graph.vertices if roots is None else roots)}
+    if roots is None:
+        assert g.diameter() == max(max(d.values()) for d in dist.values())
+    for v, want_dist in dist.items():
+        assert list(g.distances(v).items()) == list(want_dist.items())
+        for radius in (0, 1, 2, 3):
+            assert _ball_code(g, v, radius) == reference_ball_code(adj, v, radius)
+            _assert_same_labeled_graph(ball(g, v, radius), reference_ball(want, want_dist, radius))
+
+
+def _random_element(rng, names) -> GroupAlgebraElement:
+    """Random words with complex coefficients, mixed with the empty word, inverse
+    pairs, words equal to their own inverse and repeated words."""
+    pairs = []
+    for _ in range(int(rng.integers(1, 5))):
+        word = tuple(names[rng.integers(len(names))] + ("'" if rng.random() < 0.5 else "")
+                     for _ in range(int(rng.integers(1, 4))))
+        kind = rng.integers(6)
+        words = [(), word, invert_word(word), word + invert_word(word), word, word][kind:kind + 2]
+        pairs += [(w, complex(rng.normal(), rng.normal()) if rng.random() < 0.7 else 1.0) for w in words]
+    return GroupAlgebraElement.from_pairs(pairs)
+
+
+def test_orbital_graphs_equal_the_name_based_reference_on_permutation_actions():
+    rng = np.random.default_rng(1414)
+    graphs = intransitive = unpaired = 0
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        points = tuple(f"p{int(i):02d}" for i in rng.permutation(40)[:n])  # not in name order
+        names = ["a", "b", "c"][: int(rng.integers(1, 4))]
+        act = GroupAction(points, {g: tuple(int(i) for i in rng.permutation(n)) for g in names})
+        elem = _random_element(rng, names)
+        for root in rng.choice(points, size=min(n, 3), replace=False):
+            _assert_graph_equals_reference(act, str(root), elem)
+            graphs += 1
+            intransitive += len(orbit(act, str(root), elem.support())) < n
+        unpaired += any(invert_word(w) not in elem.terms for w in elem.terms)
+    assert graphs > 300 and intransitive > 50 and unpaired > 50
+
+
+def _random_transducer(rng, letters: int, with_e: bool):
+    alphabet = "xyz"[:letters]
+    states = ["a", "b", "c", "d"][: int(rng.integers(1, 5))] + (["e"] if with_e else [])
+    return alphabet, {
+        s: {x: (alphabet[int(j)], states[int(rng.integers(len(states)))])
+            for x, j in zip(alphabet, rng.permutation(letters))}
+        for s in states
+    }
+
+
+def test_from_mealy_equals_the_letter_by_letter_reference():
+    rng = np.random.default_rng(2828)
+    for case in range(300):
+        letters = int(rng.integers(1, 4))
+        alphabet, transitions = _random_transducer(rng, letters, with_e=case % 2 == 0)
+        top = max(k for k in range(1, 12) if letters**k <= MAX_DENSE_DIM)  # the point cap
+        level = top if case % 50 == 0 else int(rng.integers(1, min(top, 5) + 1))
+        act = GroupAction.from_mealy(transitions, alphabet, level)
+        want = reference_from_mealy(transitions, alphabet, level)
+        assert act.points == want.points and act.perms == want.perms
+        assert list(act.perms) == list(want.perms)
+        if len(act.points) <= 32 and act.perms:
+            elem = _random_element(rng, list(act.perms))
+            _assert_graph_equals_reference(act, act.points[int(rng.integers(len(act.points)))], elem)
+
+
+@pytest.mark.parametrize("level", [8, 11])
+def test_grigorchuk_orbital_graph_equals_the_name_based_reference(level):
+    act, elem = _grigorchuk(level)
+    want = reference_from_mealy(GRIGORCHUK_TRANSITIONS, ["0", "1"], level)
+    assert act.points == want.points and act.perms == want.perms
+    _assert_graph_equals_reference(act, "0" * level, elem, roots=["0" * level, "1" * level])

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import circulant_spectrum
+from helpers import circulant_spectrum, unit_disk
 
 from wgraph import (
     DEFAULT_MEMBERSHIP_TOL,
@@ -213,6 +215,69 @@ def test_subset_check_examples():
     assert r.max_deviation == pytest.approx(0.5)
     assert r.worst_point == 0.5 + 0j
     assert subset_check(SpectralSet(()), SpectralSet((1 + 0j,))).included
+
+
+def _dense_hausdorff(p, q) -> float:
+    d = np.abs(p[:, None] - q[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _dense_subset(p, q, tol):
+    dev = np.abs(p[:, None] - q[None, :]).min(axis=1)
+    k = int(dev.argmax())
+    return bool(dev[k] <= tol), float(dev[k]), complex(p[k])
+
+
+def _as_bits(x: float) -> int:
+    return np.float64(x).view(np.int64).item()
+
+
+def test_real_sets_take_the_sorted_search_bit_for_bit():
+    rng = np.random.default_rng(4040)
+    cases = [(np.array([0.0]), np.array([-0.0])), (np.array([-0.0, 0.0]), np.array([1.0])),
+             (np.array([2.5]), np.array([2.5, 2.5])), (np.array([1.0]), np.array([0.0, 2.0]))]  # a tie
+    for _ in range(300):
+        values = np.round(rng.normal(size=int(rng.integers(1, 40))) * 4) / 4  # duplicates and ties
+        values[rng.random(len(values)) < 0.1] *= -0.0
+        cut = int(rng.integers(1, len(values) + 1))
+        cases.append((values[:cut], rng.permutation(values)[cut - 1:] + rng.choice([0.0, 0.125])))
+    for p, q in cases:
+        p, q = p.astype(complex), q.astype(complex)
+        for a, b in ((p, q), (q, p)):
+            assert _as_bits(hausdorff_distance(a, b)) == _as_bits(_dense_hausdorff(a, b))
+            r, (ok, dev, worst) = subset_check(a, b, tol=0.1), _dense_subset(a, b, 0.1)
+            assert (r.included, _as_bits(r.max_deviation)) == (ok, _as_bits(dev))
+            assert np.array([r.worst_point]).view(np.int64).tolist() == np.array([worst]).view(np.int64).tolist()
+
+
+def test_real_sets_form_no_square_matrix():
+    rng = np.random.default_rng(5)
+    p, q = (SpectralSet(tuple(rng.normal(size=2048))) for _ in range(2))
+    tracemalloc.start()
+    try:
+        hausdorff_distance(p, q)
+        subset_check(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 2048 * 16 / 64  # the dense formula's matrix alone takes 64 MB
+
+
+def test_sets_off_the_real_line_or_with_nan_keep_the_dense_formula():
+    nan = float("nan")
+    rng = np.random.default_rng(6060)
+    cases = [([1.0, nan], [0.0, 2.0]), ([nan], [nan]), ([0.0, 1.0], [0.5, nan]),
+             ([1 + 1e-300j, 2.0], [0.0, 3.0]), ([np.inf], [0.0, 1.0]), ([0.5j, -1.0], [0.25, 2.0])]
+    cases += [(unit_disk(rng, int(rng.integers(1, 30))), unit_disk(rng, int(rng.integers(1, 30))))
+              for _ in range(50)]
+    for p, q in cases:
+        p, q = np.array(p, dtype=complex), np.array(q, dtype=complex)
+        for a, b in ((p, q), (q, p)):
+            want, got = _dense_hausdorff(a, b), hausdorff_distance(a, b)
+            assert _as_bits(got) == _as_bits(want) or (np.isnan(got) and np.isnan(want))
+            r, (ok, dev, worst) = subset_check(a, b, tol=0.1), _dense_subset(a, b, 0.1)
+            assert r.included == ok and (r.max_deviation == dev or (np.isnan(dev) and np.isnan(r.max_deviation)))
+            assert repr(r.worst_point) == repr(worst)
 
 
 def test_shift_report_demonstrates_one_sided_failure():
