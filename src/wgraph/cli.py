@@ -25,6 +25,7 @@ import dataclasses
 import json
 import re
 import sys
+import threading
 
 import numpy as np
 
@@ -101,6 +102,38 @@ def _verdict_fields(rep: Report, prefix: str, verdict):
     rep.kv(f"{prefix}DIST RIGHT", _fmt(verdict.dist_right), verdict.dist_right)
 
 
+def _self_check_deviation(dense: list, expect, result) -> float:
+    """Max entry of ``|materialize(result) - expect(m)|``.  ``m`` is popped from ``dense``, so
+    it is freed once the expected matrix is built: the dense n x n copies set the memory peak."""
+    expected = expect(dense.pop())
+    got = materialize(result)
+    got -= expected
+    return float(np.max(np.abs(got), initial=0.0))
+
+
+def _start_thread(fn, *args):
+    """Run ``fn(*args)`` on a second thread.  The returned function joins it and returns the
+    value, or raises the exception, of the call."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = fn(*args)
+        except BaseException as e:  # re-raised by the joining thread
+            outcome["error"] = e
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
+    return join
+
+
 def cmd_graph_op(args) -> int:
     if not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
@@ -114,47 +147,55 @@ def cmd_graph_op(args) -> int:
             raise ValueError("scale needs --factor")
         lam = parse_complex(args.factor)
         result = scale(graph, lam)
-        expected = lam * m
+        expect = lambda m: lam * m
     elif args.op == "add":
         if args.factor is None:
             raise ValueError("add needs --factor")
         lam = parse_complex(args.factor)
         result = add_scalar(graph, lam)
-        expected = m + lam * np.eye(graph.order)
+        expect = lambda m: m + lam * np.eye(graph.order)
     elif args.op == "adjoint":
         result = adjoint(graph)
-        expected = m.conj().T
+        expect = lambda m: m.conj().T
     elif args.op == "compose":
         if args.other is None:
             raise ValueError("compose needs --other")
         other = read_graph(args.other)
         rep.kv("OTHER ORDER", other.order)
         result = compose(graph, other)
-        expected = m @ materialize(other)
+        expect = lambda m: m @ materialize(other)
     elif args.op == "deficiency":
         if args.lam is None or args.radius is None:
             raise ValueError("deficiency needs --lambda and --R")
         lam = parse_complex(args.lam)
         side = args.side
         result = deficiency_graph(graph, lam, args.radius, side=side)
-        # shifted in place: the dense n x n copies set the memory peak
-        m[np.diag_indices(graph.order)] -= lam
-        expected = _deficiency_matrix(m, args.radius, side)
-        del m
+
+        def expect(m):
+            m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
+            return _deficiency_matrix(m, args.radius, side)
+
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(args.radius), args.radius)
         rep.kv("SIDE", side)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown operation {args.op!r}")
     rep.kv("RESULT ARCS", len(result.arcs))
-    got = materialize(result)
-    got -= expected
-    deviation = float(np.max(np.abs(got), initial=0.0))
+    # The dense check spends its time in numpy, which releases the GIL, and the write in repr,
+    # which holds it, so the two overlap.  The check owns the only reference to m.
+    dense = [m]
+    del m
+    join_check = _start_thread(_self_check_deviation, dense, expect, result)
+    try:
+        if args.out:
+            write_graph(result, args.out)
+    finally:
+        # an error of the check is reported before one of the write, as when they ran in turn
+        deviation = join_check()
     ok = deviation <= args.tol
     rep.kv("SELF-CHECK DEVIATION", _fmt(deviation), deviation)
     rep.kv("SELF-CHECK", "ok" if ok else "FAILED", ok)
     if args.out:
-        write_graph(result, args.out)
         rep.kv("WROTE", args.out)
     rep.emit(args.json)
     return 0 if ok else 1

@@ -40,7 +40,8 @@ __all__ = [
     "write_element",
 ]
 
-_CHUNK = 8192  # lines per write
+_CHUNK = 2048  # arcs formatted at a time; the strings of one chunk are held at once
+_WRITE_BYTES = 1 << 20  # about this many characters per write
 
 
 def format_complex(value) -> str:
@@ -137,14 +138,23 @@ def _open(path: str) -> _Cursor:
 
 
 def _write_lines(path: str, lines):
-    """Write ``lines`` to ``path``, each followed by a newline, ``_CHUNK`` lines at a time.
+    """Write ``lines`` to ``path``, each followed by a newline, about ``_WRITE_BYTES`` at a time.
 
-    Writers call it after every check that can refuse, so a refused write creates no file.
+    The first write holds 16 lines; each later one holds at most twice as many lines as the
+    one before, and about ``_WRITE_BYTES`` at the mean line length of the one before, so a
+    chunk of long lines (matrix rows) stays near that size at no cost per line.  Writers
+    call it after every check that can refuse, so a refused write creates no file.
     """
     lines = iter(lines)  # islice of a list would restart at its first line on every chunk
+    count = 16
     with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(itertools.islice(lines, _CHUNK)):
-            fh.write("\n".join(chunk) + "\n")
+        while chunk := list(itertools.islice(lines, count)):
+            count = len(chunk)
+            chunk.append("")  # the newline after the last line
+            text = "\n".join(chunk)
+            del chunk  # the lines are not held with the encoded copy that ``write`` makes
+            fh.write(text)
+            count = max(1, min(2 * count, count * _WRITE_BYTES // len(text)))
 
 
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:
@@ -169,14 +179,25 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
         cur.fail(start, str(e))
 
 
+def _complex_strings(values: np.ndarray) -> list[str]:
+    """``format_complex`` of each entry of a 1-D complex array, one ``repr`` pass per part."""
+    out = list(map(repr, values.real.tolist()))
+    imag = values.imag
+    tail = np.flatnonzero(imag != 0)  # NaN included: format_complex tests ``imag == 0``
+    signs = np.where(imag[tail] >= 0, "+", "-").tolist()
+    for k, sign, size in zip(tail.tolist(), signs, map(repr, np.abs(imag[tail]).tolist())):
+        out[k] = f"{out[k]}{sign}{size}i"
+    return out
+
+
 def _graph_block_lines(graph: WeightedGraph):
     """Lines of a graph block; reads every attribute now, formats the arcs a chunk at a time."""
     names = graph.vertices
-    columns = (graph.source, graph.target, graph.weight, graph.pair)
     arcs = (
-        f"{names[s]} {names[t]} {format_complex(w)} {p}"
+        f"{names[s]} {names[t]} {w} {p}"
         for i in range(0, len(graph.weight), _CHUNK)
-        for s, t, w, p in zip(*(c[i:i + _CHUNK].tolist() for c in columns))
+        for s, t, w, p in zip(graph.source[i:i + _CHUNK].tolist(), graph.target[i:i + _CHUNK].tolist(),
+                              _complex_strings(graph.weight[i:i + _CHUNK]), graph.pair[i:i + _CHUNK].tolist())
     )
     return itertools.chain([f"vertices {len(names)}", *names, f"arcs {len(graph.weight)}"], arcs)
 
@@ -213,7 +234,7 @@ def write_matrix(matrix: np.ndarray, path: str):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    rows = (" ".join(format_complex(z) for z in row) for row in m)
+    rows = (" ".join(_complex_strings(row)) for row in m)
     _write_lines(path, itertools.chain(["matrix 1", f"dim {m.shape[0]}"], rows))
 
 

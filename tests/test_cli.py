@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from wgraph import (
     ActionSpec,
     CoveringMap,
     GroupAlgebraElement,
+    add_scalar,
+    adjoint,
+    compose,
     deficiency_graph,
     make_graph,
     materialize,
@@ -18,6 +22,7 @@ from wgraph import (
     parse_complex,
     read_covering,
     read_graph,
+    scale,
     voltage_cover,
     write_action,
     write_covering,
@@ -26,6 +31,7 @@ from wgraph import (
     write_matrix,
     write_voltages,
 )
+import wgraph.cli
 import wgraph.covering
 from wgraph.cli import main
 
@@ -542,3 +548,90 @@ def test_cover_lift_leaves_the_voltage_count_to_the_library(files, capsys, tmp_p
     code, out, err = run(capsys, ["cover", "lift", "--graph", files["base2.wg"], "--volt", short])
     assert code == 2 and out == ""
     assert err == "ERROR: need one voltage per arc: got 1 for 2 arcs\n"
+
+
+CLI_OPS = {  # flags after --graph, and the library call the written file must match
+    "scale": (["--factor", "2-0.5i"], lambda g, o: scale(g, 2 - 0.5j)),
+    "add": (["--factor", "-1.25"], lambda g, o: add_scalar(g, -1.25)),
+    "adjoint": ([], lambda g, o: adjoint(g)),
+    "compose": (["--other", "other.wg"], compose),
+    "deficiency": (["--lambda", "0.3-0.7i", "--R", "50", "--side", "left"],
+                   lambda g, o: deficiency_graph(g, 0.3 - 0.7j, 50.0, side="left")),
+}
+
+
+@pytest.fixture(scope="module")
+def op_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("opfiles")
+    rng = np.random.default_rng(131)
+    graphs = {"graph.wg": random_graph(rng, n=12), "other.wg": random_graph(rng, n=12)}
+    for name, g in graphs.items():
+        write_graph(g, str(d / name))
+    return d, graphs
+
+
+@pytest.mark.parametrize("op", sorted(CLI_OPS))
+def test_graph_op_out_changes_no_report_line_and_writes_the_library_result(op, op_files, capsys, tmp_path):
+    d, graphs = op_files
+    flags, build = CLI_OPS[op]
+    argv = ["graph-op", op, "--graph", str(d / "graph.wg")] + [str(d / f) if f in graphs else f for f in flags]
+    out_path = str(tmp_path / "out.wg")
+    for fmt in ([], ["--json"]):
+        code, plain, err = run(capsys, argv + fmt)
+        code_out, written, err_out = run(capsys, argv + fmt + ["--out", out_path])
+        assert code == code_out == 0 and err == err_out == ""
+        if fmt:
+            data = json.loads(written)
+            assert data.pop("wrote") == out_path and data == json.loads(plain)
+        else:
+            assert written == plain + f"WROTE: {out_path}\n"
+        assert "SELF-CHECK: ok" in plain or json.loads(plain)["self-check"] is True
+    serial = tmp_path / "serial.wg"
+    write_graph(build(graphs["graph.wg"], graphs["other.wg"]), str(serial))
+    assert (tmp_path / "out.wg").read_bytes() == serial.read_bytes()
+
+
+def test_graph_op_write_error_exits_two_once_the_check_thread_has_ended(files, capsys, tmp_path):
+    threads = threading.active_count()
+    bad = str(tmp_path / "missing" / "out.wg")
+    code, out, err = run(capsys, ["graph-op", "adjoint", "--graph", files["cycle8.wg"], "--out", bad])
+    assert code == 2 and out == ""
+    assert err == f"ERROR: [Errno 2] No such file or directory: {bad!r}\n"
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("op", sorted(CLI_OPS))
+@pytest.mark.parametrize("out_dir", ["", "missing"])
+def test_an_error_in_the_self_check_exits_two_with_its_message(op, out_dir, op_files, capsys, tmp_path,
+                                                                monkeypatch):
+    d, graphs = op_files
+    materialize = wgraph.cli.materialize
+
+    def main_thread_only(graph):
+        if threading.current_thread() is not threading.main_thread():
+            raise ValueError("the check ran out of room")
+        return materialize(graph)
+
+    monkeypatch.setattr(wgraph.cli, "materialize", main_thread_only)
+    flags = CLI_OPS[op][0]
+    out_path = str(tmp_path / out_dir / "out.wg")
+    argv = ["graph-op", op, "--graph", str(d / "graph.wg"), "--out", out_path]
+    code, out, err = run(capsys, argv + [str(d / f) if f in graphs else f for f in flags])
+    # the check's error is reported, not the write's, as when the check ran first
+    assert code == 2 and out == "" and err == "ERROR: the check ran out of room\n"
+
+
+def test_a_failed_self_check_still_writes_the_result(op_files, capsys, tmp_path, monkeypatch):
+    d, graphs = op_files
+    deficiency_matrix = wgraph.cli._deficiency_matrix
+    monkeypatch.setattr(wgraph.cli, "_deficiency_matrix",
+                        lambda m, radius, side: deficiency_matrix(m, radius, side) + 1e-9)
+    flags, build = CLI_OPS["deficiency"]
+    out_path = tmp_path / "out.wg"
+    code, out, err = run(capsys, ["graph-op", "deficiency", "--graph", str(d / "graph.wg"), *flags,
+                                  "--out", str(out_path)])
+    assert code == 1 and err == ""
+    assert out.endswith(f"SELF-CHECK: FAILED\nWROTE: {out_path}\n")
+    serial = tmp_path / "serial.wg"
+    write_graph(build(graphs["graph.wg"], None), str(serial))
+    assert out_path.read_bytes() == serial.read_bytes()

@@ -15,7 +15,9 @@ from wgraph import (
     GroupAlgebraElement,
     ParseError,
     WeightedGraph,
+    compose,
     format_complex,
+    make_graph,
     parse_complex,
     read_action,
     read_covering,
@@ -194,6 +196,43 @@ def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path):
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     with open(p, "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 1 + n + 1 + 2 * half
+
+
+def test_arc_weights_are_written_as_format_complex_writes_them(tmp_path):
+    rng = np.random.default_rng(101)
+    g = random_graph(rng, n=30)
+    w = g.weight.copy()
+    w[::3] = w[::3].real  # imaginary part +0.0
+    w[1::5] = w[1::5].real - 0.0j  # imaginary part -0.0
+    w[2::7] = -0.0
+    signed = WeightedGraph(g.vertices, g.source, g.target, w, g.pair)
+    real = WeightedGraph(g.vertices, g.source, g.target, rng.normal(size=len(w)) + 0j, g.pair)
+    huge = make_graph(["a", "b", "c"], [("a", "b", 1e200), ("b", "a", -1e200j), ("b", "c", 1e200 + 1e200j),
+                                        ("c", "b", -3.0), ("c", "c", 1e-300 - 2j)], [1, 0, 3, 2, 4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflowed = compose(huge, huge)
+    assert np.isinf(overflowed.weight.real).any() and np.isinf(overflowed.weight.imag).any()
+    for graph in (g, signed, real, overflowed):
+        p = tmp_path / "w.wg"
+        write_graph(graph, p)
+        assert p.read_text() == "\n".join(["wgraph 1", *_graph_block(graph)]) + "\n"
+
+
+def test_matrix_writer_holds_about_one_write_of_rows(tmp_path):
+    rng = np.random.default_rng(103)
+    m = rng.normal(size=(1024, 1024)).astype(complex)  # tracing makes each string cost microseconds
+    m[::4, ::4] += 1j * rng.normal(size=(256, 256))
+    p = tmp_path / "big.mat"
+    tracemalloc.start()
+    try:
+        write_matrix(m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one write of rows is about 1 MiB (20 KB a row here); the whole file is 20 MB
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    rows = (" ".join(map(format_complex, row)) for row in m.tolist())
+    assert p.read_text() == "\n".join(["matrix 1", "dim 1024", *rows]) + "\n"
 
 
 def test_voltage_round_trip_and_validation(tmp_path):
