@@ -33,6 +33,7 @@ from .core import add_scalar, adjoint, compose, deficiency_graph, scale
 from .covering import deficiency_route_check, spectral_inclusion_check, verify_covering, voltage_cover
 from .errors import WGraphError
 from .fileio import (
+    _complex_strings,
     format_complex,
     parse_complex,
     read_action,
@@ -91,7 +92,7 @@ def _fmt(x: float) -> str:
 
 
 def _spectrum_kv(rep: Report, key: str, spectral_set):
-    values = [format_complex(v) for v in spectral_set.values]
+    values = _complex_strings(np.array(spectral_set.values, dtype=complex))
     rep.kv(key, " ".join(values), values)
 
 

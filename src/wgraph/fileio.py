@@ -5,7 +5,10 @@ and ``#`` comments are allowed anywhere.  Complex numbers are written as
 ``a+bi`` with ``repr`` floats so values round-trip bit-exactly; arc and
 matrix indices are 0-based, permutations are written in 1-based one-line
 notation.  All malformed content raises :class:`ParseError` with the
-offending line number.
+offending line number.  Readers take lines from the open file as they parse,
+split at every ``str.splitlines`` separator, and hold a graph block's arcs as
+columns (about 160 traced bytes per arc at the peak); a ``UnicodeDecodeError``
+gives its byte position from the start of the decoded chunk, not of the file.
 """
 
 from __future__ import annotations
@@ -45,11 +48,7 @@ _WRITE_BYTES = 1 << 20  # about this many characters per write
 
 
 def format_complex(value) -> str:
-    z = complex(value)
-    if z.imag == 0:
-        return repr(z.real)
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+    return _complex_strings(np.array([complex(value)]))[0]
 
 
 def parse_complex(text: str) -> complex:
@@ -65,21 +64,28 @@ def parse_complex(text: str) -> complex:
 
 
 class _Cursor:
-    """Reader of the non-blank, non-comment lines, each with its line number."""
+    """Reader of the non-blank, non-comment lines of a file, each with its line number."""
 
-    def __init__(self, path: str, text: str):
-        self.path = path
-        raw = text.splitlines()
-        self._end = len(raw) + 1
-        self._lines = ((i, line) for i, line in enumerate((r.strip() for r in raw), 1)
-                       if line and not line.startswith("#"))
+    def __init__(self, path):
+        self.path = str(path)
+        self._lines = self._numbered()
         self.lineno = 0  # the line last read
 
+    def _numbered(self):
+        lineno = 0
+        with open(self.path, "r", encoding="utf-8") as fh:  # numbered as ``splitlines`` of the whole text
+            for lineno, line in enumerate(itertools.chain.from_iterable(map(str.splitlines, fh)), 1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+        self._end = lineno + 1  # read once ``next`` has found no line left
+
     def fail(self, lineno: int, message: str):
+        self._lines.close()  # a kept ParseError keeps this cursor, not its file
         raise ParseError(self.path, lineno, message)
 
     def next_line(self, what: str) -> tuple[int, str]:
-        self.lineno, line = next(self._lines, (self._end, None))
+        self.lineno, line = next(self._lines, None) or (self._end, None)
         if line is None:
             self.fail(self._end, f"unexpected end of file, wanted {what}")
         return self.lineno, line
@@ -87,6 +93,16 @@ class _Cursor:
     def expect_end(self):
         for lineno, line in self._lines:  # the first line left, if any
             self.fail(lineno, f"trailing content {line!r}")
+
+    def ids(self, count: int, what: str) -> list[str]:
+        """The next ``count`` lines, each one ``what`` id of a single token."""
+        ids = []
+        for _ in range(count):
+            lineno, line = self.next_line(f"{what} id")
+            if len(line.split()) != 1:
+                self.fail(lineno, f"{what} id must be a single token, got {line!r}")
+            ids.append(line)
+        return ids
 
     def header(self, kind: str):
         lineno, line = self.next_line(f"{kind!r} header")
@@ -101,10 +117,7 @@ class _Cursor:
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
             self.fail(lineno, f"expected {keyword!r} <count>, got {line!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            self.fail(lineno, f"bad count {parts[1]!r}")
+        n = self.int_field(lineno, parts[1], "count")
         if n < minimum:
             self.fail(lineno, f"{keyword} count must be at least {minimum}")
         if cap is not None and n > cap:
@@ -132,11 +145,6 @@ class _Cursor:
             self.fail(lineno, f"bad {what} {token!r}")
 
 
-def _open(path: str) -> _Cursor:
-    with open(path, "r", encoding="utf-8") as fh:
-        return _Cursor(str(path), fh.read())
-
-
 def _write_lines(path: str, lines):
     """Write ``lines`` to ``path``, each followed by a newline, about ``_WRITE_BYTES`` at a time.
 
@@ -158,32 +166,28 @@ def _write_lines(path: str, lines):
 
 
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:
-    n = cur.count("vertices", minimum=1)
-    vertices = []
-    for _ in range(n):
-        lineno, line = cur.next_line("vertex id")
-        if len(line.split()) != 1:
-            cur.fail(lineno, f"vertex id must be a single token, got {line!r}")
-        vertices.append(line)
+    vertices = cur.ids(cur.count("vertices", minimum=1), "vertex")
+    known = dict(zip(vertices, vertices))  # each endpoint is held as the vertex string already read
     m = cur.count("arcs")
     start = cur.lineno
-    arcs = []
-    pairing = []
+    sources, targets, weights, pairing = [], [], [], []
     for _ in range(m):
         lineno, _, (src, tgt, wtok, ptok) = cur.fields("arc line", 4, "'source target weight pair'")
-        arcs.append((src, tgt, cur.complex_field(lineno, wtok)))
+        sources.append(known.get(src, src))
+        targets.append(known.get(tgt, tgt))
+        weights.append(cur.complex_field(lineno, wtok))
         pairing.append(cur.int_field(lineno, ptok, "pairing index"))
     try:
-        return make_graph(vertices, arcs, pairing)
+        return make_graph(vertices, zip(sources, targets, weights), pairing)
     except (GraphStructureError, ValueError) as e:
         cur.fail(start, str(e))
 
 
 def _complex_strings(values: np.ndarray) -> list[str]:
-    """``format_complex`` of each entry of a 1-D complex array, one ``repr`` pass per part."""
+    """``a+bi`` text of each entry of a 1-D complex array, one ``repr`` pass per part."""
     out = list(map(repr, values.real.tolist()))
     imag = values.imag
-    tail = np.flatnonzero(imag != 0)  # NaN included: format_complex tests ``imag == 0``
+    tail = np.flatnonzero(imag != 0)  # a NaN imaginary part is written too, with a '-'
     signs = np.where(imag[tail] >= 0, "+", "-").tolist()
     for k, sign, size in zip(tail.tolist(), signs, map(repr, np.abs(imag[tail]).tolist())):
         out[k] = f"{out[k]}{sign}{size}i"
@@ -203,7 +207,7 @@ def _graph_block_lines(graph: WeightedGraph):
 
 
 def read_graph(path: str) -> WeightedGraph:
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("wgraph")
     graph = _read_graph_block(cur)
     cur.expect_end()
@@ -215,7 +219,7 @@ def write_graph(graph: WeightedGraph, path: str):
 
 
 def read_matrix(path: str) -> np.ndarray:
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("matrix")
     n = cur.count("dim", minimum=1, cap=MAX_DENSE_DIM)
     out = np.zeros((n, n), dtype=complex)
@@ -224,8 +228,7 @@ def read_matrix(path: str) -> np.ndarray:
         parts = line.split()
         if len(parts) != n:
             cur.fail(lineno, f"row {i} has {len(parts)} entries, expected {n}")
-        for j, tok in enumerate(parts):
-            out[i, j] = cur.complex_field(lineno, tok)
+        out[i] = [cur.complex_field(lineno, tok) for tok in parts]
     cur.expect_end()
     return out
 
@@ -239,7 +242,7 @@ def write_matrix(matrix: np.ndarray, path: str):
 
 
 def read_covering(path: str) -> CoveringMap:
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("covering")
     lineno, line = cur.next_line("'cover' section")
     if line != "cover":
@@ -286,7 +289,7 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     ``voltages[k][i]`` is the sheet (0-based) that sheet ``i`` of arc ``k``
     crosses to.
     """
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("voltage")
     degree = cur.count("degree", minimum=1)
     m = cur.count("arcs", minimum=1)
@@ -333,7 +336,7 @@ class ActionSpec:
 
 
 def read_action(path: str) -> ActionSpec:
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("action")
     lineno, line = cur.next_line("'kind' line")
     parts = line.split()
@@ -342,12 +345,7 @@ def read_action(path: str) -> ActionSpec:
     kind = parts[1]
     if kind == "perm":
         n = cur.count("points", minimum=1)
-        points = []
-        for _ in range(n):
-            lineno, line = cur.next_line("point id")
-            if len(line.split()) != 1:
-                cur.fail(lineno, f"point id must be a single token, got {line!r}")
-            points.append(line)
+        points = cur.ids(n, "point")
         g = cur.count("generators", minimum=1)
         perms = {}
         for _ in range(g):
@@ -421,7 +419,7 @@ def write_action(spec: ActionSpec, path: str):
 
 
 def read_element(path: str) -> GroupAlgebraElement:
-    cur = _open(path)
+    cur = _Cursor(path)
     cur.header("element")
     n = cur.count("terms", minimum=1)
     pairs = []

@@ -92,6 +92,15 @@ def random_graph(
     return make_graph(vertices, arcs, pairing)
 
 
+def reference_format_complex(value) -> str:
+    """``a+bi`` text of one value, scalar by scalar: ``repr`` of each part, no imaginary part when it is 0."""
+    z = complex(value)
+    if z.imag == 0:
+        return repr(z.real)
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+
+
 def random_matrix(rng: np.random.Generator, max_n: int = 30) -> np.ndarray:
     n = int(rng.integers(1, max_n + 1))
     return unit_disk(rng, size=(n, n))

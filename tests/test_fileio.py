@@ -1,4 +1,5 @@
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ODOMETER_TRANSITIONS, odometer_action, random_graph, random_matrix, random_voltage_cover
+from helpers import (
+    ODOMETER_TRANSITIONS,
+    odometer_action,
+    random_graph,
+    random_matrix,
+    random_voltage_cover,
+    reference_format_complex,
+)
 
 from wgraph import (
     ActionError,
@@ -35,6 +43,11 @@ from wgraph import (
     write_voltages,
 )
 from wgraph import fileio
+from wgraph.cli import main
+
+INF, NAN = float("inf"), float("nan")
+# every pair of 0.0, -0.0, 1.5, NaN, inf and -inf as real and imaginary part
+SPECIALS = [complex(re, im) for re in (0.0, -0.0, 1.5, NAN, INF, -INF) for im in (0.0, -0.0, 1.5, NAN, INF, -INF)]
 
 
 def test_complex_formatting_examples():
@@ -45,6 +58,7 @@ def test_complex_formatting_examples():
     assert parse_complex("-2i") == -2j
     assert parse_complex("0.5+0.25i") == 0.5 + 0.25j
     assert parse_complex(" 3 ") == 3.0
+    assert [format_complex(z) for z in SPECIALS] == [reference_format_complex(z) for z in SPECIALS]
 
 
 @pytest.mark.parametrize("bad", ["", "abc", "1+2", "2*i", "nan", "inf+1i", "1+nani"])
@@ -135,7 +149,7 @@ def test_covering_with_an_unmapped_vertex_is_not_written(tmp_path):
 
 
 def _graph_block(g):
-    arcs = (f"{a.source} {a.target} {format_complex(a.weight)} {p}" for a, p in zip(g.arcs, g.pairing))
+    arcs = (f"{a.source} {a.target} {reference_format_complex(a.weight)} {p}" for a, p in zip(g.arcs, g.pairing))
     return [f"vertices {len(g.vertices)}", *g.vertices, f"arcs {len(g.arcs)}", *arcs]
 
 
@@ -144,11 +158,12 @@ def test_writers_stream_the_same_bytes_across_chunks(tmp_path, monkeypatch):
     rng = np.random.default_rng(89)
     g = random_graph(rng, n=8, max_pairs=8)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m.flat[:len(SPECIALS)] = SPECIALS
     covering = random_voltage_cover(rng)[2]
     vertex_map, arc_map = covering.vertex_map, covering.arc_map
     cases = [
         (g, write_graph, ["wgraph 1", *_graph_block(g)]),
-        (m, write_matrix, ["matrix 1", "dim 8", *(" ".join(map(format_complex, row)) for row in m)]),
+        (m, write_matrix, ["matrix 1", "dim 8", *(" ".join(map(reference_format_complex, row)) for row in m)]),
         (covering, write_covering, [
             "covering 1", "cover", *_graph_block(covering.cover), "base", *_graph_block(covering.base),
             f"vertex-map {len(vertex_map)}", *(f"{v} {vertex_map[v]}" for v in covering.cover.vertices),
@@ -212,7 +227,9 @@ def test_arc_weights_are_written_as_format_complex_writes_them(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         overflowed = compose(huge, huge)
     assert np.isinf(overflowed.weight.real).any() and np.isinf(overflowed.weight.imag).any()
-    for graph in (g, signed, real, overflowed):
+    special = WeightedGraph(g.vertices, g.source, g.target, np.resize(np.array(SPECIALS), len(w)), g.pair)
+    assert len(w) >= len(SPECIALS)
+    for graph in (g, signed, real, overflowed, special):
         p = tmp_path / "w.wg"
         write_graph(graph, p)
         assert p.read_text() == "\n".join(["wgraph 1", *_graph_block(graph)]) + "\n"
@@ -222,6 +239,7 @@ def test_matrix_writer_holds_about_one_write_of_rows(tmp_path):
     rng = np.random.default_rng(103)
     m = rng.normal(size=(1024, 1024)).astype(complex)  # tracing makes each string cost microseconds
     m[::4, ::4] += 1j * rng.normal(size=(256, 256))
+    m[1, :len(SPECIALS)] = SPECIALS
     p = tmp_path / "big.mat"
     tracemalloc.start()
     try:
@@ -231,7 +249,7 @@ def test_matrix_writer_holds_about_one_write_of_rows(tmp_path):
         tracemalloc.stop()
     # one write of rows is about 1 MiB (20 KB a row here); the whole file is 20 MB
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    rows = (" ".join(map(format_complex, row)) for row in m.tolist())
+    rows = (" ".join(map(reference_format_complex, row)) for row in m.tolist())
     assert p.read_text() == "\n".join(["matrix 1", "dim 1024", *rows]) + "\n"
 
 
@@ -434,3 +452,155 @@ def test_streamed_graphs_are_not_serializable(tmp_path):
     with pytest.raises(AttributeError):
         write_graph(s, tmp_path / "s.wg")
     assert not (tmp_path / "s.wg").exists()
+
+
+GOOD_BLOCK = ["vertices 2", "u", "v", "arcs 2", "u v 1.0 1", "v u -0.5+2i 0"]
+GOOD_COVER_TAIL = ["base", *GOOD_BLOCK, "vertex-map 2", "u u", "v v", "arc-map 2", "0 0", "1 1"]
+
+# a faulty graph block, the line of the fault within the block (1 = its 'vertices' line), the message
+BLOCK_FAULTS = {
+    "duplicate id": (["vertices 2", "u", "u", "arcs 0"], 4, "duplicate vertex ids: ['u']"),
+    "unknown source": (["vertices 2", "u", "v", "arcs 2", "w v 1.0 1", "v u 1.0 0"], 4,
+                       "arc 0: unknown source vertex 'w'"),
+    "unknown target": (["vertices 2", "u", "v", "arcs 2", "u v 1.0 1", "v w 1.0 0"], 4,
+                       "arc 1: unknown target vertex 'w'"),
+    "pairing out of range": (["vertices 2", "u", "v", "arcs 2", "u v 1.0 2", "v u 1.0 0"], 4,
+                             "pairing[0] = 2 is out of range"),
+    "huge pairing": (["vertices 2", "u", "v", "arcs 2", f"u v 1.0 {10**29}", "v u 1.0 0"], 4,
+                     f"pairing[0] = {10**29} is out of range"),
+    "not an involution": (["vertices 2", "u", "v", "arcs 3", "u v 1.0 1", "v u 1.0 2", "u v 1.0 1"], 4,
+                          "pairing is not an involution at arc 0"),
+    "not reversing": (["vertices 2", "u", "v", "arcs 2", "u v 1.0 1", "u v 1.0 0"], 4,
+                      "pairing[0] = 1 does not reverse the arc endpoints"),
+    "bad weight": (["vertices 2", "u", "v", "arcs 2", "u v 1.0 1", "v u 1.0x 0"], 6, "bad complex number '1.0x'"),
+    "nan weight": (["vertices 2", "u", "v", "arcs 2", "u v nan 1", "v u 1.0 0"], 5,
+                   "non-finite complex number 'nan'"),
+    "inf weight": (["vertices 2", "u", "v", "arcs 2", "u v inf 1", "v u 1.0 0"], 5, "bad complex number 'inf'"),
+    "bad pairing index": (["vertices 2", "u", "v", "arcs 2", "u v 1.0 one", "v u 1.0 0"], 5,
+                          "bad pairing index 'one'"),
+    "arity": (["vertices 2", "u", "v", "arcs 2", "u v 1.0", "v u 1.0 0"], 5,
+              "arc line needs 'source target weight pair', got 'u v 1.0'"),
+    "multi-token id": (["vertices 2", "u", "v w"], 3, "vertex id must be a single token, got 'v w'"),
+    "two faults": (["vertices 2", "u", "v", "arcs 2", "w v 1.0 1", "v u bad 0"], 6, "bad complex number 'bad'"),
+}
+# the lines before a graph block, the lines after it, the reader
+CONTAINERS = {
+    "wg": (["wgraph 1"], [], read_graph),
+    "cov": (["covering 1", "cover"], GOOD_COVER_TAIL, read_covering),
+}
+
+
+def _read_error(reader, path):
+    with pytest.raises(ParseError) as e:
+        reader(path)
+    assert e.value.path == str(path)
+    return e.value.line, e.value.message
+
+
+@pytest.mark.parametrize("ext", sorted(CONTAINERS))
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_graph_block_faults_name_their_line_and_message(tmp_path, ext, fault):
+    head, tail, reader = CONTAINERS[ext]
+    block, line, message = BLOCK_FAULTS[fault]
+    p = tmp_path / f"bad.{ext}"
+    p.write_text("\n".join([*head, *block, *tail]) + "\n")
+    assert _read_error(reader, p) == (len(head) + line, message)
+
+
+@pytest.mark.parametrize("ext", sorted(CONTAINERS))
+def test_trailing_content_is_refused_on_its_line(tmp_path, ext):
+    head, tail, reader = CONTAINERS[ext]
+    lines = [*head, *GOOD_BLOCK, *tail, "", "# after the end", "extra 1"]
+    p = tmp_path / f"trailing.{ext}"
+    p.write_text("\n".join(lines) + "\n")
+    assert _read_error(reader, p) == (len(lines), "trailing content 'extra 1'")
+
+
+@pytest.mark.parametrize("ext", sorted(CONTAINERS))
+def test_end_of_file_is_one_past_the_trailing_blank_and_comment_lines(tmp_path, ext):
+    head, _, reader = CONTAINERS[ext]
+    lines = [*head, "vertices 2", "u", "", "# the second vertex is missing", "   "]
+    p = tmp_path / f"short.{ext}"
+    p.write_text("\n".join(lines) + "\n")
+    assert _read_error(reader, p) == (len(lines) + 1, "unexpected end of file, wanted vertex id")
+
+
+@pytest.mark.parametrize("ext", sorted(CONTAINERS))
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+def test_every_line_separator_reads_the_same_file(tmp_path, ext, sep):
+    head, tail, reader = CONTAINERS[ext]
+    lines = ["# a comment first", *head, "", *GOOD_BLOCK, *tail]
+    p = tmp_path / f"lines.{ext}"
+    p.write_text("\n".join(lines) + "\n")
+    expected = reader(p)
+    for text in (sep.join(lines) + sep, sep.join(lines), sep.join(lines) + sep + "  " + sep + "# end"):
+        p.write_bytes(text.encode())
+        assert reader(p) == expected, repr(text)
+    bad = ["# a comment first", *head, "", *BLOCK_FAULTS["bad weight"][0], *tail]
+    p.write_bytes(sep.join(bad).encode())
+    assert _read_error(reader, p) == (len(head) + 2 + 6, "bad complex number '1.0x'")
+    p.write_bytes(sep.join(lines[:-1] + [""] * 3).encode())  # ends with blank lines instead of the last
+    assert _read_error(reader, p)[0] == len(lines) + 2
+
+
+def test_end_of_file_counts_every_line_after_the_last_content(tmp_path):
+    p = tmp_path / "short.wg"
+    for text, line in [("", 1), ("wgraph 1", 2), ("wgraph 1\n", 2), ("wgraph 1\n\n", 3),
+                       ("wgraph 1\nvertices 1\n#\n  \n\n", 6), ("wgraph 1\x0cvertices 1\x0c", 3)]:
+        p.write_bytes(text.encode())
+        assert _read_error(read_graph, p)[0] == line, repr(text)
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_kept_refusals_hold_no_open_file(tmp_path):
+    files = []
+    for fault in ("bad weight", "unknown source", "multi-token id"):
+        for ext, (head, tail, _) in CONTAINERS.items():
+            p = tmp_path / f"{fault.replace(' ', '-')}.{ext}"
+            p.write_text("\n".join([*head, *BLOCK_FAULTS[fault][0], *tail]) + "\n")
+            files.append((p, CONTAINERS[ext][2]))
+    before = _open_descriptors()
+    kept = []
+    for _ in range(50 // len(files) + 1):
+        for p, reader in files:
+            try:
+                reader(p)
+            except ParseError as e:
+                kept.append(e)
+    assert len(kept) >= 50
+    assert _open_descriptors() == before
+
+
+def test_invalid_utf8_exits_two_naming_the_codec(tmp_path, capsys):
+    p = tmp_path / "latin1.wg"
+    p.write_bytes("wgraph 1\nvertices 1\nvé\narcs 0\n".encode("latin-1"))
+    assert main(["spectrum", "--graph", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: 'utf-8' codec can't decode"), err
+
+
+def test_graph_reader_memory_per_arc(tmp_path):
+    rng = np.random.default_rng(107)
+    n, half = 1000, 10_000
+    s, t = rng.integers(0, n, size=(2, half))
+    g = WeightedGraph(
+        tuple(f"v{i:04d}" for i in range(n)),
+        np.stack([s, t], axis=1).ravel(),
+        np.stack([t, s], axis=1).ravel(),
+        rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
+        np.arange(2 * half) ^ 1,
+    )
+    p = tmp_path / "big.wg"
+    write_graph(g, p)
+    tracemalloc.start()
+    try:
+        back = read_graph(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert peak / (2 * half) < 250, f"{peak / (2 * half):.0f} B per arc"
