@@ -25,7 +25,6 @@ import dataclasses
 import json
 import re
 import sys
-import threading
 
 import numpy as np
 
@@ -54,8 +53,8 @@ from .orbital import (
     word_str,
 )
 from .spectra import (
-    DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _deficiency_matrix,
-    _membership_verdicts, shift_counterexample_report, spectrum,
+    DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _as_square_matrix, _deficiency_matrix, _in_pair,
+    _spectrum_and_verdict, shift_counterexample_report, spectrum,
 )
 
 __all__ = ["main", "build_parser"]
@@ -112,29 +111,6 @@ def _self_check_deviation(dense: list, expect, result) -> float:
     return float(np.max(np.abs(got), initial=0.0))
 
 
-def _start_thread(fn, *args):
-    """Run ``fn(*args)`` on a second thread.  The returned function joins it and returns the
-    value, or raises the exception, of the call."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = fn(*args)
-        except BaseException as e:  # re-raised by the joining thread
-            outcome["error"] = e
-
-    thread = threading.Thread(target=run)
-    thread.start()
-
-    def join():
-        thread.join()
-        if "error" in outcome:
-            raise outcome["error"]
-        return outcome["value"]
-
-    return join
-
-
 def cmd_graph_op(args) -> int:
     if not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
@@ -183,16 +159,12 @@ def cmd_graph_op(args) -> int:
         raise ValueError(f"unknown operation {args.op!r}")
     rep.kv("RESULT ARCS", len(result.arcs))
     # The dense check spends its time in numpy, which releases the GIL, and the write in repr,
-    # which holds it, so the two overlap.  The check owns the only reference to m.
+    # which holds it, so the two overlap; an error of the check is reported before one of the
+    # write, as when they ran in turn.  The check owns the only reference to m.
     dense = [m]
     del m
-    join_check = _start_thread(_self_check_deviation, dense, expect, result)
-    try:
-        if args.out:
-            write_graph(result, args.out)
-    finally:
-        # an error of the check is reported before one of the write, as when they ran in turn
-        deviation = join_check()
+    deviation, _ = _in_pair(graph.order, lambda: _self_check_deviation(dense, expect, result),
+                            lambda: write_graph(result, args.out) if args.out else None)
     ok = deviation <= args.tol
     rep.kv("SELF-CHECK DEVIATION", _fmt(deviation), deviation)
     rep.kv("SELF-CHECK", "ok" if ok else "FAILED", ok)
@@ -211,11 +183,14 @@ def cmd_spectrum(args) -> int:
         m = read_matrix(args.matrix)
     rep = Report()
     rep.kv("ORDER", m.shape[0])
-    spec = spectrum(m)
-    _spectrum_kv(rep, "SPECTRUM", spec)
-    if args.check_lambda is not None:
+    if args.check_lambda is None:
+        spec, verdict = spectrum(m), None
+    else:
+        m = _as_square_matrix(m, "spectrum")  # a bad matrix is refused before a bad point
         lam = parse_complex(args.check_lambda)
-        (verdict,) = _membership_verdicts(m, spec, [lam], args.radius, args.tol)
+        spec, verdict = _spectrum_and_verdict(m, lam, args.radius, args.tol)
+    _spectrum_kv(rep, "SPECTRUM", spec)
+    if verdict is not None:
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(verdict.R_used), verdict.R_used)
         rep.kv("TOL", _fmt(args.tol), args.tol)

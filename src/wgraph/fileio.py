@@ -225,10 +225,16 @@ def read_matrix(path: str) -> np.ndarray:
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         lineno, line = cur.next_line("matrix row")
-        parts = line.split()
+        parts = line.replace("i", "j").split()
         if len(parts) != n:
             cur.fail(lineno, f"row {i} has {len(parts)} entries, expected {n}")
-        out[i] = [cur.complex_field(lineno, tok) for tok in parts]
+        try:
+            out[i] = list(map(complex, parts))  # parse_complex of each, one row at a time
+            ok = np.isfinite(out[i]).all()
+        except ValueError:
+            ok = False
+        if not ok:  # parse_complex names the first bad or non-finite entry
+            out[i] = [cur.complex_field(lineno, tok) for tok in line.split()]
     cur.expect_end()
     return out
 

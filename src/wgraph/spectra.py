@@ -11,7 +11,8 @@ where the right product alone gives the wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +43,12 @@ _EIG_ACCURACY = 1e-8
 # eigvalsh's backward error is taken as p(n) eps ||M|| with p(n) = _EIGVALSH_GROWTH * n
 _EIGVALSH_GROWTH = 4
 _EPS = float(np.finfo(float).eps)
+# entries per block of rows that is_hermitian compares with its columns (1 MiB of complex)
+_BLOCK_ENTRIES = 1 << 16
+# matrix order from which _in_pair starts a second thread.  Below it numpy 2.4 (OpenBLAS
+# 0.3.31) kept the GIL through eigvalsh, and through eigvals below about 300, so on two cores
+# a pair of tasks ran no faster on two threads than in turn, and at order 384 a fifth slower.
+_PAIR_MIN_ORDER = 512
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,9 @@ class SpectralSet:
 
     values: tuple[complex, ...]
     tol: float = 0.0
+    # whether :func:`spectrum` solved the matrix as Hermitian, so that ``_membership_verdicts``
+    # need not test it again; None for a set built by hand
+    _hermitian: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(sorted((complex(v) for v in self.values), key=lambda z: (z.real, z.imag)))
@@ -80,11 +90,20 @@ def _as_square_matrix(matrix, what: str) -> np.ndarray:
 def is_hermitian(matrix) -> bool:
     """Entrywise conjugate-symmetry check at ``HERMITIAN_ATOL * min(1, max|m_ij|)``.
 
-    The scale keeps a small non-normal matrix from being solved as Hermitian.
+    The scale keeps a small non-normal matrix from being solved as Hermitian.  Blocks of rows,
+    about ``_BLOCK_ENTRIES`` entries each, are compared with the matching columns, so the
+    temporaries stay small; the first block off by more than ``HERMITIAN_ATOL`` settles a "no".
     """
     m = np.asarray(matrix, dtype=complex)
-    scale = min(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL * scale))
+    step = max(1, _BLOCK_ENTRIES // max(1, len(m)))
+    gap = peak = 0.0
+    for i in range(0, len(m), step):
+        rows = m[i:i + step]
+        block_gap = float(np.abs(rows - m[:, i:i + step].conj().T).max(initial=0.0))
+        if not block_gap <= HERMITIAN_ATOL:  # above every threshold the scale allows, or NaN
+            return False
+        gap, peak = max(gap, block_gap), max(peak, float(np.abs(rows).max(initial=0.0)))
+    return gap <= HERMITIAN_ATOL * min(1.0, peak)
 
 
 def spectrum(matrix) -> SpectralSet:
@@ -94,12 +113,46 @@ def spectrum(matrix) -> SpectralSet:
     solver and come back exactly real.
     """
     m = _as_square_matrix(matrix, "spectrum")
-    if is_hermitian(m):
-        vals = np.linalg.eigvalsh(m).astype(complex)
-    else:
-        vals = np.linalg.eigvals(m)
+    return _solve(m, is_hermitian(m))
+
+
+def _solve(m: np.ndarray, hermitian: bool) -> SpectralSet:
+    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted and whose
+    :func:`is_hermitian` verdict is ``hermitian``."""
+    vals = np.linalg.eigvalsh(m).astype(complex) if hermitian else np.linalg.eigvals(m)
     tol = _EIG_ACCURACY * max(1.0, matrix_norm_bound(m))
-    return SpectralSet(tuple(complex(v) for v in vals), tol)
+    spec = SpectralSet(tuple(complex(v) for v in vals), tol)
+    object.__setattr__(spec, "_hermitian", hermitian)
+    return spec
+
+
+def _in_pair(order: int, first, second) -> tuple:
+    """``(first(), second())``.  From matrix order ``_PAIR_MIN_ORDER`` on, ``first`` runs on a
+    second thread while ``second`` runs on this one, as numpy releases the GIL in its products
+    and solvers there; below it the two run in turn here.  Both run to the end either way, and
+    an exception of ``first`` is raised before one of ``second``."""
+    outcome = {}
+
+    def run_first():
+        try:
+            outcome["value"] = first()
+        except BaseException as e:  # raised again on the calling thread
+            outcome["error"] = e
+
+    thread = None
+    if order < _PAIR_MIN_ORDER:
+        run_first()
+    else:
+        thread = threading.Thread(target=run_first)
+        thread.start()
+    try:
+        value = second()
+    finally:
+        if thread is not None:
+            thread.join()
+        if "error" in outcome:
+            raise outcome["error"]
+    return outcome["value"], value
 
 
 @dataclass(frozen=True)
@@ -157,15 +210,13 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
     so both deficiency distances are ``(d/R)^2``, with ``d`` the distance of ``lam`` to the
     computed spectrum, and the side is "left" for a member.  ``d`` is off by at most
     :func:`_eigvalsh_error`.  A ``lam`` whose verdict that error could flip, and every
-    ``lam`` of a non-Hermitian matrix, gets the dense test.
+    ``lam`` of a non-Hermitian matrix, gets the dense test.  Whether ``matrix`` is Hermitian
+    is read off ``spec`` where :func:`spectrum` recorded it.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
-    _check_tol(tol)
-    bound = matrix_norm_bound(m)
-    r = _deficiency_radius(bound, radius)
-    lams = [_check_lambda(lam) for lam in lams]
-    if not is_hermitian(m):
-        return [membership_by_deficiency(m, lam, radius, tol) for lam in lams]
+    bound, r, lams = _membership_args(m, lams, radius, tol)
+    if not (is_hermitian(m) if spec._hermitian is None else spec._hermitian):
+        return _dense_verdicts(m, lams, radius, tol)
     delta = _eigvalsh_error(len(m), bound)
     # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
     z = np.asarray(lams, dtype=complex)
@@ -178,6 +229,49 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
         else:
             verdicts.append(membership_by_deficiency(m, lam, radius, tol))
     return verdicts
+
+
+def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
+    """The Schur bound of ``m``, the radius of its verdicts and ``lams`` as complex numbers,
+    with a bad ``tol``, radius or point refused in that order."""
+    _check_tol(tol)
+    bound = matrix_norm_bound(m)
+    return bound, _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
+
+
+def _dense_verdicts(m: np.ndarray, lams: list, radius: float | None, tol: float) -> list[MembershipVerdict]:
+    """:func:`membership_by_deficiency` of each of ``lams``, in order; the first half of the
+    list runs beside the second (see ``_in_pair``)."""
+    def run(part):
+        return [membership_by_deficiency(m, lam, radius, tol) for lam in part]
+
+    half = len(lams) // 2
+    if not half:
+        return run(lams)
+    first, second = _in_pair(len(m), lambda: run(lams[:half]), lambda: run(lams[half:]))
+    return first + second
+
+
+def _spectrum_and_verdict(m: np.ndarray, lam, radius: float | None = None,
+                          tol: float = DEFAULT_MEMBERSHIP_TOL) -> tuple[SpectralSet, MembershipVerdict]:
+    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted, and the
+    ``_membership_verdicts`` of ``lam`` against it, with a bad ``tol``, radius or ``lam``
+    refused before either is computed.
+
+    The dense test of a non-Hermitian ``m`` reads no spectrum, so from ``_PAIR_MIN_ORDER`` on
+    it runs beside ``eigvals``; ``m`` is tested for Hermitian symmetry once either way.
+    """
+    _membership_args(m, [lam], radius, tol)
+    if len(m) < _PAIR_MIN_ORDER:  # the pair would run in turn; spectrum records its verdict
+        spec = spectrum(m)
+    elif is_hermitian(m):
+        spec = _solve(m, True)
+    else:
+        verdict, spec = _in_pair(len(m), lambda: membership_by_deficiency(m, lam, radius, tol),
+                                 lambda: _solve(m, False))
+        return spec, verdict
+    (verdict,) = _membership_verdicts(m, spec, [lam], radius, tol)
+    return spec, verdict
 
 
 def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -223,10 +317,9 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     :func:`shift_counterexample_report`.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
-    _check_tol(tol)
-    radius = _deficiency_radius(matrix_norm_bound(m), radius)
+    _, radius, (lam,) = _membership_args(m, [lam], radius, tol)
     a = m.copy()
-    a[np.diag_indices(len(a))] -= _check_lambda(lam)
+    a[np.diag_indices(len(a))] -= lam
     dist_left, dist_right = (_distance_to_one(_deficiency_matrix(a, radius, s)) for s in ("left", "right"))
     member = dist_left <= tol or dist_right <= tol
     if member:

@@ -33,6 +33,7 @@ from wgraph import (
 )
 import wgraph.cli
 import wgraph.covering
+import wgraph.spectra
 from wgraph.cli import main
 
 
@@ -591,7 +592,8 @@ def test_graph_op_out_changes_no_report_line_and_writes_the_library_result(op, o
     assert (tmp_path / "out.wg").read_bytes() == serial.read_bytes()
 
 
-def test_graph_op_write_error_exits_two_once_the_check_thread_has_ended(files, capsys, tmp_path):
+def test_graph_op_write_error_exits_two_once_the_check_thread_has_ended(files, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 0)  # the check runs on a second thread
     threads = threading.active_count()
     bad = str(tmp_path / "missing" / "out.wg")
     code, out, err = run(capsys, ["graph-op", "adjoint", "--graph", files["cycle8.wg"], "--out", bad])
@@ -613,12 +615,32 @@ def test_an_error_in_the_self_check_exits_two_with_its_message(op, out_dir, op_f
         return materialize(graph)
 
     monkeypatch.setattr(wgraph.cli, "materialize", main_thread_only)
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 0)  # the check runs on a second thread
     flags = CLI_OPS[op][0]
     out_path = str(tmp_path / out_dir / "out.wg")
     argv = ["graph-op", op, "--graph", str(d / "graph.wg"), "--out", out_path]
     code, out, err = run(capsys, argv + [str(d / f) if f in graphs else f for f in flags])
     # the check's error is reported, not the write's, as when the check ran first
     assert code == 2 and out == "" and err == "ERROR: the check ran out of room\n"
+
+
+@pytest.mark.parametrize("out_dir", ["", "missing"])
+def test_below_the_pair_floor_the_check_runs_first_on_the_calling_thread(out_dir, op_files, capsys, tmp_path,
+                                                                          monkeypatch):
+    d, _ = op_files
+    threads = []
+
+    def failing_check(*args):
+        threads.append(threading.current_thread())
+        raise ValueError("the check ran out of room")
+
+    monkeypatch.setattr(wgraph.cli, "_self_check_deviation", failing_check)
+    out_path = tmp_path / out_dir / "out.wg"
+    code, out, err = run(capsys, ["graph-op", "adjoint", "--graph", str(d / "graph.wg"), "--out", str(out_path)])
+    # the 12-vertex graph is below the floor; the write still ran, and the check's error is reported
+    assert threads == [threading.main_thread()]
+    assert code == 2 and out == "" and err == "ERROR: the check ran out of room\n"
+    assert out_path.exists() == (out_dir == "")
 
 
 def test_a_failed_self_check_still_writes_the_result(op_files, capsys, tmp_path, monkeypatch):
@@ -635,3 +657,40 @@ def test_a_failed_self_check_still_writes_the_result(op_files, capsys, tmp_path,
     serial = tmp_path / "serial.wg"
     write_graph(build(graphs["graph.wg"], None), str(serial))
     assert out_path.read_bytes() == serial.read_bytes()
+
+
+def test_an_error_of_the_membership_thread_exits_two_with_its_message(files, capsys, monkeypatch):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 2)  # the 2 x 2 nilpotent gets a second thread
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread())
+        raise ValueError("the membership test ran out of room")
+
+    monkeypatch.setattr(wgraph.spectra, "membership_by_deficiency", failing)
+    before = threading.active_count()
+    code, out, err = run(capsys, ["spectrum", "--matrix", files["nil.mat"], "--check-lambda", "0"])
+    assert (code, out, err) == (2, "", "ERROR: the membership test ran out of room\n")
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("floor", [0, 10**6])
+def test_a_bad_matrix_is_refused_before_a_bad_point_or_tol(files, capsys, monkeypatch, floor):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", floor)
+    monkeypatch.setattr(wgraph.cli, "read_matrix", lambda path: np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    for flags in (["--tol", "0"], ["--check-lambda", "nan", "--tol", "0"], ["--R", "1e-9"]):
+        argv = ["spectrum", "--matrix", files["nil.mat"], "--check-lambda", "0", *flags]
+        assert run(capsys, argv) == (2, "", "ERROR: spectrum: matrix has non-finite entries\n")
+
+
+def test_check_lambda_reports_are_the_same_on_one_thread_and_two(files, capsys, monkeypatch):
+    def reports(floor):
+        monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", floor)
+        return [run(capsys, ["spectrum", "--matrix" if path.endswith(".mat") else "--graph", files[path],
+                             "--check-lambda", lam, *fmt])
+                for path in ("nil.mat", "swap.wg", "cycle8.wg") for lam in ("0", "1", "0.5+0.25i")
+                for fmt in ([], ["--json"])]
+
+    paired, serial = reports(0), reports(10**6)
+    assert paired == serial and all(code == 0 for code, _, _ in serial)

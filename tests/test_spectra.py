@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from wgraph import (
     subset_check,
 )
 import wgraph.spectra
-from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _membership_verdicts
+from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _in_pair, _membership_verdicts
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -404,3 +405,110 @@ def test_non_hermitian_verdicts_are_the_dense_ones(monkeypatch):
     verdicts = _membership_verdicts(NILPOTENT, spectrum(NILPOTENT), lams)
     assert len(dense) == 3
     assert verdicts == [membership_by_deficiency(NILPOTENT, lam) for lam in lams]
+
+
+# --- the two-thread runner and the split lambda list
+
+
+def _threads_of_dense(monkeypatch):
+    """Record the point of each dense verdict and whether it ran on the main thread."""
+    threads = []
+    real = wgraph.spectra.membership_by_deficiency
+
+    def recorded(*args):
+        threads.append((args[1], threading.current_thread() is threading.main_thread()))
+        return real(*args)
+
+    monkeypatch.setattr(wgraph.spectra, "membership_by_deficiency", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("count", [0, 1, 4, 5])
+@pytest.mark.parametrize("n", [3, 5])
+def test_split_non_hermitian_verdicts_come_back_in_order(monkeypatch, count, n):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 4)
+    rng = np.random.default_rng(100 * n + count)
+    m = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    spec = spectrum(m)
+    # the diagonal is the spectrum: half of the points are members, half are not
+    lams = [spec.values[k % n] + (0.3 if k % 2 else 0.0) for k in range(count)]
+    want = [membership_by_deficiency(m, lam) for lam in lams]
+    threads = _threads_of_dense(monkeypatch)
+    before = threading.active_count()
+    assert _membership_verdicts(m, spec, lams) == want
+    assert threading.active_count() == before
+    on_main = [on for _, on in sorted(threads, key=lambda t: lams.index(t[0]))]
+    if n >= 4 and count >= 2:  # the first half ran on a second thread, the rest here
+        assert on_main == [False] * (count // 2) + [True] * (count - count // 2)
+    else:
+        assert on_main == [True] * count
+
+
+@pytest.mark.parametrize("order", [0, 10**6])
+def test_pair_runs_both_tasks_and_raises_the_first_error_first(monkeypatch, order):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 1000)
+    ran = []
+
+    def task(name, error=None):
+        def run():
+            ran.append((name, threading.current_thread() is threading.main_thread()))
+            if error:
+                raise ValueError(error)
+            return name
+        return run
+
+    on_main = order < 1000
+    before = threading.active_count()
+    assert _in_pair(order, task("a"), task("b")) == ("a", "b")
+    assert sorted(ran) == [("a", on_main), ("b", True)]
+    for first, second in ((None, "b failed"), ("a failed", "b failed"), ("a failed", None)):
+        del ran[:]
+        with pytest.raises(ValueError, match=first or second):
+            _in_pair(order, task("a", first), task("b", second))
+        assert sorted(ran) == [("a", on_main), ("b", True)]  # both ran to the end
+    assert threading.active_count() == before
+
+
+def _is_hermitian_reference(m):
+    """The whole-matrix formula that :func:`is_hermitian` computes in blocks of rows."""
+    scale = min(1.0, float(np.abs(m).max(initial=0.0)))
+    return bool(np.all(np.abs(m - m.conj().T) <= HERMITIAN_ATOL * scale))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_is_hermitian_in_blocks_matches_the_whole_matrix_formula(monkeypatch, block):
+    monkeypatch.setattr(wgraph.spectra, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((0, 0)), np.zeros((3, 3)), NILPOTENT]
+    for n in (1, 2, 5, 16):
+        for scale in (1e-14, 1e-3, 1.0, 1e6):
+            h = _random_hermitian(rng, n, scale)
+            cases += [h, _with_defect_near_the_limit(rng, h) if n > 1 else h]
+            for factor in (0.5, 0.999, 1.0, 1.001, 2.0):  # one entry off by about the limit
+                m = h.copy()
+                limit = HERMITIAN_ATOL * min(1.0, float(np.abs(h).max()))
+                m[n - 1, 0] += factor * limit
+                cases.append(m)
+    for bad in (np.nan, np.inf):
+        m = _random_hermitian(rng, 4)
+        m[3, 1] = bad
+        cases.append(m)
+    verdicts = [is_hermitian(m) for m in cases]
+    assert verdicts == [_is_hermitian_reference(m) for m in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_spectrum_hands_its_hermitian_verdict_to_the_membership_verdicts(monkeypatch):
+    calls = []
+    real = wgraph.spectra.is_hermitian
+    monkeypatch.setattr(wgraph.spectra, "is_hermitian", lambda m: calls.append(m) or real(m))
+    for m in (_random_hermitian(np.random.default_rng(8), 6), NILPOTENT):
+        del calls[:]
+        spec = spectrum(m)
+        _membership_verdicts(m, spec, spec.values)
+        assert len(calls) == 1
+        # the verdict is no field of the set's equality or repr
+        assert spec == SpectralSet(spec.values, spec.tol) and repr(spec) == repr(SpectralSet(spec.values, spec.tol))
+        del calls[:]
+        _membership_verdicts(m, SpectralSet(spec.values, spec.tol), spec.values)  # built by hand
+        assert len(calls) == 1
