@@ -22,6 +22,7 @@ from wgraph import (
     verify_covering,
     voltage_cover,
 )
+from wgraph.spectra import DEFAULT_SUBSET_TOL, _distance_to_one
 
 
 def c2_base():
@@ -263,6 +264,114 @@ def test_deficiency_route_default_radius_has_a_floor_for_zero_weights():
     base = make_graph(["x", "y"], [("x", "y", 0.0), ("y", "x", 0.0)], [1, 0])
     report = deficiency_route_check(voltage_cover(base, 2, [(1, 0), (1, 0)])[1])
     assert report.radius == 2e-12 and report.all_ok
+
+
+def reweighted(covering, hermitian: bool, factor: float) -> CoveringMap:
+    """``covering`` with every weight multiplied by ``factor``, after taking the Hermitian
+    part ``(H + H*)/2`` if asked.  Both graphs get the same arithmetic arc by arc, so the
+    weight axiom still holds bit for bit."""
+    def weights(g):
+        w = (g.weight + np.conj(g.weight[g.pair])) / 2 if hermitian else g.weight
+        return g.with_weights(w * factor)
+
+    return CoveringMap(weights(covering.cover), weights(covering.base), covering.vertex_map, covering.arc_map)
+
+
+def witness_covers() -> list:
+    """Seeded Hermitian and non-Hermitian voltage covers, at unit scale and with weights near
+    the top (1e150) and the bottom (1e-170) of what the route's squared radius admits."""
+    rng = np.random.default_rng(2718)
+    covers = []
+    for _ in range(6):
+        covering = random_voltage_cover(rng, max_n=7, max_degree=3)[2]
+        covers += [reweighted(covering, h, f) for h in (False, True) for f in (1.0, 1e150, 1e-170)]
+    return covers
+
+
+def hamiltonian_cover(rng, n: int, degree: int) -> CoveringMap:
+    """Non-Hermitian base of two random Hamiltonian cycles on ``n`` vertices, each arc and its
+    reversal weighted independently, lifted through ``degree`` random sheets."""
+    names = [f"b{i:04d}" for i in range(n)]
+    arcs, volts = [], []
+    for _ in range(2):
+        order = rng.permutation(n)
+        for i, j in zip(order.tolist(), np.roll(order, -1).tolist()):
+            w = rng.standard_normal(4).view(complex)
+            perm = rng.permutation(degree)
+            arcs += [(names[i], names[j], w[0]), (names[j], names[i], w[1])]
+            volts += [tuple(perm.tolist()), tuple(np.argsort(perm).tolist())]
+    base = make_graph(names, arcs, [k ^ 1 for k in range(len(arcs))])
+    return voltage_cover(base, degree, volts)[1]
+
+
+def count_eigvalsh(monkeypatch) -> list:
+    calls, real = [], np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_route_witnesses_are_certified_upper_bounds(side, monkeypatch):
+    covers = witness_covers()
+    for covering in covers:
+        covering.spectra  # a Hermitian spectrum takes eigvalsh; solve it before counting
+    calls = count_eigvalsh(monkeypatch)
+    reports = [deficiency_route_check(covering, side=side) for covering in covers]
+    assert calls == []  # every step is certified by its witness
+    for covering, report in zip(covers, reports):
+        assert len(report.steps) == covering.base.order
+        for step in report.steps:
+            for graph, got in ((covering.base, step.base_witness), (covering.cover, step.cover_witness)):
+                shifted = materialize(graph) - step.lam * np.eye(graph.order)
+                sigma = np.linalg.svd(shifted, compute_uv=False)[-1]
+                assert (sigma / report.radius) ** 2 <= got <= report.tol
+            # the verdict of the dense distances that the witnesses stand in for
+            chain = induced_deficiency_covering(covering, step.lam, report.radius, side)
+            dense = [_distance_to_one(materialize(g)) for g in (chain.base, chain.cover)]
+            assert step.ok == (max(dense) <= report.tol and step.spectrum_distance <= report.tol)
+
+
+def test_route_refuses_weights_whose_radius_has_no_finite_square():
+    covering = reweighted(random_voltage_cover(np.random.default_rng(3), max_n=4)[2], False, 1e200)
+    with pytest.raises(ValueError, match="has no finite square"):
+        deficiency_route_check(covering)
+
+
+def raise_linalg_error(m):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("past", ["tol", "eig"])
+def test_route_falls_back_to_the_dense_distance_past_every_witness(past, monkeypatch):
+    # at tol = 1e-300 no witness certifies, as (e/R)^2 alone is far above it; without eig
+    # there is no witness at all
+    tol = 1e-300 if past == "tol" else DEFAULT_SUBSET_TOL
+    if past == "eig":
+        monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)
+    for covering in witness_covers()[:12]:
+        for side in ("left", "right"):
+            report = deficiency_route_check(covering, tol=tol, side=side)
+            for step in report.steps:
+                chain = induced_deficiency_covering(covering, step.lam, report.radius, side)
+                want = (_distance_to_one(materialize(chain.base)), _distance_to_one(materialize(chain.cover)))
+                assert np.array_equal(np.array([step.base_witness, step.cover_witness]).view(np.int64),
+                                      np.array(want).view(np.int64))
+
+
+def test_a_certified_route_at_the_benchmark_size_calls_no_eigvalsh(monkeypatch):
+    # 30 base vertices through 8 sheets, the size of the cover-route benchmark input
+    covering = hamiltonian_cover(np.random.default_rng(30), 30, 8)
+    calls = count_eigvalsh(monkeypatch)
+    report = deficiency_route_check(covering)
+    assert calls == []
+    assert report.all_ok and len(report.steps) == 30
+    assert max(max(s.base_witness, s.cover_witness) for s in report.steps) <= 1e-20
 
 
 def test_voltage_cover_checks_the_lift_budget_before_reading_voltages(monkeypatch):
