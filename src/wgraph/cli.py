@@ -15,7 +15,9 @@ Subcommands:
 
 Reports are ``KEY: value`` lines (or one JSON object with ``--json``) and
 are byte-identical across repeated runs.  Exit codes: 0 success, 1 a
-requested check failed, 2 bad input.
+requested check failed, 2 bad input.  The ``covering`` and ``orbital``
+layers are imported by the subcommands that run them: ``cover`` never
+loads ``orbital``, and no other subcommand loads ``covering``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import sys
 import numpy as np
 
 from .core import add_scalar, adjoint, compose, deficiency_graph, scale
-from .covering import deficiency_route_check, spectral_inclusion_check, verify_covering, voltage_cover
 from .errors import WGraphError
 from .fileio import (
     _complex_strings,
@@ -46,12 +47,6 @@ from .fileio import (
     write_matrix,
 )
 from .operator import FinSuppVector, materialize
-from .orbital import (
-    positive_element_graph,
-    rayleigh_transfer,
-    spectra_compare_orbits,
-    word_str,
-)
 from .spectra import (
     DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _as_square_matrix, _deficiency_matrix, _in_pair,
     _spectrum_and_verdict, shift_counterexample_report, spectrum,
@@ -203,6 +198,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_cover_verify(args) -> int:
+    from .covering import verify_covering
+
     covering = read_covering(args.map)
     violations = verify_covering(covering)
     rep = Report()
@@ -220,6 +217,8 @@ def cmd_cover_verify(args) -> int:
 
 
 def cmd_cover_lift(args) -> int:
+    from .covering import voltage_cover
+
     base = read_graph(args.graph)
     degree, volts = read_voltages(args.volt)
     cover, covering = voltage_cover(base, degree, volts)
@@ -237,6 +236,8 @@ def cmd_cover_lift(args) -> int:
 
 
 def cmd_cover_include(args) -> int:
+    from .covering import deficiency_route_check, spectral_inclusion_check, verify_covering
+
     covering = read_covering(args.map)
     violations = verify_covering(covering)
     rep = Report()
@@ -282,6 +283,8 @@ def cmd_cover_include(args) -> int:
 
 
 def cmd_orbital(args) -> int:
+    from .orbital import positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
+
     spec = read_action(args.action)
     action = spec.realize(args.level)
     element = read_element(args.element)

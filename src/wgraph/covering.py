@@ -18,7 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import WeightedGraph, _cmul, _compose, add_scalar, adjoint, deficiency_chain, deficiency_graph, scale
+from .core import (WeightedGraph, _check_lambda, _cmul, _compose, add_scalar, adjoint, deficiency_chain,
+                   deficiency_graph, scale)
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
 from .spectra import (_EPS, DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
@@ -243,6 +244,8 @@ class DeficiencyChain:
     of cover and base with :func:`wgraph.core.deficiency_graph` and checks
     the weight axiom exactly against the verified arc map; with the other
     checks made once, that is the whole covering check at the new ``lam``.
+    :func:`deficiency_route_check` needs no :meth:`at`: its docstring shows
+    why the verification at ``lam0`` already covers every ``lam``.
     """
 
     def __init__(self, covering: CoveringMap, lam0, radius: float, side: str):
@@ -428,6 +431,15 @@ def _witness_distance(graph: WeightedGraph, v: np.ndarray, lam: complex, radius:
     return q * q
 
 
+def _deficiency_distance(graph: WeightedGraph, lam: complex, radius: float, side: str) -> float:
+    """Distance of 1 to the spectrum of the materialized deficiency graph of ``graph`` at ``lam``;
+    refused where a weight of that graph overflowed, as a non-finite matrix has no dense test."""
+    m = materialize(deficiency_graph(graph, lam, radius, side))
+    if not np.isfinite(m.view(float)).all():
+        raise ValueError(f"deficiency graph at {lam}: a weight overflowed, so it has no dense test")
+    return _distance_to_one(m)
+
+
 def deficiency_route_check(
     covering: CoveringMap,
     lambdas=None,
@@ -437,14 +449,28 @@ def deficiency_route_check(
 ) -> DeficiencyRouteReport:
     """Spectral inclusion along the deficiency graphs, witness by witness.
 
-    For each lam (default: every base eigenvalue) this builds the two
-    deficiency graphs, the induced covering between them, and checks that
-    the eigenvalue-1 witness appears on both sides and that lam indeed
-    lands in the cover spectrum.  A second, independent route to the same
+    For each lam (default: every base eigenvalue) this checks that the
+    eigenvalue-1 witness appears in the deficiency graphs of both base and
+    cover, which the induced covering joins, and that lam indeed lands in
+    the cover spectrum.  A second, independent route to the same
     inclusion that :func:`spectral_inclusion_check` reaches via pullbacks.
-    The deficiency covering is built and verified once, at the first lam;
-    every lam rebuilds both deficiency graphs and checks the weight axiom
-    (see :class:`DeficiencyChain`).
+
+    The deficiency covering is built and verified once, at the first lam
+    (see :class:`DeficiencyChain`), and that one verification covers every
+    lam.  Its arcs, pairing and arc map do not depend on lam.  Each of its
+    weights at lam is formed from arc weights, lam and R by the same
+    elementwise numpy operations on cover and base (a product of two arc
+    weights, a conjugate, a loop of weight -lam or 1, a product with
+    -1/R^2), and ``verify_covering`` has shown ``cover.weight ==
+    base.weight[arc_map]``.  Equal doubles differ at most in the sign of a
+    zero, which no product, conjugate or loop turns into a difference that
+    ``==`` sees, so every cover weight at lam equals the base weight it
+    projects to, as :meth:`DeficiencyChain.at` would check.  A weight that
+    overflows at some lam (|lam|^2 or |lam| times a weight beyond the
+    largest double) is the same inf or NaN on both sides, where that check
+    would have reported a NaN as a violation; only the dense fallback below
+    cannot use such a graph, and refuses it with a ValueError.  A non-finite
+    lam is refused as :func:`wgraph.core.deficiency_graph` refuses it.
 
     The witness is carried up the covering as the paper does: one
     ``np.linalg.eig`` of the base gives, for each lam, the eigenvector ``v``
@@ -470,7 +496,7 @@ def deficiency_route_check(
     cover_vals = cover_spec.as_array()
     steps = []
     if lambdas:
-        chain = DeficiencyChain(covering, lambdas[0], radius, side)
+        DeficiencyChain(covering, lambdas[0], radius, side)  # the one verification, for every lam
         base = materialize(covering.base)
         try:
             mu, vectors = np.linalg.eig(base)
@@ -478,16 +504,16 @@ def deficiency_route_check(
             mu = vectors = None
         phi = _vertex_images(covering)
     for lam in lambdas:
-        step = chain.at(lam)
+        _check_lambda(lam)
         base_w = cover_w = float("nan")
         if vectors is not None:
             v = vectors[:, np.argmin(np.abs(mu - lam))]
             base_w = _witness_distance(covering.base, v, lam, radius, base_bound)
             cover_w = _witness_distance(covering.cover, v[phi], lam, radius, cover_bound)
         if not base_w <= tol:
-            base_w = _distance_to_one(materialize(step.base))
+            base_w = _deficiency_distance(covering.base, lam, radius, side)
         if not cover_w <= tol:
-            cover_w = _distance_to_one(materialize(step.cover))
+            cover_w = _deficiency_distance(covering.cover, lam, radius, side)
         sdist = float(np.min(np.abs(cover_vals - lam)))
         steps.append(RouteStep(lam, base_w, cover_w, sdist, base_w <= tol and cover_w <= tol and sdist <= tol))
     return DeficiencyRouteReport(radius, tol, side, tuple(steps))

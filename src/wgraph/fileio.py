@@ -16,14 +16,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import WeightedGraph, make_graph
-from .covering import CoveringMap
 from .errors import ActionError, GraphStructureError, ParseError
 from .operator import MAX_DENSE_DIM
-from .orbital import GroupAction, GroupAlgebraElement, parse_word, word_str
+
+if TYPE_CHECKING:  # the readers and writers of these layers import them when they run
+    from .covering import CoveringMap
+    from .orbital import GroupAction, GroupAlgebraElement
 
 __all__ = [
     "format_complex",
@@ -248,6 +251,8 @@ def write_matrix(matrix: np.ndarray, path: str):
 
 
 def read_covering(path: str) -> CoveringMap:
+    from .covering import CoveringMap
+
     cur = _Cursor(path)
     cur.header("covering")
     lineno, line = cur.next_line("'cover' section")
@@ -338,6 +343,8 @@ class ActionSpec:
             return self.action
         if level is None:
             raise ActionError("a transducer action needs an expansion level")
+        from .orbital import GroupAction
+
         return GroupAction.from_mealy(self.transitions, self.alphabet, level)
 
 
@@ -364,6 +371,8 @@ def read_action(path: str) -> ActionSpec:
                 cur.fail(lineno, f"generator {name!r} is not a permutation of 1..{n}")
             perms[name] = images
         cur.expect_end()
+        from .orbital import GroupAction
+
         try:
             return ActionSpec("perm", action=GroupAction(tuple(points), perms))
         except ActionError as e:
@@ -425,6 +434,8 @@ def write_action(spec: ActionSpec, path: str):
 
 
 def read_element(path: str) -> GroupAlgebraElement:
+    from .orbital import GroupAlgebraElement, parse_word
+
     cur = _Cursor(path)
     cur.header("element")
     n = cur.count("terms", minimum=1)
@@ -447,6 +458,8 @@ def read_element(path: str) -> GroupAlgebraElement:
 
 
 def write_element(element: GroupAlgebraElement, path: str):
+    from .orbital import word_str
+
     words = element.support()
     lines = ["element 1", f"terms {len(words)}"]
     for w in words:

@@ -113,14 +113,14 @@ def spectrum(matrix) -> SpectralSet:
     solver and come back exactly real.
     """
     m = _as_square_matrix(matrix, "spectrum")
-    return _solve(m, is_hermitian(m))
+    return _solve(m, is_hermitian(m), matrix_norm_bound(m))
 
 
-def _solve(m: np.ndarray, hermitian: bool) -> SpectralSet:
-    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted and whose
-    :func:`is_hermitian` verdict is ``hermitian``."""
+def _solve(m: np.ndarray, hermitian: bool, bound: float) -> SpectralSet:
+    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted, whose
+    :func:`is_hermitian` verdict is ``hermitian`` and whose Schur bound is ``bound``."""
     vals = np.linalg.eigvalsh(m).astype(complex) if hermitian else np.linalg.eigvals(m)
-    tol = _EIG_ACCURACY * max(1.0, matrix_norm_bound(m))
+    tol = _EIG_ACCURACY * max(1.0, bound)
     spec = SpectralSet(tuple(complex(v) for v in vals), tol)
     object.__setattr__(spec, "_hermitian", hermitian)
     return spec
@@ -215,8 +215,15 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")
     bound, r, lams = _membership_args(m, lams, radius, tol)
+    return _verdicts(m, spec, lams, bound, r, tol)
+
+
+def _verdicts(m: np.ndarray, spec: SpectralSet, lams: list, bound: float, r: float,
+              tol: float) -> list[MembershipVerdict]:
+    """``_membership_verdicts`` of a matrix that ``_as_square_matrix`` accepted, with its
+    Schur bound, the radius and the points that ``_membership_args`` returned."""
     if not (is_hermitian(m) if spec._hermitian is None else spec._hermitian):
-        return _dense_verdicts(m, lams, radius, tol)
+        return _dense_verdicts(m, lams, r, tol)
     delta = _eigvalsh_error(len(m), bound)
     # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
     z = np.asarray(lams, dtype=complex)
@@ -227,7 +234,7 @@ def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None =
         if member or far * far > tol:
             verdicts.append(MembershipVerdict(member, "left" if member else "none", q * q, r, q * q, q * q))
         else:
-            verdicts.append(membership_by_deficiency(m, lam, radius, tol))
+            verdicts.append(membership_by_deficiency(m, lam, r, tol))
     return verdicts
 
 
@@ -239,7 +246,7 @@ def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
     return bound, _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
 
 
-def _dense_verdicts(m: np.ndarray, lams: list, radius: float | None, tol: float) -> list[MembershipVerdict]:
+def _dense_verdicts(m: np.ndarray, lams: list, radius: float, tol: float) -> list[MembershipVerdict]:
     """:func:`membership_by_deficiency` of each of ``lams``, in order; the first half of the
     list runs beside the second (see ``_in_pair``)."""
     def run(part):
@@ -259,18 +266,21 @@ def _spectrum_and_verdict(m: np.ndarray, lam, radius: float | None = None,
     refused before either is computed.
 
     The dense test of a non-Hermitian ``m`` reads no spectrum, so from ``_PAIR_MIN_ORDER`` on
-    it runs beside ``eigvals``; ``m`` is tested for Hermitian symmetry once either way.
+    it runs beside ``eigvals``; ``m`` is tested for Hermitian symmetry once either way.  Its
+    Schur bound is computed once and handed down, except inside the public :func:`spectrum`
+    (below ``_PAIR_MIN_ORDER``) and :func:`membership_by_deficiency`, which check and bound
+    their own argument.
     """
-    _membership_args(m, [lam], radius, tol)
+    bound, r, (lam,) = _membership_args(m, [lam], radius, tol)
     if len(m) < _PAIR_MIN_ORDER:  # the pair would run in turn; spectrum records its verdict
         spec = spectrum(m)
     elif is_hermitian(m):
-        spec = _solve(m, True)
+        spec = _solve(m, True, bound)
     else:
-        verdict, spec = _in_pair(len(m), lambda: membership_by_deficiency(m, lam, radius, tol),
-                                 lambda: _solve(m, False))
+        verdict, spec = _in_pair(len(m), lambda: membership_by_deficiency(m, lam, r, tol),
+                                 lambda: _solve(m, False, bound))
         return spec, verdict
-    (verdict,) = _membership_verdicts(m, spec, [lam], radius, tol)
+    (verdict,) = _verdicts(m, spec, [lam], bound, r, tol)
     return spec, verdict
 
 

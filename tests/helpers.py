@@ -11,18 +11,24 @@ import numpy as np
 from wgraph import (
     Arc,
     CoveringMap,
+    DeficiencyChain,
     GraphStructureError,
     GroupAction,
     GroupAlgebraElement,
     LabeledOrbitalGraph,
     LocalIsoResult,
     RadiusVerdict,
+    RouteStep,
     Violation,
     WeightedGraph,
     invert_word,
     make_graph,
+    materialize,
+    norm_bound,
     voltage_cover,
 )
+from wgraph.covering import _vertex_images, _witness_distance
+from wgraph.spectra import _distance_to_one
 
 ODOMETER_TRANSITIONS = {
     "a": {"0": ("1", "e"), "1": ("0", "a")},
@@ -473,3 +479,27 @@ def reference_ball(g: LabeledOrbitalGraph, dist: dict, radius: int) -> LabeledOr
     graph = make_graph(inside, [arcs[k] for k in kept], [new[g.graph.pairing[k]] for k in kept])
     labels = {new[k]: g.labels[k] for k in kept if k in g.labels}
     return LabeledOrbitalGraph(graph, labels, center, g.alphabet)
+
+
+def reference_route_steps(covering: CoveringMap, radius: float, tol: float, side: str) -> tuple:
+    """The steps of ``deficiency_route_check`` at every base eigenvalue, made as the route once
+    made them: ``DeficiencyChain.at`` rebuilds both deficiency graphs at each lambda and checks
+    the weight axiom, and a side that its witness does not certify reads the rebuilt graph."""
+    lambdas = list(covering.spectra[0].values)
+    cover_vals = covering.spectra[1].as_array()
+    chain = DeficiencyChain(covering, lambdas[0], radius, side)
+    mu, vectors = np.linalg.eig(materialize(covering.base))
+    phi = _vertex_images(covering)
+    steps = []
+    for lam in lambdas:
+        at = chain.at(lam)
+        v = vectors[:, np.argmin(np.abs(mu - lam))]
+        base_w = _witness_distance(covering.base, v, lam, radius, norm_bound(covering.base))
+        cover_w = _witness_distance(covering.cover, v[phi], lam, radius, norm_bound(covering.cover))
+        if not base_w <= tol:
+            base_w = _distance_to_one(materialize(at.base))
+        if not cover_w <= tol:
+            cover_w = _distance_to_one(materialize(at.cover))
+        dist = float(np.min(np.abs(cover_vals - lam)))
+        steps.append(RouteStep(lam, base_w, cover_w, dist, base_w <= tol and cover_w <= tol and dist <= tol))
+    return tuple(steps)

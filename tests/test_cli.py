@@ -694,3 +694,31 @@ def test_check_lambda_reports_are_the_same_on_one_thread_and_two(files, capsys, 
 
     paired, serial = reports(0), reports(10**6)
     assert paired == serial and all(code == 0 for code, _, _ in serial)
+
+
+@pytest.mark.parametrize("floor", [0, 10**6])
+def test_check_lambda_bounds_and_checks_the_matrix_once_outside_the_dense_test(files, capsys, monkeypatch, floor):
+    monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", floor)
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+    counting(wgraph.spectra, "matrix_norm_bound")
+    counting(wgraph.spectra, "_as_square_matrix")
+    counting(wgraph.cli, "_as_square_matrix")
+    counting(wgraph.spectra, "membership_by_deficiency")
+    counting(wgraph.spectra, "spectrum")
+    dense = []
+    for path, lam in (("nil.mat", "0"), ("swap.wg", "0.5"), ("cycle8.wg", "1"), ("cycle8.wg", "0.3+0.1i")):
+        del calls[:]
+        flag = "--matrix" if path.endswith(".mat") else "--graph"
+        code, _, _ = run(capsys, ["spectrum", flag, files[path], "--check-lambda", lam])
+        assert code == 0
+        # the public spectrum (below the pair floor) and dense test check and bound their argument
+        public = calls.count("spectrum") + calls.count("membership_by_deficiency")
+        assert calls.count("spectrum") == (1 if floor else 0)
+        assert calls.count("matrix_norm_bound") == calls.count("_as_square_matrix") == 1 + public
+        dense.append(calls.count("membership_by_deficiency"))
+    assert 0 in dense and max(dense) == 1

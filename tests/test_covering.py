@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_voltage_cover
+from helpers import random_voltage_cover, reference_route_steps
 
+import wgraph.covering
 import wgraph.operator
 from wgraph import (
     CoveringError,
@@ -343,8 +344,38 @@ def test_route_refuses_weights_whose_radius_has_no_finite_square():
         deficiency_route_check(covering)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_route_refuses_a_lambda_whose_deficiency_weights_overflow():
+    # no witness certifies so far out, and lam^2 overflows in the deficiency graph of the fallback
+    covering = random_voltage_cover(np.random.default_rng(3), max_n=4)[2]
+    for lam in (1e160, 1e160 + 1e160j):
+        with pytest.raises(ValueError, match=r"deficiency graph at .*: a weight overflowed"):
+            deficiency_route_check(covering, lambdas=[0.5, lam])
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        deficiency_route_check(covering, lambdas=[0.5, complex("nan")])
+
+
 def raise_linalg_error(m):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def count_deficiency_graphs(monkeypatch) -> list:
+    """Record the ``id`` of the graph of every deficiency graph the route builds."""
+    built, real = [], wgraph.covering.deficiency_graph
+
+    def counted(graph, *args):
+        built.append(id(graph))
+        return real(graph, *args)
+
+    monkeypatch.setattr(wgraph.covering, "deficiency_graph", counted)
+    return built
+
+
+def uncertified(covering: CoveringMap, bounds, tol: float) -> list:
+    """The ``id`` of each side, step by step and base first, whose witness bound in ``bounds``
+    (the steps of a route at a tol every witness meets) is not <= ``tol``."""
+    return [id(g) for s in bounds for g, w in ((covering.base, s.base_witness), (covering.cover, s.cover_witness))
+            if not w <= tol]
 
 
 @pytest.mark.parametrize("past", ["tol", "eig"])
@@ -354,14 +385,54 @@ def test_route_falls_back_to_the_dense_distance_past_every_witness(past, monkeyp
     tol = 1e-300 if past == "tol" else DEFAULT_SUBSET_TOL
     if past == "eig":
         monkeypatch.setattr(np.linalg, "eig", raise_linalg_error)
+    built = count_deficiency_graphs(monkeypatch)
     for covering in witness_covers()[:12]:
         for side in ("left", "right"):
+            # a step builds the graph of each side no witness certifies; at 1e-300 the witness
+            # of a graph of weights near 1e-170 still does.  At the default tol all of them do.
+            bounds = deficiency_route_check(covering, side=side).steps if past == "tol" else None
+            del built[:]
             report = deficiency_route_check(covering, tol=tol, side=side)
+            if past == "tol":
+                assert built == uncertified(covering, bounds, tol)
+            else:
+                assert built == [id(covering.base), id(covering.cover)] * len(report.steps)
             for step in report.steps:
                 chain = induced_deficiency_covering(covering, step.lam, report.radius, side)
                 want = (_distance_to_one(materialize(chain.base)), _distance_to_one(materialize(chain.cover)))
                 assert np.array_equal(np.array([step.base_witness, step.cover_witness]).view(np.int64),
                                       np.array(want).view(np.int64))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_certified_route_builds_no_deficiency_graph(side, monkeypatch):
+    covers = witness_covers() + [hamiltonian_cover(np.random.default_rng(30), 30, 8)]
+    radii = [deficiency_route_check(covering, side=side).radius for covering in covers]
+    want = [reference_route_steps(c, r, DEFAULT_SUBSET_TOL, side) for c, r in zip(covers, radii)]
+    built = count_deficiency_graphs(monkeypatch)
+    for covering, steps in zip(covers, want):
+        assert deficiency_route_check(covering, side=side).steps == steps
+    assert built == []
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_step_builds_the_deficiency_graph_of_each_uncertified_side_only(side, monkeypatch):
+    # at the median of all the witness bounds some sides certify and some do not
+    covers = witness_covers()
+    reports = [deficiency_route_check(covering, side=side) for covering in covers]
+    bounds = [report.steps for report in reports]
+    tol = float(np.median([w for steps in bounds for s in steps for w in (s.base_witness, s.cover_witness)]))
+    want = [reference_route_steps(c, report.radius, tol, side) for c, report in zip(covers, reports)]
+    built = count_deficiency_graphs(monkeypatch)
+    sides = {"base": 0, "cover": 0}
+    for covering, certified, steps in zip(covers, bounds, want):
+        del built[:]
+        assert deficiency_route_check(covering, tol=tol, side=side).steps == steps
+        assert built == uncertified(covering, certified, tol)
+        sides["base"] += built.count(id(covering.base))
+        sides["cover"] += built.count(id(covering.cover))
+    assert sides["base"] and sides["cover"]  # both kinds of fallback were taken
+    assert sides["base"] + sides["cover"] < 2 * sum(map(len, bounds))
 
 
 def test_a_certified_route_at_the_benchmark_size_calls_no_eigvalsh(monkeypatch):
