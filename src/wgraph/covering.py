@@ -23,7 +23,7 @@ from .core import (WeightedGraph, _check_lambda, _cmul, _compose, add_scalar, ad
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
 from .spectra import (_EPS, DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
-                      _distance_to_one, spectrum, subset_check)
+                      _distance_to_one, _nearest, spectrum, subset_check)
 
 __all__ = [
     "CoveringMap",
@@ -36,7 +36,6 @@ __all__ = [
     "induced_covering",
     "induced_deficiency_covering",
     "COVERING_OPS",
-    "DeficiencyChain",
     "voltage_cover",
     "pullback_matrix",
     "spectral_inclusion_check",
@@ -234,39 +233,6 @@ def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side:
     return _checked(chain, "induced deficiency covering")
 
 
-class DeficiencyChain:
-    """The deficiency coverings of one covering at many values of lambda.
-
-    The arcs, pairings and arc map of
-    ``induced_deficiency_covering(covering, lam, radius, side)`` do not
-    depend on ``lam``.  The constructor builds that covering at ``lam0``
-    and verifies all of it once.  :meth:`at` builds the deficiency graphs
-    of cover and base with :func:`wgraph.core.deficiency_graph` and checks
-    the weight axiom exactly against the verified arc map; with the other
-    checks made once, that is the whole covering check at the new ``lam``.
-    :func:`deficiency_route_check` needs no :meth:`at`: its docstring shows
-    why the verification at ``lam0`` already covers every ``lam``.
-    """
-
-    def __init__(self, covering: CoveringMap, lam0, radius: float, side: str):
-        self.covering = covering
-        self.radius = radius
-        self.side = side
-        self.reference = induced_deficiency_covering(covering, lam0, radius, side)
-        self._arc_map = np.array(self.reference.arc_map, dtype=np.int64)
-
-    def at(self, lam) -> CoveringMap:
-        cover = deficiency_graph(self.covering.cover, lam, self.radius, self.side)
-        base = deficiency_graph(self.covering.base, lam, self.radius, self.side)
-        wrong = np.flatnonzero(cover.weight != base.weight[self._arc_map])
-        if wrong.size:
-            raise CoveringError(
-                f"induced deficiency covering at {complex(lam)}: {wrong.size} weight violation(s), "
-                f"first at arc {int(wrong[0])}"
-            )
-        return CoveringMap(cover, base, self.reference.vertex_map, self.reference.arc_map)
-
-
 def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedGraph, CoveringMap]:
     """Lift a base graph to a degree-d cover via arc voltages.
 
@@ -455,22 +421,24 @@ def deficiency_route_check(
     the cover spectrum.  A second, independent route to the same
     inclusion that :func:`spectral_inclusion_check` reaches via pullbacks.
 
-    The deficiency covering is built and verified once, at the first lam
-    (see :class:`DeficiencyChain`), and that one verification covers every
-    lam.  Its arcs, pairing and arc map do not depend on lam.  Each of its
-    weights at lam is formed from arc weights, lam and R by the same
+    Every lam is checked first: a non-finite one is refused, as
+    :func:`wgraph.core.deficiency_graph` refuses it, before anything is
+    built.  Then ``induced_deficiency_covering(covering, lambdas[0], radius,
+    side)`` is built and verified once, and that one verification covers
+    every lam.  Its arcs, pairing and arc map do not depend on lam.  Each of
+    its weights at lam is formed from arc weights, lam and R by the same
     elementwise numpy operations on cover and base (a product of two arc
     weights, a conjugate, a loop of weight -lam or 1, a product with
     -1/R^2), and ``verify_covering`` has shown ``cover.weight ==
-    base.weight[arc_map]``.  Equal doubles differ at most in the sign of a
-    zero, which no product, conjugate or loop turns into a difference that
-    ``==`` sees, so every cover weight at lam equals the base weight it
-    projects to, as :meth:`DeficiencyChain.at` would check.  A weight that
-    overflows at some lam (|lam|^2 or |lam| times a weight beyond the
-    largest double) is the same inf or NaN on both sides, where that check
-    would have reported a NaN as a violation; only the dense fallback below
-    cannot use such a graph, and refuses it with a ValueError.  A non-finite
-    lam is refused as :func:`wgraph.core.deficiency_graph` refuses it.
+    base.weight[arc_map]`` at the first lam.  Equal doubles differ at most in
+    the sign of a zero, which no product, conjugate or loop turns into a
+    difference that ``==`` sees, so at every lam each cover weight equals the
+    base weight it projects to: the covering built at that lam would pass
+    the same verification.  A weight that overflows at some lam (|lam|^2 or
+    |lam| times a weight beyond the largest double) is the same inf or NaN
+    on both sides, where that verification would have reported a NaN as a
+    violation; only the dense fallback below cannot use such a graph, and
+    refuses it with a ValueError.
 
     The witness is carried up the covering as the paper does: one
     ``np.linalg.eig`` of the base gives, for each lam, the eigenvector ``v``
@@ -492,19 +460,19 @@ def deficiency_route_check(
     base_spec, cover_spec = covering.spectra
     if lambdas is None:
         lambdas = base_spec.values
-    lambdas = [complex(lam) for lam in lambdas]
-    cover_vals = cover_spec.as_array()
+    lambdas = [_check_lambda(lam) for lam in lambdas]
+    # the search subset_check runs, bit for bit the least |lam - mu| over the cover spectrum
+    dists = _nearest(np.array(lambdas, dtype=complex), cover_spec.as_array()).tolist()
     steps = []
     if lambdas:
-        DeficiencyChain(covering, lambdas[0], radius, side)  # the one verification, for every lam
+        induced_deficiency_covering(covering, lambdas[0], radius, side)  # the one verification, for every lam
         base = materialize(covering.base)
         try:
             mu, vectors = np.linalg.eig(base)
         except np.linalg.LinAlgError:
             mu = vectors = None
         phi = _vertex_images(covering)
-    for lam in lambdas:
-        _check_lambda(lam)
+    for lam, sdist in zip(lambdas, dists):
         base_w = cover_w = float("nan")
         if vectors is not None:
             v = vectors[:, np.argmin(np.abs(mu - lam))]
@@ -514,6 +482,5 @@ def deficiency_route_check(
             base_w = _deficiency_distance(covering.base, lam, radius, side)
         if not cover_w <= tol:
             cover_w = _deficiency_distance(covering.cover, lam, radius, side)
-        sdist = float(np.min(np.abs(cover_vals - lam)))
         steps.append(RouteStep(lam, base_w, cover_w, sdist, base_w <= tol and cover_w <= tol and sdist <= tol))
     return DeficiencyRouteReport(radius, tol, side, tuple(steps))

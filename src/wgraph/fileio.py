@@ -303,7 +303,7 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     cur = _Cursor(path)
     cur.header("voltage")
     degree = cur.count("degree", minimum=1)
-    m = cur.count("arcs", minimum=1)
+    m = cur.count("arcs")
     volts = []
     for k in range(m):
         lineno, line = cur.next_line("voltage permutation")

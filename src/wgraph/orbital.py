@@ -26,6 +26,7 @@ from .spectra import (
     DEFAULT_MEMBERSHIP_TOL,
     MembershipVerdict,
     SpectralSet,
+    _check_tol,
     _deficiency_radius,
     _membership_verdicts,
     hausdorff_distance,
@@ -690,6 +691,7 @@ def spectra_compare_orbits(
     """
     if max_radius is not None and max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
+    _check_tol(tol)
     gx = orbital_graph(action_x, x, element)
     gy = orbital_graph(action_y, y, element)
     mx = materialize(gx.graph)

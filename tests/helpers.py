@@ -11,7 +11,6 @@ import numpy as np
 from wgraph import (
     Arc,
     CoveringMap,
-    DeficiencyChain,
     GraphStructureError,
     GroupAction,
     GroupAlgebraElement,
@@ -21,6 +20,7 @@ from wgraph import (
     RouteStep,
     Violation,
     WeightedGraph,
+    induced_deficiency_covering,
     invert_word,
     make_graph,
     materialize,
@@ -483,16 +483,16 @@ def reference_ball(g: LabeledOrbitalGraph, dist: dict, radius: int) -> LabeledOr
 
 def reference_route_steps(covering: CoveringMap, radius: float, tol: float, side: str) -> tuple:
     """The steps of ``deficiency_route_check`` at every base eigenvalue, made as the route once
-    made them: ``DeficiencyChain.at`` rebuilds both deficiency graphs at each lambda and checks
-    the weight axiom, and a side that its witness does not certify reads the rebuilt graph."""
+    made them: ``induced_deficiency_covering`` rebuilds and fully verifies the deficiency
+    covering at each lambda, and a side that its witness does not certify reads the rebuilt
+    graph."""
     lambdas = list(covering.spectra[0].values)
     cover_vals = covering.spectra[1].as_array()
-    chain = DeficiencyChain(covering, lambdas[0], radius, side)
     mu, vectors = np.linalg.eig(materialize(covering.base))
     phi = _vertex_images(covering)
     steps = []
     for lam in lambdas:
-        at = chain.at(lam)
+        at = induced_deficiency_covering(covering, lam, radius, side)
         v = vectors[:, np.argmin(np.abs(mu - lam))]
         base_w = _witness_distance(covering.base, v, lam, radius, norm_bound(covering.base))
         cover_w = _witness_distance(covering.cover, v[phi], lam, radius, norm_bound(covering.cover))

@@ -16,9 +16,7 @@ from helpers import (
 )
 from wgraph import (
     Arc,
-    CoveringError,
     CoveringMap,
-    DeficiencyChain,
     DimensionCapError,
     adjoint,
     compose,
@@ -147,35 +145,6 @@ def test_composed_and_scaled_weights_equal_python_products():
 
 
 LAMBDAS = [0.0, -1.25, 0.3 + 0.7j, -0.4 - 0.9j, 1e-3 - 2.5j]
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_route_chain_equals_induced_deficiency_covering(side):
-    rng = np.random.default_rng(71)
-    for _ in range(10):
-        _, _, covering = random_voltage_cover(rng, max_n=7, max_degree=3)
-        radius = 2.0 * max(norm_bound(covering.cover), norm_bound(covering.base), 1e-3)
-        lambdas = LAMBDAS + [complex(z) for z in unit_disk(rng, 3)]
-        chain = DeficiencyChain(covering, lambdas[-1], radius, side)
-        for lam in lambdas:
-            got = chain.at(lam)
-            want = induced_deficiency_covering(covering, lam, radius, side)
-            assert got == want
-            for g, w in ((got.cover, want.cover), (got.base, want.base)):
-                assert_same_arcs(g.arcs, list(w.arcs))
-                assert g.pairing == w.pairing
-
-
-def test_route_chain_checks_the_weight_axiom_at_every_lambda():
-    rng = np.random.default_rng(73)
-    _, _, covering = random_voltage_cover(rng, max_n=5, max_degree=2)
-    chain = DeficiencyChain(covering, 0.5, 8.0, "right")
-    arcs = [(a.source, a.target, a.weight) for a in covering.cover.arcs]
-    arcs[0] = (arcs[0][0], arcs[0][1], arcs[0][2] + 1e-9)
-    tampered = make_graph(covering.cover.vertices, arcs, covering.cover.pairing)
-    chain.covering = CoveringMap(tampered, covering.base, covering.vertex_map, covering.arc_map)
-    with pytest.raises(CoveringError, match="weight violation"):
-        chain.at(0.25j)
 
 
 def test_route_report_equals_per_lambda_chains():

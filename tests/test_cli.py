@@ -551,6 +551,18 @@ def test_cover_lift_leaves_the_voltage_count_to_the_library(files, capsys, tmp_p
     assert err == "ERROR: need one voltage per arc: got 1 for 2 arcs\n"
 
 
+def test_cover_commands_on_a_base_with_no_arcs(capsys, tmp_path):
+    graph, volt, cov = (str(tmp_path / name) for name in ("point.wg", "point.volt", "point.cov"))
+    write_graph(make_graph(["v"], [], []), graph)
+    write_voltages(2, [], volt)
+    code, out, _ = run(capsys, ["cover", "lift", "--graph", graph, "--volt", volt, "--out", cov])
+    assert code == 0 and "COVER ORDER: 2\n" in out and "VERIFIED: ok\n" in out
+    code, out, _ = run(capsys, ["cover", "verify", "--map", cov])
+    assert code == 0 and "VERIFIED: ok\n" in out
+    code, out, _ = run(capsys, ["cover", "include", "--map", cov])
+    assert code == 0 and "INCLUDED: ok\n" in out
+
+
 CLI_OPS = {  # flags after --graph, and the library call the written file must match
     "scale": (["--factor", "2-0.5i"], lambda g, o: scale(g, 2 - 0.5j)),
     "add": (["--factor", "-1.25"], lambda g, o: add_scalar(g, -1.25)),

@@ -23,7 +23,7 @@ from wgraph import (
     verify_covering,
     voltage_cover,
 )
-from wgraph.spectra import DEFAULT_SUBSET_TOL, _distance_to_one
+from wgraph.spectra import DEFAULT_SUBSET_TOL, _distance_to_one, _nearest
 
 
 def c2_base():
@@ -345,14 +345,32 @@ def test_route_refuses_weights_whose_radius_has_no_finite_square():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_route_refuses_a_lambda_whose_deficiency_weights_overflow():
+def test_route_refuses_a_lambda_whose_deficiency_weights_overflow(monkeypatch):
     # no witness certifies so far out, and lam^2 overflows in the deficiency graph of the fallback
     covering = random_voltage_cover(np.random.default_rng(3), max_n=4)[2]
     for lam in (1e160, 1e160 + 1e160j):
         with pytest.raises(ValueError, match=r"deficiency graph at .*: a weight overflowed"):
             deficiency_route_check(covering, lambdas=[0.5, lam])
+    # a non-finite lam is refused before the deficiency covering is built
+    built, real = [], wgraph.covering.induced_deficiency_covering
+    monkeypatch.setattr(wgraph.covering, "induced_deficiency_covering",
+                        lambda *args: built.append(args) or real(*args))
     with pytest.raises(ValueError, match="lambda must be finite"):
         deficiency_route_check(covering, lambdas=[0.5, complex("nan")])
+    assert built == []
+
+
+def test_route_distances_are_the_subset_search_bit_for_bit():
+    for covering in witness_covers():
+        cover_vals = covering.spectra[1].as_array()
+        steps = deficiency_route_check(covering).steps
+        got = np.array([s.spectrum_distance for s in steps])
+        want = np.concatenate([_nearest(np.array([s.lam]), cover_vals) for s in steps])
+        dense = np.array([np.min(np.abs(cover_vals - s.lam)) for s in steps])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), dense.view(np.int64))
+        deviation = spectral_inclusion_check(covering).subset.max_deviation
+        assert np.array_equal(np.float64(got.max()).view(np.int64), np.float64(deviation).view(np.int64))
 
 
 def raise_linalg_error(m):

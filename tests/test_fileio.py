@@ -257,6 +257,9 @@ def test_voltage_round_trip_and_validation(tmp_path):
     p = tmp_path / "v.volt"
     write_voltages(4, [(3, 2, 1, 0), (1, 0, 3, 2)], p)
     assert read_voltages(p) == (4, ((3, 2, 1, 0), (1, 0, 3, 2)))
+    write_voltages(2, [], p)  # a base with no arcs
+    assert p.read_text() == "voltage 1\ndegree 2\narcs 0\n"
+    assert read_voltages(p) == (2, ())
 
     bad = tmp_path / "bad.volt"
     bad.write_text("voltage 1\ndegree 3\narcs 1\n1 1 2\n")

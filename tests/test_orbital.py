@@ -695,6 +695,20 @@ def test_negative_max_radius_is_refused_before_any_graph_is_built(monkeypatch, t
     assert built == []
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan")])
+def test_bad_tol_is_refused_before_any_graph_is_built(monkeypatch, tmp_path, capsys, tol):
+    built = _counting(monkeypatch, "orbital_graph")
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        spectra_compare_orbits(odometer_action(3), odometer_action(3), "000", "011",
+                               adjacency_element(), tol=tol)
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, adjacency_element())
+    code = main(["orbital", "--action", act_path, "--element", elt_path,
+                 "--x", "000", "--y", "011", "--level", "3", "--tol", str(tol)])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR: tol must be positive and finite, got {tol!r}\n"
+    assert built == []
+
+
 def test_cli_report_equals_the_one_from_the_reference_matcher(monkeypatch, tmp_path, capsys):
     act, elem = _grigorchuk(5)
     act_path, elt_path = _write_inputs(tmp_path, GRIGORCHUK_TRANSITIONS, elem)
