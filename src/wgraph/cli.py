@@ -49,7 +49,7 @@ from .fileio import (
 from .operator import FinSuppVector, materialize
 from .spectra import (
     DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _as_square_matrix, _deficiency_matrix, _in_pair,
-    _spectrum_and_verdict, shift_counterexample_report, spectrum,
+    _spectrum_and_verdicts, shift_counterexample_report, spectrum,
 )
 
 __all__ = ["main", "build_parser"]
@@ -183,7 +183,7 @@ def cmd_spectrum(args) -> int:
     else:
         m = _as_square_matrix(m, "spectrum")  # a bad matrix is refused before a bad point
         lam = parse_complex(args.check_lambda)
-        spec, verdict = _spectrum_and_verdict(m, lam, args.radius, args.tol)
+        spec, (verdict,) = _spectrum_and_verdicts(m, [lam], args.radius, args.tol)
     _spectrum_kv(rep, "SPECTRUM", spec)
     if verdict is not None:
         rep.kv("LAMBDA", format_complex(lam))

@@ -18,12 +18,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (WeightedGraph, _check_lambda, _cmul, _compose, add_scalar, adjoint, deficiency_chain,
+from .core import (WeightedGraph, _check_lambda, _compose, add_scalar, adjoint, deficiency_chain,
                    deficiency_graph, scale)
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
-from .spectra import (_EPS, DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
-                      _distance_to_one, _nearest, spectrum, subset_check)
+from .spectra import (DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
+                      _distance_to_one, _nearest, _witness_distance, spectrum, subset_check)
 
 __all__ = [
     "CoveringMap",
@@ -348,55 +348,6 @@ class DeficiencyRouteReport:
         return all(s.ok for s in self.steps)
 
 
-def _witness_distance(graph: WeightedGraph, v: np.ndarray, lam: complex, radius: float, bound: float) -> float:
-    """Certified upper bound ``((rho + e)/R)^2`` on ``sigma_min(H - lam)^2 / R^2`` for the
-    operator ``H`` of ``graph``, from the trial vector ``v``.
-
-    ``rho = ||(H - lam) v|| / ||v||`` is computed from the arc arrays: one complex product per
-    arc, formed as Python forms it, summed per row and per part, less ``lam v``.  Each norm is
-    taken of the parts scaled by a power of two, so that no square overflows or underflows.
-    ``e = 2 gamma_K (S + |lam|)`` bounds the rounding of all of it, with ``S = bound``, the
-    Schur bound of ``graph``, ``u = eps/2``, ``gamma_k = k u / (1 - k u)``, ``K = 2m + 4n + 8``,
-    ``n`` the order and ``m`` the largest out-degree plus one, the terms of one row:
-
-    - each computed row is off by at most ``sqrt(2) gamma_{m+1}`` times the same sum taken in
-      moduli (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.5 and
-      (3.4)), so the residual vector by ``sqrt(2) gamma_{m+1} (S + |lam|) ||v||``, as ``S``
-      bounds the 2-norm of the moduli of ``H`` (Schur test);
-    - each norm, a sum of ``2n`` squares and a root, has a relative error below
-      ``gamma_{2n+1}``, so the quotient below ``gamma_{4n+3}``; as ``rho`` is below
-      ``S + |lam|`` up to these factors, that is an absolute error below
-      ``gamma_{4n+4} (S + |lam|)``;
-    - the two together stay below ``gamma_K (S + |lam|)``, as ``sqrt(2) gamma_{m+1} <=
-      gamma_{2m+2}`` and ``gamma_a + gamma_b <= gamma_{a+b}``.  The other half of ``e``
-      covers the rounding of ``S``, that of the sums of parallel arcs in ``materialize`` (so
-      the bound holds for the materialized matrix too) and the three operations that form
-      ``((rho + e)/R)^2``.
-
-    Any unit ``v`` gives ``sigma_min(H - lam) <= ||(H - lam) v||``, the vector form of the
-    pseudospectrum (Trefethen & Embree, *Spectra and Pseudospectra*, ch. 2), and a square
-    matrix has ``sigma_min(A) = sigma_min(A*)``, so the result bounds the distance of 1 to the
-    deficiency spectrum at ``lam`` on either side.  A non-finite residual gives NaN or inf.
-    """
-    n = graph.order
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _cmul(graph.weight, v[graph.target])
-        shift = _cmul(lam, v)
-        residual = np.empty(n, dtype=complex)
-        residual.real = np.bincount(graph.source, weights=terms.real, minlength=n) - shift.real
-        residual.imag = np.bincount(graph.source, weights=terms.imag, minlength=n) - shift.imag
-        parts = np.stack([residual, v]).view(float)
-        exponent = np.frexp(np.abs(parts).max(axis=1))[1]
-        scaled = np.ldexp(parts, -exponent[:, None])
-        norms = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
-    rho = float(norms[0]) / float(norms[1])
-    k = 2 * (int(graph._out_degree.max()) + 1) + 4 * n + 8
-    u = _EPS / 2
-    e = 2 * (k * u / (1 - k * u)) * (bound + abs(lam))
-    q = (rho + e) / radius
-    return q * q
-
-
 def _deficiency_distance(graph: WeightedGraph, lam: complex, radius: float, side: str) -> float:
     """Distance of 1 to the spectrum of the materialized deficiency graph of ``graph`` at ``lam``;
     refused where a weight of that graph overflowed, as a non-finite matrix has no dense test."""
@@ -447,7 +398,7 @@ def deficiency_route_check(
     spectrum, ``sigma_min(H - lam)^2 / R^2``, is bounded above by
     ``((rho + e)/R)^2``, with ``rho = ||(H - lam) v|| / ||v||`` taken from the
     arcs and ``e = 2 gamma_K (S + |lam|)`` the bound on its rounding (see
-    ``_witness_distance`` for ``K`` and the derivation).  Where that bound is
+    ``wgraph.spectra._witness_distance`` for ``K`` and the derivation).  Where that bound is
     not ``<= tol`` (NaN included, and every lam when ``eig`` fails), the step
     reports the dense distance ``eigvalsh`` finds in the materialized
     deficiency graph instead.  ``base_witness`` and ``cover_witness`` are

@@ -26,11 +26,11 @@ from .spectra import (
     DEFAULT_MEMBERSHIP_TOL,
     MembershipVerdict,
     SpectralSet,
+    _as_square_matrix,
     _check_tol,
     _deficiency_radius,
-    _membership_verdicts,
+    _spectrum_and_verdicts,
     hausdorff_distance,
-    spectrum,
 )
 
 __all__ = [
@@ -531,6 +531,15 @@ class _LazyMatches(Mapping):
         return repr(self._data())
 
 
+def _check_max_radius(max_radius: int):
+    """Refuse a negative ball radius, and one past ``MAX_DENSE_DIM``, which no orbit within the
+    dense cap has as its diameter, before a verdict is built for each radius."""
+    if max_radius < 0:
+        raise ValueError("max_radius must be nonnegative")
+    if max_radius > MAX_DENSE_DIM:
+        raise ValueError(f"max_radius {max_radius} exceeds the dense cap {MAX_DENSE_DIM}")
+
+
 def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius: int) -> LocalIsoResult:
     """Per-radius two-way rooted ball matching between two labeled graphs.
 
@@ -549,8 +558,7 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
-    if max_radius < 0:
-        raise ValueError("max_radius must be nonnegative")
+    _check_max_radius(max_radius)
     same = _same_adjacency(gx, gy)
     failed = max_radius + 1  # the first failing radius, past the cap when none fails
     if not same:
@@ -689,18 +697,19 @@ def spectra_compare_orbits(
     element's default radius bound.  The two labeled orbital graphs come
     back as ``graph_x`` and ``graph_y`` for follow-up checks.
     """
-    if max_radius is not None and max_radius < 0:
-        raise ValueError("max_radius must be nonnegative")
+    if max_radius is not None:
+        _check_max_radius(max_radius)
     _check_tol(tol)
     gx = orbital_graph(action_x, x, element)
     gy = orbital_graph(action_y, y, element)
-    mx = materialize(gx.graph)
-    my = materialize(gy.graph)
+    mx = _as_square_matrix(materialize(gx.graph), "spectrum")
+    my = _as_square_matrix(materialize(gy.graph), "spectrum")
     # bit for bit, so that a signed zero counts as a difference; the uint64
     # views compare without copying either matrix
     same_matrix = np.array_equal(mx.view(np.uint64), my.view(np.uint64))
-    sx = spectrum(mx)
-    sy = sx if same_matrix else spectrum(my)
+    radius = default_radius_bound(element)
+    sx, in_x = _spectrum_and_verdicts(mx, None, radius, tol)
+    sy, in_y = (sx, in_x) if same_matrix else _spectrum_and_verdicts(my, sx.values, radius, tol)
     if max_radius is not None:
         cap = max_radius
     elif _same_adjacency(gx, gy):
@@ -708,9 +717,6 @@ def spectra_compare_orbits(
     else:
         cap = max(gx.diameter(), gy.diameter()) + 1
     iso = local_iso_check(gx, gy, cap)
-    radius = default_radius_bound(element)
-    in_x = _membership_verdicts(mx, sx, sx.values, radius, tol)
-    in_y = in_x if same_matrix else _membership_verdicts(my, sy, sx.values, radius, tol)
     return OrbitComparison(
         root_x=x,
         root_y=y,

@@ -12,11 +12,11 @@ where the right product alone gives the wrong answer.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_lambda, _check_radius
+from .core import WeightedGraph, _check_lambda, _check_radius, _cmul
 from .errors import DimensionCapError
 from .operator import MAX_DENSE_DIM, FinSuppVector, apply, matrix_norm_bound, norm_bound, shift_graph
 
@@ -61,9 +61,6 @@ class SpectralSet:
 
     values: tuple[complex, ...]
     tol: float = 0.0
-    # whether :func:`spectrum` solved the matrix as Hermitian, so that ``_membership_verdicts``
-    # need not test it again; None for a set built by hand
-    _hermitian: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(sorted((complex(v) for v in self.values), key=lambda z: (z.real, z.imag)))
@@ -120,10 +117,7 @@ def _solve(m: np.ndarray, hermitian: bool, bound: float) -> SpectralSet:
     """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted, whose
     :func:`is_hermitian` verdict is ``hermitian`` and whose Schur bound is ``bound``."""
     vals = np.linalg.eigvalsh(m).astype(complex) if hermitian else np.linalg.eigvals(m)
-    tol = _EIG_ACCURACY * max(1.0, bound)
-    spec = SpectralSet(tuple(complex(v) for v in vals), tol)
-    object.__setattr__(spec, "_hermitian", hermitian)
-    return spec
+    return SpectralSet(tuple(complex(v) for v in vals), _EIG_ACCURACY * max(1.0, bound))
 
 
 def _in_pair(order: int, first, second) -> tuple:
@@ -163,7 +157,7 @@ class MembershipVerdict:
     carries the eigenvalue-1 witness ("none" for non-members);
     ``witness_value`` is the smaller of the two distances below.  Where a
     verdict on a Hermitian matrix is read off its computed spectrum (see
-    ``_membership_verdicts``), both distances are ``(d/R)^2`` with ``d``
+    ``_spectrum_and_verdicts``), both distances are ``(d/R)^2`` with ``d``
     the distance of lambda to that spectrum, and a member's side is "left".
     """
 
@@ -201,29 +195,39 @@ def _eigvalsh_error(n: int, bound: float) -> float:
     return _EIGVALSH_GROWTH * n * _EPS * max(1.0, bound) + n * HERMITIAN_ATOL * min(1.0, bound)
 
 
-def _membership_verdicts(matrix, spec: SpectralSet, lams, radius: float | None = None,
-                         tol: float = DEFAULT_MEMBERSHIP_TOL) -> list[MembershipVerdict]:
-    """:func:`membership_by_deficiency` of each of ``lams`` against ``matrix``, whose
-    :func:`spectrum` is ``spec``.
+def _spectrum_and_verdicts(m: np.ndarray, lams=None, radius: float | None = None,
+                           tol: float = DEFAULT_MEMBERSHIP_TOL) -> tuple[SpectralSet, list[MembershipVerdict]]:
+    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted, and the
+    :func:`membership_by_deficiency` verdict of each of ``lams`` against it, in order; with
+    ``lams`` None, of each of its own eigenvalues.  A bad ``tol``, radius or point is refused
+    before either is computed, and ``m`` is tested for Hermitian symmetry and bounded once,
+    outside the public :func:`spectrum` and :func:`membership_by_deficiency`, which check
+    and bound their own argument.
 
     For a Hermitian ``M``, ``sigma_min(M - lam)`` is the distance of ``lam`` to the spectrum,
     so both deficiency distances are ``(d/R)^2``, with ``d`` the distance of ``lam`` to the
     computed spectrum, and the side is "left" for a member.  ``d`` is off by at most
     :func:`_eigvalsh_error`.  A ``lam`` whose verdict that error could flip, and every
-    ``lam`` of a non-Hermitian matrix, gets the dense test.  Whether ``matrix`` is Hermitian
-    is read off ``spec`` where :func:`spectrum` recorded it.
+    ``lam`` of a non-Hermitian matrix, gets the dense test.  That test reads no spectrum, so
+    where the points are given it runs beside the public :func:`spectrum` (see
+    ``_dense_verdicts``).
     """
-    m = _as_square_matrix(matrix, "membership_by_deficiency")
-    bound, r, lams = _membership_args(m, lams, radius, tol)
-    return _verdicts(m, spec, lams, bound, r, tol)
+    bound, r, points = _membership_args(m, () if lams is None else lams, radius, tol)
+    hermitian = is_hermitian(m)
+    if lams is not None and not hermitian:
+        verdicts, spec = _dense_verdicts(m, points, r, tol, beside=lambda: spectrum(m))
+        return spec, verdicts
+    spec = _solve(m, hermitian, bound)
+    return spec, _verdicts(m, spec, list(spec.values) if lams is None else points, hermitian, bound, r, tol)
 
 
-def _verdicts(m: np.ndarray, spec: SpectralSet, lams: list, bound: float, r: float,
+def _verdicts(m: np.ndarray, spec: SpectralSet, lams: list, hermitian: bool, bound: float, r: float,
               tol: float) -> list[MembershipVerdict]:
-    """``_membership_verdicts`` of a matrix that ``_as_square_matrix`` accepted, with its
-    Schur bound, the radius and the points that ``_membership_args`` returned."""
-    if not (is_hermitian(m) if spec._hermitian is None else spec._hermitian):
-        return _dense_verdicts(m, lams, r, tol)
+    """The verdicts of ``_spectrum_and_verdicts`` on ``lams``, for a matrix whose spectrum is
+    ``spec``, whose :func:`is_hermitian` verdict is ``hermitian`` and whose Schur bound is
+    ``bound``, at the radius ``r`` that ``_membership_args`` returned."""
+    if not hermitian:
+        return _dense_verdicts(m, lams, r, tol)[0]
     delta = _eigvalsh_error(len(m), bound)
     # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
     z = np.asarray(lams, dtype=complex)
@@ -246,42 +250,17 @@ def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
     return bound, _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
 
 
-def _dense_verdicts(m: np.ndarray, lams: list, radius: float, tol: float) -> list[MembershipVerdict]:
-    """:func:`membership_by_deficiency` of each of ``lams``, in order; the first half of the
-    list runs beside the second (see ``_in_pair``)."""
+def _dense_verdicts(m: np.ndarray, lams: list, radius: float, tol: float, beside=None) -> tuple[list, object]:
+    """:func:`membership_by_deficiency` of each of ``lams``, in order, and the value of
+    ``beside()`` (None without it).  The first half of the list, rounded up, runs beside
+    ``beside`` and the rest of the list (see ``_in_pair``), so at most two threads run."""
     def run(part):
         return [membership_by_deficiency(m, lam, radius, tol) for lam in part]
 
-    half = len(lams) // 2
-    if not half:
-        return run(lams)
-    first, second = _in_pair(len(m), lambda: run(lams[:half]), lambda: run(lams[half:]))
-    return first + second
-
-
-def _spectrum_and_verdict(m: np.ndarray, lam, radius: float | None = None,
-                          tol: float = DEFAULT_MEMBERSHIP_TOL) -> tuple[SpectralSet, MembershipVerdict]:
-    """:func:`spectrum` of a matrix that ``_as_square_matrix`` accepted, and the
-    ``_membership_verdicts`` of ``lam`` against it, with a bad ``tol``, radius or ``lam``
-    refused before either is computed.
-
-    The dense test of a non-Hermitian ``m`` reads no spectrum, so from ``_PAIR_MIN_ORDER`` on
-    it runs beside ``eigvals``; ``m`` is tested for Hermitian symmetry once either way.  Its
-    Schur bound is computed once and handed down, except inside the public :func:`spectrum`
-    (below ``_PAIR_MIN_ORDER``) and :func:`membership_by_deficiency`, which check and bound
-    their own argument.
-    """
-    bound, r, (lam,) = _membership_args(m, [lam], radius, tol)
-    if len(m) < _PAIR_MIN_ORDER:  # the pair would run in turn; spectrum records its verdict
-        spec = spectrum(m)
-    elif is_hermitian(m):
-        spec = _solve(m, True, bound)
-    else:
-        verdict, spec = _in_pair(len(m), lambda: membership_by_deficiency(m, lam, r, tol),
-                                 lambda: _solve(m, False, bound))
-        return spec, verdict
-    (verdict,) = _verdicts(m, spec, [lam], bound, r, tol)
-    return spec, verdict
+    half = (len(lams) + 1) // 2
+    first, (other, second) = _in_pair(len(m), lambda: run(lams[:half]),
+                                      lambda: (beside() if beside else None, run(lams[half:])))
+    return first + second, other
 
 
 def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -337,6 +316,55 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     else:
         side = "none"
     return MembershipVerdict(member, side, min(dist_left, dist_right), radius, dist_left, dist_right)
+
+
+def _witness_distance(graph: WeightedGraph, v: np.ndarray, lam: complex, radius: float, bound: float) -> float:
+    """Certified upper bound ``((rho + e)/R)^2`` on ``sigma_min(H - lam)^2 / R^2`` for the
+    operator ``H`` of ``graph``, from the trial vector ``v``.
+
+    ``rho = ||(H - lam) v|| / ||v||`` is computed from the arc arrays: one complex product per
+    arc, formed as Python forms it, summed per row and per part, less ``lam v``.  Each norm is
+    taken of the parts scaled by a power of two, so that no square overflows or underflows.
+    ``e = 2 gamma_K (S + |lam|)`` bounds the rounding of all of it, with ``S = bound``, the
+    Schur bound of ``graph``, ``u = eps/2``, ``gamma_k = k u / (1 - k u)``, ``K = 2m + 4n + 8``,
+    ``n`` the order and ``m`` the largest out-degree plus one, the terms of one row:
+
+    - each computed row is off by at most ``sqrt(2) gamma_{m+1}`` times the same sum taken in
+      moduli (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Lemma 3.5 and
+      (3.4)), so the residual vector by ``sqrt(2) gamma_{m+1} (S + |lam|) ||v||``, as ``S``
+      bounds the 2-norm of the moduli of ``H`` (Schur test);
+    - each norm, a sum of ``2n`` squares and a root, has a relative error below
+      ``gamma_{2n+1}``, so the quotient below ``gamma_{4n+3}``; as ``rho`` is below
+      ``S + |lam|`` up to these factors, that is an absolute error below
+      ``gamma_{4n+4} (S + |lam|)``;
+    - the two together stay below ``gamma_K (S + |lam|)``, as ``sqrt(2) gamma_{m+1} <=
+      gamma_{2m+2}`` and ``gamma_a + gamma_b <= gamma_{a+b}``.  The other half of ``e``
+      covers the rounding of ``S``, that of the sums of parallel arcs in ``materialize`` (so
+      the bound holds for the materialized matrix too) and the three operations that form
+      ``((rho + e)/R)^2``.
+
+    Any unit ``v`` gives ``sigma_min(H - lam) <= ||(H - lam) v||``, the vector form of the
+    pseudospectrum (Trefethen & Embree, *Spectra and Pseudospectra*, ch. 2), and a square
+    matrix has ``sigma_min(A) = sigma_min(A*)``, so the result bounds the distance of 1 to the
+    deficiency spectrum at ``lam`` on either side.  A non-finite residual gives NaN or inf.
+    """
+    n = graph.order
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _cmul(graph.weight, v[graph.target])
+        shift = _cmul(lam, v)
+        residual = np.empty(n, dtype=complex)
+        residual.real = np.bincount(graph.source, weights=terms.real, minlength=n) - shift.real
+        residual.imag = np.bincount(graph.source, weights=terms.imag, minlength=n) - shift.imag
+        parts = np.stack([residual, v]).view(float)
+        exponent = np.frexp(np.abs(parts).max(axis=1))[1]
+        scaled = np.ldexp(parts, -exponent[:, None])
+        norms = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
+    rho = float(norms[0]) / float(norms[1])
+    k = 2 * (int(graph._out_degree.max()) + 1) + 4 * n + 8
+    u = _EPS / 2
+    e = 2 * (k * u / (1 - k * u)) * (bound + abs(lam))
+    q = (rho + e) / radius
+    return q * q
 
 
 def _points(values) -> np.ndarray:

@@ -27,8 +27,8 @@ from wgraph import (
     norm_bound,
     voltage_cover,
 )
-from wgraph.covering import _vertex_images, _witness_distance
-from wgraph.spectra import _distance_to_one
+from wgraph.covering import _vertex_images
+from wgraph.spectra import _distance_to_one, _witness_distance
 
 ODOMETER_TRANSITIONS = {
     "a": {"0": ("1", "e"), "1": ("0", "a")},

@@ -722,15 +722,15 @@ def test_check_lambda_bounds_and_checks_the_matrix_once_outside_the_dense_test(f
     counting(wgraph.cli, "_as_square_matrix")
     counting(wgraph.spectra, "membership_by_deficiency")
     counting(wgraph.spectra, "spectrum")
-    dense = []
+    counting(wgraph.spectra, "is_hermitian")
     for path, lam in (("nil.mat", "0"), ("swap.wg", "0.5"), ("cycle8.wg", "1"), ("cycle8.wg", "0.3+0.1i")):
         del calls[:]
         flag = "--matrix" if path.endswith(".mat") else "--graph"
         code, _, _ = run(capsys, ["spectrum", flag, files[path], "--check-lambda", lam])
         assert code == 0
-        # the public spectrum (below the pair floor) and dense test check and bound their argument
+        # only the non-Hermitian matrix gets the dense test, beside the public spectrum; both
+        # check and bound their argument, and the public spectrum tests its symmetry
+        assert calls.count("spectrum") == calls.count("membership_by_deficiency") == (path == "nil.mat")
         public = calls.count("spectrum") + calls.count("membership_by_deficiency")
-        assert calls.count("spectrum") == (1 if floor else 0)
         assert calls.count("matrix_norm_bound") == calls.count("_as_square_matrix") == 1 + public
-        dense.append(calls.count("membership_by_deficiency"))
-    assert 0 in dense and max(dense) == 1
+        assert calls.count("is_hermitian") == 1 + calls.count("spectrum")

@@ -636,23 +636,23 @@ def test_equal_operators_share_spectrum_diameter_and_cross_checks(monkeypatch):
     act = odometer_action(3)
     gx, gy = orbital_graph(act, "000", adjacency_element()), orbital_graph(act, "011", adjacency_element())
     assert materialize(gx.graph).tobytes() == materialize(gy.graph).tobytes()
-    # one verdict call per distinct operator, each covering the whole x-spectrum
-    member = _counting(monkeypatch, "_membership_verdicts")
-    spectra = _counting(monkeypatch, "spectrum")
+    # one spectrum-and-verdicts call per distinct operator, each covering the whole x-spectrum
+    member = _counting(monkeypatch, "_spectrum_and_verdicts")
     diameters = []
     real_diameter = LabeledOrbitalGraph.diameter
     monkeypatch.setattr(LabeledOrbitalGraph, "diameter",
                         lambda g: diameters.append(g) or real_diameter(g))
     comp = spectra_compare_orbits(act, act, "000", "011", adjacency_element())
-    assert len(member) == 1 and len(spectra) == 1 and len(diameters) == 1
+    assert len(member) == 1 and len(diameters) == 1
     assert comp.spectrum_y == comp.spectrum_x and comp.saturated
     assert all(c.in_y == c.in_x for c in comp.cross_checks)
 
-    del member[:], spectra[:], diameters[:]
+    del member[:], diameters[:]
     comp = spectra_compare_orbits(odometer_action(3), odometer_action(4), "000", "0000",
                                   adjacency_element())
-    assert len(member) == 2 and len(spectra) == 2 and len(diameters) == 2
-    assert all(len(lams) == 8 for _, _, lams, _, _ in member)
+    assert len(member) == 2 and len(diameters) == 2
+    # the x-matrix is tested at its own spectrum, the y-matrix at the same 8 points
+    assert member[0][1] is None and member[1][1] == comp.spectrum_x.values and len(comp.spectrum_x) == 8
 
 
 def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
@@ -668,11 +668,68 @@ def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
         return m
 
     monkeypatch.setattr(wgraph.orbital, "materialize", materialize_flipping_a_zero)
-    member = _counting(monkeypatch, "_membership_verdicts")
-    spectra = _counting(monkeypatch, "spectrum")
+    member = _counting(monkeypatch, "_spectrum_and_verdicts")
     spectra_compare_orbits(act, act, "000", "011", adjacency_element())
     assert np.array_equal(built[0], built[1]) and built[0].tobytes() != built[1].tobytes()
-    assert len(member) == 2 and len(spectra) == 2
+    assert len(member) == 2
+
+
+def _two_orbit_action():
+    """Ten points in a 6-point orbit p0..p5 and a 4-point orbit q0..q3: ``a`` cycles each
+    orbit and ``b`` swaps its first two points."""
+    points = tuple(f"p{i}" for i in range(6)) + tuple(f"q{i}" for i in range(4))
+    return GroupAction(points, {"a": (1, 2, 3, 4, 5, 0, 7, 8, 9, 6), "b": (1, 0, 2, 3, 4, 5, 7, 6, 8, 9)})
+
+
+NON_NORMAL = GroupAlgebraElement({("a",): 1.0, ("b",): 0.5 + 0.25j})
+
+
+def test_compare_orbits_bounds_and_tests_each_matrix_once(monkeypatch):
+    """Outside the public spectrum and the dense tests, which check their own argument, each
+    distinct matrix is bounded and tested for symmetry once."""
+    inside, outside, public = [], [], []
+
+    def nesting(name):
+        real = getattr(wgraph.spectra, name)
+
+        def nested(*args):
+            inside.append(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(wgraph.spectra, name, nested)
+
+    def counting(name):
+        real = getattr(wgraph.spectra, name)
+
+        def counted(m):
+            if not inside:
+                outside.append((name, hash(m.tobytes())))
+            elif inside == ["spectrum"]:
+                public.append(name)
+            return real(m)
+        monkeypatch.setattr(wgraph.spectra, name, counted)
+
+    nesting("spectrum")
+    nesting("membership_by_deficiency")
+    counting("matrix_norm_bound")
+    counting("is_hermitian")
+    two = _two_orbit_action()
+    for act_x, act_y, x, y, elem, distinct, in_pair in (
+        (odometer_action(3), odometer_action(3), "000", "011", adjacency_element(), 1, False),
+        (odometer_action(3), odometer_action(4), "000", "0000", adjacency_element(), 2, False),
+        (two, two, "p0", "q0", adjacency_element(), 2, False),
+        (two, two, "p0", "q0", NON_NORMAL, 2, True),
+        (two, two, "q0", "p0", NON_NORMAL, 2, True),
+    ):
+        del outside[:], public[:]
+        spectra_compare_orbits(act_x, act_y, x, y, elem)
+        for name in ("matrix_norm_bound", "is_hermitian"):
+            matrices = [m for n, m in outside if n == name]
+            assert len(matrices) == len(set(matrices)) == distinct, name
+        # only the y-matrix of a non-Hermitian pair runs the public spectrum, beside its dense test
+        assert sorted(public) == (["is_hermitian", "matrix_norm_bound"] if in_pair else [])
 
 
 def _write_inputs(tmp_path, transitions, element):
@@ -693,6 +750,28 @@ def test_negative_max_radius_is_refused_before_any_graph_is_built(monkeypatch, t
     assert code == 2
     assert capsys.readouterr().err == "ERROR: max_radius must be nonnegative\n"
     assert built == []
+
+
+def test_max_radius_past_the_dense_cap_is_refused_before_any_verdict_is_built(monkeypatch, tmp_path, capsys):
+    # no orbit within the point cap has a diameter of MAX_DENSE_DIM, so no radius past it can pass
+    message = f"max_radius {MAX_DENSE_DIM + 1} exceeds the dense cap {MAX_DENSE_DIM}"
+    gx = orbital_graph(odometer_action(3), "000", adjacency_element())
+    assert len(local_iso_check(gx, gx, MAX_DENSE_DIM).radii) == MAX_DENSE_DIM + 1
+    built = _counting(monkeypatch, "orbital_graph")
+    verdicts = _counting(monkeypatch, "RadiusVerdict")
+    with pytest.raises(ValueError) as e:
+        local_iso_check(gx, gx, MAX_DENSE_DIM + 1)
+    assert str(e.value) == message
+    with pytest.raises(ValueError) as e:
+        spectra_compare_orbits(odometer_action(3), odometer_action(3), "000", "011",
+                               adjacency_element(), max_radius=MAX_DENSE_DIM + 1)
+    assert str(e.value) == message
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, adjacency_element())
+    code = main(["orbital", "--action", act_path, "--element", elt_path,
+                 "--x", "000", "--y", "011", "--level", "3", "--radius", str(MAX_DENSE_DIM + 1)])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
+    assert built == [] and verdicts == []
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan")])

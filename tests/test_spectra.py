@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -22,7 +23,7 @@ from wgraph import (
     subset_check,
 )
 import wgraph.spectra
-from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _in_pair, _membership_verdicts
+from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _in_pair, _spectrum_and_verdicts
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -374,7 +375,9 @@ def test_hermitian_verdicts_agree_with_the_smallest_singular_value(monkeypatch):
             threshold = radius * np.sqrt(DEFAULT_MEMBERSHIP_TOL)
             offsets = threshold * np.array([0.0, 0.5, 0.99, 1.01, 2.0, 1e3])
             lams = spec.as_array().real[rng.integers(0, n, 6)] + offsets * np.exp(2j * np.pi * rng.random(6))
-            for lam, v in zip(lams, _membership_verdicts(m, spec, lams)):
+            got, verdicts = _spectrum_and_verdicts(m, lams)
+            assert got == spec
+            for lam, v in zip(lams, verdicts):
                 sigma = np.linalg.svd(m - lam * np.eye(n), compute_uv=False)[-1]
                 assert abs(sigma - threshold) > delta  # off the band
                 assert v.member is bool(sigma <= threshold)
@@ -393,7 +396,7 @@ def test_a_lambda_in_the_band_gets_exactly_one_dense_verdict(monkeypatch):
     mu = spec.values[2]
     # mu + i * threshold lies exactly at the threshold, inside the band
     lams = [mu, mu + 10j * threshold, mu + 1j * threshold, mu + 0.1 * threshold]
-    verdicts = _membership_verdicts(m, spec, lams)
+    verdicts = _spectrum_and_verdicts(m, lams)[1]
     assert len(dense) == 1 and dense[0][1] == lams[2]
     assert verdicts[2] == membership_by_deficiency(m, lams[2])
     assert [v.member for v in verdicts] == [True, False, verdicts[2].member, True]
@@ -402,8 +405,8 @@ def test_a_lambda_in_the_band_gets_exactly_one_dense_verdict(monkeypatch):
 def test_non_hermitian_verdicts_are_the_dense_ones(monkeypatch):
     dense = _counting_dense(monkeypatch)
     lams = [0.0, 0.5, 0.25j]
-    verdicts = _membership_verdicts(NILPOTENT, spectrum(NILPOTENT), lams)
-    assert len(dense) == 3
+    spec, verdicts = _spectrum_and_verdicts(NILPOTENT, lams)
+    assert spec == spectrum(NILPOTENT) and len(dense) == 3
     assert verdicts == [membership_by_deficiency(NILPOTENT, lam) for lam in lams]
 
 
@@ -411,37 +414,48 @@ def test_non_hermitian_verdicts_are_the_dense_ones(monkeypatch):
 
 
 def _threads_of_dense(monkeypatch):
-    """Record the point of each dense verdict and whether it ran on the main thread."""
-    threads = []
-    real = wgraph.spectra.membership_by_deficiency
+    """Record the point of each dense verdict, whether it ran on the main thread and how many
+    threads were alive as it started; and the same count as each public spectrum started."""
+    threads, alive = [], []
+    real, real_spectrum = wgraph.spectra.membership_by_deficiency, wgraph.spectra.spectrum
 
     def recorded(*args):
         threads.append((args[1], threading.current_thread() is threading.main_thread()))
+        alive.append(threading.active_count())
         return real(*args)
 
+    def spectrum_recorded(m):
+        alive.append(threading.active_count())
+        return real_spectrum(m)
+
     monkeypatch.setattr(wgraph.spectra, "membership_by_deficiency", recorded)
-    return threads
+    monkeypatch.setattr(wgraph.spectra, "spectrum", spectrum_recorded)
+    return threads, alive
 
 
-@pytest.mark.parametrize("count", [0, 1, 4, 5])
+@pytest.mark.parametrize("count", [0, 1, 4, 5, None])
 @pytest.mark.parametrize("n", [3, 5])
 def test_split_non_hermitian_verdicts_come_back_in_order(monkeypatch, count, n):
     monkeypatch.setattr(wgraph.spectra, "_PAIR_MIN_ORDER", 4)
-    rng = np.random.default_rng(100 * n + count)
+    rng = np.random.default_rng(100 * n + (count or 0))
     m = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     spec = spectrum(m)
-    # the diagonal is the spectrum: half of the points are members, half are not
-    lams = [spec.values[k % n] + (0.3 if k % 2 else 0.0) for k in range(count)]
-    want = [membership_by_deficiency(m, lam) for lam in lams]
-    threads = _threads_of_dense(monkeypatch)
+    # the diagonal is the spectrum: half of the points are members, half are not; None tests
+    # the spectrum itself
+    lams = None if count is None else [spec.values[k % n] + (0.3 if k % 2 else 0.0) for k in range(count)]
+    points = list(spec.values) if count is None else lams
+    want = [membership_by_deficiency(m, lam) for lam in points]
+    threads, alive = _threads_of_dense(monkeypatch)
     before = threading.active_count()
-    assert _membership_verdicts(m, spec, lams) == want
+    assert _spectrum_and_verdicts(m, lams) == (spec, want)
     assert threading.active_count() == before
-    on_main = [on for _, on in sorted(threads, key=lambda t: lams.index(t[0]))]
-    if n >= 4 and count >= 2:  # the first half ran on a second thread, the rest here
-        assert on_main == [False] * (count // 2) + [True] * (count - count // 2)
+    assert len(alive) == len(points) + (count is not None) and max(alive, default=before) <= before + 1
+    on_main = [on for _, on in sorted(threads, key=lambda t: points.index(t[0]))]
+    if n >= 4:  # the first half, rounded up, ran on a second thread, the rest here
+        half = (len(points) + 1) // 2
+        assert on_main == [False] * half + [True] * (len(points) - half)
     else:
-        assert on_main == [True] * count
+        assert on_main == [True] * len(points)
 
 
 @pytest.mark.parametrize("order", [0, 10**6])
@@ -498,17 +512,25 @@ def test_is_hermitian_in_blocks_matches_the_whole_matrix_formula(monkeypatch, bl
     assert True in verdicts and False in verdicts
 
 
-def test_spectrum_hands_its_hermitian_verdict_to_the_membership_verdicts(monkeypatch):
-    calls = []
-    real = wgraph.spectra.is_hermitian
-    monkeypatch.setattr(wgraph.spectra, "is_hermitian", lambda m: calls.append(m) or real(m))
+def test_the_hermitian_verdict_is_taken_once_and_is_no_field_of_the_set(monkeypatch):
+    assert [f.name for f in dataclasses.fields(SpectralSet)] == ["values", "tol"]
+    calls, depth = [], []
+    real, real_spectrum = wgraph.spectra.is_hermitian, wgraph.spectra.spectrum
+
+    def spectrum_nested(m):
+        depth.append(m)
+        try:
+            return real_spectrum(m)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(wgraph.spectra, "is_hermitian", lambda m: calls.append(bool(depth)) or real(m))
+    monkeypatch.setattr(wgraph.spectra, "spectrum", spectrum_nested)
     for m in (_random_hermitian(np.random.default_rng(8), 6), NILPOTENT):
-        del calls[:]
-        spec = spectrum(m)
-        _membership_verdicts(m, spec, spec.values)
-        assert len(calls) == 1
-        # the verdict is no field of the set's equality or repr
-        assert spec == SpectralSet(spec.values, spec.tol) and repr(spec) == repr(SpectralSet(spec.values, spec.tol))
-        del calls[:]
-        _membership_verdicts(m, SpectralSet(spec.values, spec.tol), spec.values)  # built by hand
-        assert len(calls) == 1
+        for lams in (None, [0.0, 0.5]):
+            del calls[:]
+            spec, _ = _spectrum_and_verdicts(m, lams)
+            # once outside the public spectrum, which the non-Hermitian dense tests run beside
+            assert calls.count(False) == 1
+            assert calls.count(True) == (0 if lams is None or m is not NILPOTENT else 1)
+            assert spec == real_spectrum(m) and repr(spec) == repr(SpectralSet(spec.values, spec.tol))

@@ -29,7 +29,7 @@ from wgraph import (
     subset_check,
     voltage_cover,
 )
-from wgraph.spectra import _membership_verdicts
+from wgraph.spectra import _spectrum_and_verdicts
 
 # the 2-cycle x <-> y with unit weights, its 2-sheet cover, and an element of
 # the same norm bound 1 on the odometer
@@ -42,13 +42,13 @@ POINTS = SpectralSet((-1.0, 1.0))
 
 TOL_RULE = {
     "membership": lambda tol: membership_by_deficiency(MATRIX, 1.0, tol=tol),
-    "verdicts": lambda tol: _membership_verdicts(MATRIX, POINTS, [1.0], None, tol),
+    "verdicts": lambda tol: _spectrum_and_verdicts(MATRIX, [1.0], None, tol),
     "subset_check": lambda tol: subset_check(POINTS, POINTS, tol),
     "route": lambda tol: deficiency_route_check(COVERING, tol=tol),
 }
 RADIUS_RULE = {
     "membership": lambda radius: membership_by_deficiency(MATRIX, 1.0, radius),
-    "verdicts": lambda radius: _membership_verdicts(MATRIX, POINTS, [1.0], radius),
+    "verdicts": lambda radius: _spectrum_and_verdicts(MATRIX, [1.0], radius),
     "route": lambda radius: deficiency_route_check(COVERING, radius=radius),
     "positive_element_graph": lambda radius: positive_element_graph(ORBITAL, ELEMENT, 0.0, radius),
 }
@@ -84,7 +84,7 @@ def test_a_default_radius_without_a_finite_square_names_the_norm_bound():
 def test_a_non_finite_lambda_is_refused(lam):
     for call in (
         lambda: membership_by_deficiency(MATRIX, lam),
-        lambda: _membership_verdicts(MATRIX, POINTS, [0.0, lam]),
+        lambda: _spectrum_and_verdicts(MATRIX, [0.0, lam]),
         lambda: deficiency_route_check(COVERING, lambdas=[lam]),
         lambda: deficiency_graph(BASE, lam, 4.0),
     ):
