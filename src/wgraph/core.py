@@ -34,15 +34,12 @@ __all__ = [
     "ArcView",
     "WeightedGraph",
     "make_graph",
-    "identity_graph",
     "scale",
     "add_scalar",
     "adjoint",
     "compose",
-    "compose_with_pairs",
     "deficiency_chain",
     "deficiency_graph",
-    "normalize",
     "GRAPH_OPS",
 ]
 
@@ -237,12 +234,6 @@ def make_graph(vertices: Iterable[str], arcs, pairing) -> WeightedGraph:
     return WeightedGraph(vt, source, target, np.array(weight, dtype=complex), pr)
 
 
-def identity_graph(vertices: Iterable[str]) -> WeightedGraph:
-    """Graph of the identity operator: one unit self-paired loop per vertex."""
-    vt = sorted(str(v) for v in vertices)
-    return make_graph(vt, [(v, v, 1.0) for v in vt], range(len(vt)))
-
-
 def scale(graph: WeightedGraph, factor) -> WeightedGraph:
     """Multiply every arc weight by ``factor``; arcs and pairing are unchanged."""
     return graph.with_weights(_cmul(complex(factor), graph.weight))
@@ -326,10 +317,11 @@ def _check_arc_budget(count: int):
 
 
 def _compose(graph: WeightedGraph, other: WeightedGraph):
-    """:func:`compose_with_pairs` with the factor indices as arrays.
+    """:func:`compose`, keeping the factor arc of each composed arc.
 
-    Returns ``(composed, left, right)``: composed arc ``k`` is the pair
-    ``(left[k], right[k])``, and both are -1 on a zero-completion arc.
+    Returns ``(composed, left, right)``: composed arc ``k`` is the path
+    ``(left[k], right[k])`` of an arc of ``graph`` and an arc of
+    ``other``, and both are -1 on a zero-completion arc.
     """
     if graph.vertices != other.vertices:
         raise GraphStructureError("compose requires identical vertex sets")
@@ -365,32 +357,19 @@ def _compose(graph: WeightedGraph, other: WeightedGraph):
     return WeightedGraph(graph.vertices, source, target, weight, pair), left, right
 
 
-def compose_with_pairs(graph: WeightedGraph, other: WeightedGraph):
-    """Compose two graphs on one vertex set, keeping the factor bookkeeping.
+def compose(graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
+    """Composition graph; its operator is ``H_graph @ H_other``.
 
     The arcs of the result are the composable pairs ``(a, b)`` with ``a``
     from ``graph``, ``b`` from ``other`` and ``target(a) == source(b)``,
     ordered by ``a`` and then ``b``, weighted by the product of the factor
-    weights, so the result's operator is the product of the factor
-    operators.  When the factors share an arc skeleton (endpoints and
+    weights.  When the factors share an arc skeleton (endpoints and
     pairing agree index by index) the reversal of ``(a, b)`` is
     ``(pairing(b), pairing(a))``, the reversed length-2 path.  Otherwise
     reversals are completed deterministically, adding weight-0 arcs where
     a direction has no counterpart.  The composed arc count is checked
     against :data:`wgraph.operator.MAX_ARCS` before anything is allocated.
-
-    Returns ``(composed, pairs)`` where ``pairs[k]`` is the factor index
-    pair ``(i, j)`` of arc ``k``, or ``None`` for a zero-completion arc.
     """
-    composed, left, right = _compose(graph, other)
-    pairs = tuple(
-        (i, j) if i >= 0 else None for i, j in zip(left.tolist(), right.tolist())
-    )
-    return composed, pairs
-
-
-def compose(graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
-    """Composition graph; its operator is ``H_graph @ H_other``."""
     return _compose(graph, other)[0]
 
 
@@ -440,23 +419,3 @@ def deficiency_graph(graph: WeightedGraph, lam, radius: float, side: str = "righ
     ``compose`` and ``scale``, so the matrix identity holds exactly.
     """
     return deficiency_chain(graph, lam, radius, side, GRAPH_OPS)
-
-
-def normalize(graph: WeightedGraph) -> WeightedGraph:
-    """Merge parallel arcs with equal endpoints by summing their weights.
-
-    An operator-level no-op that collapses the multigraph to at most one
-    arc per ordered vertex pair (reverse directions are kept or created so
-    the pairing stays total; loops become a single self-paired arc).
-    """
-    n = len(graph.vertices)
-    s = graph.source.astype(np.int64)
-    t = graph.target.astype(np.int64)
-    keys = np.unique(np.concatenate([s * n + t, t * n + s]))
-    slot = np.searchsorted(keys, s * n + t)
-    weight = np.empty(len(keys), dtype=complex)
-    weight.real = np.bincount(slot, weights=graph.weight.real, minlength=len(keys))
-    weight.imag = np.bincount(slot, weights=graph.weight.imag, minlength=len(keys))
-    ks, kt = keys // n, keys % n
-    pair = np.searchsorted(keys, kt * n + ks)
-    return WeightedGraph(graph.vertices, ks, kt, weight, pair)

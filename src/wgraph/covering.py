@@ -31,7 +31,6 @@ __all__ = [
     "InclusionReport",
     "RouteStep",
     "DeficiencyRouteReport",
-    "identity_covering",
     "verify_covering",
     "induced_covering",
     "induced_deficiency_covering",
@@ -71,10 +70,6 @@ class Violation:
     kind: str  # endpoint | pairing | weight | local_bijectivity | surjectivity
     where: str
     detail: str
-
-
-def identity_covering(graph: WeightedGraph) -> CoveringMap:
-    return CoveringMap(graph, graph, {v: v for v in graph.vertices}, tuple(range(len(graph.arcs))))
 
 
 def _vertex_images(covering: CoveringMap) -> np.ndarray:

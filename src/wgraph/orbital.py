@@ -238,9 +238,6 @@ class GroupAlgebraElement:
     def coefficient(self, word) -> complex:
         return self.terms.get(tuple(word), 0j)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -528,7 +525,10 @@ class _LazyMatches(Mapping):
         return len(self._vertices)
 
     def __repr__(self) -> str:
-        return repr(self._data())
+        # reading the map codes every ball, so a map not yet read shows only its size
+        if self._maps.cache_info().currsize:
+            return repr(self._data())
+        return f"<{len(self)} matches, coded when read>"
 
 
 def _check_max_radius(max_radius: int):
@@ -547,14 +547,15 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     be rooted-label-isomorphic to some ball of the other, and vice versa.
     Each ball is reduced to its canonical code (see :func:`_ball_code`),
     and a vertex's match is the first vertex, in the other graph's vertex
-    order, whose ball has the same code.  Radii are checked in increasing
-    order by comparing the sets of codes, one radius at a time.  Matching
-    is monotone in the radius (an isomorphism at l restricts to one at
-    l-1), so once a radius fails, all larger radii are reported failed
-    with empty matches.  When both graphs have the same labeled adjacency,
-    the identity map passes every radius and no ball is coded.  The match
-    maps of the passing radii and of the first failing one are read-only
-    mappings, coded when first read.
+    order, whose ball has the same code.  A radius passes when both graphs
+    have the same set of codes.  Passing is monotone in the radius (a
+    ball's radius-(l-1) code is a function of its radius-l code), so the
+    first failing radius is found by probing radii 0, 1, 3, 7, ... up to
+    ``max_radius`` and bisecting between the last pass and the first fail;
+    all radii past it are reported failed with empty matches.  When both
+    graphs have the same labeled adjacency, the identity map passes every
+    radius and no ball is coded.  The match maps of the passing radii and
+    of the first failing one are read-only mappings, coded when first read.
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
@@ -562,8 +563,16 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     same = _same_adjacency(gx, gy)
     failed = max_radius + 1  # the first failing radius, past the cap when none fails
     if not same:
-        failed = next((r for r in range(max_radius + 1)
-                       if set(_codes(gx, r).values()) != set(_codes(gy, r).values())), failed)
+        def passes(r):
+            return set(_codes(gx, r).values()) == set(_codes(gy, r).values())
+
+        lo, hi = -1, 0  # the last radius known to pass, and the next probe: 0, 1, 3, 7, ... up to the cap
+        while hi <= max_radius and passes(hi):
+            lo, hi = hi, max(hi + 1, min(2 * hi + 1, max_radius))
+        while hi - lo > 1:  # hi failed: bisect for the first failure
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        failed = hi
     verdicts = []
     for radius in range(max_radius + 1):
         if radius > failed:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph
+from helpers import random_graph, reference_compose_with_pairs
 
 from wgraph import (
     Arc,
@@ -13,15 +13,13 @@ from wgraph import (
     add_scalar,
     adjoint,
     compose,
-    compose_with_pairs,
     deficiency_graph,
-    identity_graph,
     make_graph,
     materialize,
     matrix_norm_bound,
-    normalize,
     scale,
 )
+from wgraph.core import _compose
 
 
 def two_cycle(w1=1.0, w2=1.0):
@@ -80,11 +78,6 @@ def test_single_loop_materializes_to_scalar():
     assert np.array_equal(materialize(g), np.array([[lam]]))
 
 
-def test_identity_graph():
-    g = identity_graph(["b", "a", "c"])
-    assert np.array_equal(materialize(g), np.eye(3))
-
-
 def test_scale_matches_matrix_scaling_exactly():
     g = two_cycle(2 + 1j, -0.5)
     assert np.array_equal(materialize(scale(g, 3j)), 3j * materialize(g))
@@ -126,8 +119,9 @@ def test_compose_matches_matrix_product_on_four_cycle():
 
 def test_compose_shared_skeleton_pairing_reverses_paths():
     g = two_cycle(2.0, 3.0)
-    composed, pairs = compose_with_pairs(g, g)
-    assert None not in pairs
+    composed, left, right = _compose(g, g)
+    pairs = list(zip(left.tolist(), right.tolist()))
+    assert pairs == reference_compose_with_pairs(g, g)[2]
     for k, (i, j) in enumerate(pairs):
         rev = composed.pairing[k]
         assert pairs[rev] == (g.pairing[j], g.pairing[i])
@@ -136,7 +130,9 @@ def test_compose_shared_skeleton_pairing_reverses_paths():
 def test_compose_different_skeletons_completes_pairing_with_zero_arcs():
     a = make_graph(["u", "v", "w"], [("u", "v", 2.0), ("v", "u", 1.0)], [1, 0])
     b = make_graph(["u", "v", "w"], [("v", "w", 3.0), ("w", "v", 1.0)], [1, 0])
-    composed, pairs = compose_with_pairs(a, b)
+    composed, left, right = _compose(a, b)
+    pairs = reference_compose_with_pairs(a, b)[2]
+    assert list(zip(left.tolist(), right.tolist())) == [p or (-1, -1) for p in pairs]
     assert np.array_equal(materialize(composed), materialize(a) @ materialize(b))
     zero = [k for k, p in enumerate(pairs) if p is None]
     assert zero and all(composed.arcs[k].weight == 0 for k in zero)
@@ -207,18 +203,6 @@ def test_deficiency_graph_rejects_bad_parameters():
         deficiency_graph(g, 0.0, 2.0, side="sideways")
 
 
-def test_normalize_merges_parallel_arcs_and_keeps_operator():
-    g = make_graph(
-        ["a", "b"],
-        [("a", "b", 1.0), ("b", "a", 2.0), ("a", "b", 0.5j), ("b", "a", 0.0)],
-        [1, 0, 3, 2],
-    )
-    n = normalize(g)
-    assert len(n.arcs) == 2
-    assert np.array_equal(materialize(n), materialize(g))
-    assert normalize(n) == n
-
-
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -253,9 +237,8 @@ def test_property_ops_preserve_pairing_structure(g, re, im):
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
-def test_property_adjoint_involutive_and_normalize_stable(g):
+def test_property_adjoint_involutive(g):
     assert adjoint(adjoint(g)) == g
-    assert np.array_equal(materialize(normalize(g)), materialize(g))
 
 
 @pytest.mark.parametrize("radius", [np.inf, 1e200, np.nan, 1e-200, -2.0])

@@ -11,7 +11,6 @@ from wgraph import (
     DimensionCapError,
     GraphStructureError,
     deficiency_route_check,
-    identity_covering,
     induced_covering,
     induced_deficiency_covering,
     make_graph,
@@ -59,7 +58,8 @@ def c4_over_c2():
 
 def test_identity_covering_is_valid():
     g = c2_base()
-    assert verify_covering(identity_covering(g)) == []
+    ident = CoveringMap(g, g, {v: v for v in g.vertices}, tuple(range(len(g.weight))))
+    assert verify_covering(ident) == []
 
 
 def test_explicit_c4_to_c2_covering_is_valid():
@@ -123,7 +123,7 @@ def test_malformed_maps_raise():
 
 def test_induced_coverings_on_identity_are_identities():
     g = c2_base()
-    ident = identity_covering(g)
+    ident = CoveringMap(g, g, {v: v for v in g.vertices}, tuple(range(len(g.weight))))
     out = induced_covering(ident, "scale", factor=2j)
     assert out.cover == scale(g, 2j) and out.base == scale(g, 2j)
     assert verify_covering(out) == []
@@ -213,7 +213,7 @@ def test_voltage_cover_rejects_incompatible_voltages():
 
 def test_spectral_inclusion_identity_distance_zero():
     g = c2_base()
-    inc = spectral_inclusion_check(identity_covering(g))
+    inc = spectral_inclusion_check(CoveringMap(g, g, {v: v for v in g.vertices}, tuple(range(len(g.weight)))))
     assert inc.included
     assert inc.subset.max_deviation == 0.0
     assert inc.intertwining_residual == 0.0

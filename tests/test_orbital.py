@@ -1,4 +1,7 @@
 import gc
+import math
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -130,7 +133,6 @@ def test_element_drops_zero_terms():
     assert not GroupAlgebraElement.from_pairs([(("a",), 1.0), (("a",), -1.0)])
     combined = GroupAlgebraElement.from_pairs([(("a",), 1.0), (("a",), 2.0)])
     assert combined.coefficient(("a",)) == 3.0
-    assert combined.max_word_length() == 1
 
 
 def test_orbit_of_trivial_action_is_a_singleton():
@@ -599,19 +601,41 @@ def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
 
     monkeypatch.setattr(wgraph.orbital, "_ball_code", tracked_ball_code)
     res = local_iso_check(gx, gy, 5)
-    assert len(codes) == 2 * n * 6 and res.max_ok_radius == 5  # the scan, radii 0-5
+    probes = len(_search_probes(6, 5))  # radii 0, 1, 3 and 5, which all pass
+    assert len(codes) == 2 * n * probes and res.max_ok_radius == 5
     first = dict(res.radii[2].x_matches)
-    assert len(codes) == 2 * n * 7  # the x and the y codes of radius 2
+    assert len(codes) == 2 * n * (probes + 1)  # the x and the y codes of radius 2
     assert dict(res.radii[2].y_matches) == want[2].y_matches  # ... which gave both maps
     assert dict(res.radii[3].x_matches) == want[3].x_matches
-    assert len(codes) == 2 * n * 8
+    assert len(codes) == 2 * n * (probes + 2)
     assert dict(res.radii[2].x_matches) == first == want[2].x_matches  # a map once read is kept
-    assert len(codes) == 2 * n * 8
+    assert len(codes) == 2 * n * (probes + 2)
     gc.collect()
     assert all(ref() is None for ref in codes)  # while the result lives, no code does
 
 
-def test_different_adjacency_codes_no_radius_past_the_first_failure(monkeypatch):
+def _search_probes(failed: int, cap: int) -> list:
+    """The radii that the search for a first failure at ``failed`` (``cap + 1`` when none
+    fails) codes: 0, 1, 3, 7, ... capped at ``cap`` until one fails, then a bisection."""
+    probes = [0]
+    while probes[-1] < min(failed, cap):
+        probes.append(min(2 * probes[-1] + 1, cap))
+    lo, hi = (probes[-2] if len(probes) > 1 else -1), probes[-1]
+    while hi >= failed and hi - lo > 1:
+        probes.append(mid := (lo + hi) // 2)
+        lo, hi = (mid, hi) if mid < failed else (lo, mid)
+    return probes
+
+
+def _assert_codes_only_the_search_probes(coded, gx, gy, cap, failed):
+    radii = [args[2] for args in coded]
+    assert set(radii) == set(_search_probes(failed, cap))
+    assert len(radii) == (len(gx.graph.vertices) + len(gy.graph.vertices)) * len(set(radii))
+    assert max(radii) <= min(cap, 2 * failed + 1)
+    assert len(set(radii)) <= 2 * math.ceil(math.log2(cap + 2)) + 2
+
+
+def test_different_adjacency_codes_only_the_search_probes(monkeypatch):
     g3 = orbital_graph(odometer_action(3), "000", adjacency_element())
     g4 = orbital_graph(odometer_action(4), "0000", adjacency_element())
     relabeled = repermuted(np.random.default_rng(1209), odometer_action(4))
@@ -624,12 +648,57 @@ def test_different_adjacency_codes_no_radius_past_the_first_failure(monkeypatch)
         want = reference_local_iso(gx, gy, min(cap, 5)).radii
         coded = _counting(monkeypatch, "_ball_code")
         res = local_iso_check(gx, gy, cap)
-        scanned = min(max_ok + 1, cap)  # every radius up to the first failure, and no further
-        assert {args[2] for args in coded} == set(range(scanned + 1))
-        assert len(coded) == (len(gx.graph.vertices) + len(gy.graph.vertices)) * (scanned + 1)
+        _assert_codes_only_the_search_probes(coded, gx, gy, cap, max_ok + 1)
         assert res.max_ok_radius == max_ok
         assert res.radii[:len(want)] == want
         monkeypatch.undo()
+
+
+# fixes the first letter, so the roots 0...0 and 10...0 lie in two orbits of one action
+TWO_ORBIT_TRANSITIONS = {
+    "s": {"0": ("0", "a"), "1": ("1", "a")},
+    "a": {"0": ("1", "e"), "1": ("0", "a")},
+    "e": {"0": ("0", "e"), "1": ("1", "e")},
+}
+
+
+def _two_orbits(level):
+    act = GroupAction.from_mealy(TWO_ORBIT_TRANSITIONS, ["0", "1"], level)
+    return act, GroupAlgebraElement({("s",): 1.0, ("s'",): 1.0}), "0" * level, "1" + "0" * (level - 1)
+
+
+def test_two_orbit_scan_codes_logarithmically_many_radii(monkeypatch):
+    act, elem, x, y = _two_orbits(7)
+    gx, gy = orbital_graph(act, x, elem), orbital_graph(act, y, elem)
+    assert set(gx.graph.vertices).isdisjoint(gy.graph.vertices)
+    cap = max(gx.diameter(), gy.diameter()) + 1
+    coded = _counting(monkeypatch, "_ball_code")
+    res = local_iso_check(gx, gy, cap)
+    assert cap == 33 and res.max_ok_radius == cap
+    assert len({args[2] for args in coded}) <= 14  # a scan of radii 0, 1, 2, ... codes all 34
+    _assert_codes_only_the_search_probes(coded, gx, gy, cap, cap + 1)
+    monkeypatch.undo()
+    assert res.radii[:4] == reference_local_iso(gx, gy, 3).radii
+
+
+def test_repr_of_a_two_orbit_comparison_codes_no_ball(monkeypatch):
+    act, elem, x, y = _two_orbits(4)
+    comp = spectra_compare_orbits(act, act, x, y, elem)
+    coded = _counting(monkeypatch, "_ball_code")
+    assert "<8 matches, coded when read>" in repr(comp)
+    assert coded == []
+    matches = comp.local_iso.radii[1].x_matches
+    read = dict(matches)
+    assert repr(matches) == repr(read)  # a map once read shows its matches
+    script = (
+        "from wgraph import GroupAction, GroupAlgebraElement, spectra_compare_orbits\n"
+        f"act = GroupAction.from_mealy({TWO_ORBIT_TRANSITIONS!r}, ['0', '1'], 4)\n"
+        "elem = GroupAlgebraElement({('s',): 1.0, (\"s'\",): 1.0})\n"
+        f"print(repr(spectra_compare_orbits(act, act, {x!r}, {y!r}, elem)))\n"
+    )
+    first, second = (subprocess.run([sys.executable, "-c", script], capture_output=True, check=True).stdout
+                     for _ in range(2))
+    assert first == second and b"coded when read" in first
 
 
 def test_equal_operators_share_spectrum_diameter_and_cross_checks(monkeypatch):
