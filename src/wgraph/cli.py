@@ -46,7 +46,7 @@ from .fileio import (
     write_graph,
     write_matrix,
 )
-from .operator import FinSuppVector, materialize
+from .operator import FinSuppVector, _check_dense, materialize
 from .spectra import (
     DEFAULT_MEMBERSHIP_TOL, DEFAULT_SUBSET_TOL, _as_square_matrix, _deficiency_matrix, _in_pair,
     _spectrum_and_verdicts, shift_counterexample_report, spectrum,
@@ -97,10 +97,10 @@ def _verdict_fields(rep: Report, prefix: str, verdict):
     rep.kv(f"{prefix}DIST RIGHT", _fmt(verdict.dist_right), verdict.dist_right)
 
 
-def _self_check_deviation(dense: list, expect, result) -> float:
-    """Max entry of ``|materialize(result) - expect(m)|``.  ``m`` is popped from ``dense``, so
-    it is freed once the expected matrix is built: the dense n x n copies set the memory peak."""
-    expected = expect(dense.pop())
+def _self_check_deviation(graph, expect, result) -> float:
+    """Max entry of ``|materialize(result) - expect(materialize(graph))|``.  The dense n x n
+    copies set the memory peak, so the input's is freed once the expected matrix is built."""
+    expected = expect(materialize(graph))
     got = materialize(result)
     got -= expected
     return float(np.max(np.abs(got), initial=0.0))
@@ -113,7 +113,7 @@ def cmd_graph_op(args) -> int:
     rep = Report()
     rep.kv("OPERATION", args.op)
     rep.kv("INPUT ORDER", graph.order)
-    m = materialize(graph)
+    _check_dense(graph.order)  # the check materializes the input; an input past the cap is refused first
     if args.op == "scale":
         if args.factor is None:
             raise ValueError("scale needs --factor")
@@ -155,10 +155,8 @@ def cmd_graph_op(args) -> int:
     rep.kv("RESULT ARCS", len(result.arcs))
     # The dense check spends its time in numpy, which releases the GIL, and the write in repr,
     # which holds it, so the two overlap; an error of the check is reported before one of the
-    # write, as when they ran in turn.  The check owns the only reference to m.
-    dense = [m]
-    del m
-    deviation, _ = _in_pair(graph.order, lambda: _self_check_deviation(dense, expect, result),
+    # write, as when they ran in turn.
+    deviation, _ = _in_pair(graph.order, lambda: _self_check_deviation(graph, expect, result),
                             lambda: write_graph(result, args.out) if args.out else None)
     ok = deviation <= args.tol
     rep.kv("SELF-CHECK DEVIATION", _fmt(deviation), deviation)

@@ -186,6 +186,14 @@ def _read_graph_block(cur: _Cursor) -> WeightedGraph:
         cur.fail(start, str(e))
 
 
+def _check_line_starts(tokens, what: str, error):
+    """Refuse a token that would begin a written line with ``#``, which every reader skips as a
+    comment.  Writers call it before the file opens."""
+    for token in tokens:
+        if token.startswith("#"):
+            raise error(f"{what} {token!r} starts with '#' and would be read back as a comment")
+
+
 def _complex_strings(values: np.ndarray) -> list[str]:
     """``a+bi`` text of each entry of a 1-D complex array, one ``repr`` pass per part."""
     out = list(map(repr, values.real.tolist()))
@@ -198,8 +206,10 @@ def _complex_strings(values: np.ndarray) -> list[str]:
 
 
 def _graph_block_lines(graph: WeightedGraph):
-    """Lines of a graph block; reads every attribute now, formats the arcs a chunk at a time."""
+    """Lines of a graph block; reads every attribute and checks the vertex ids now, formats the
+    arcs a chunk at a time."""
     names = graph.vertices
+    _check_line_starts(names, "vertex id", GraphStructureError)
     arcs = (
         f"{names[s]} {names[t]} {w} {p}"
         for i in range(0, len(graph.weight), _CHUNK)
@@ -284,11 +294,13 @@ def read_covering(path: str) -> CoveringMap:
 
 def write_covering(covering: CoveringMap, path: str):
     cover = covering.cover.vertices
-    images = [covering.vertex_map[v] for v in cover]  # a missing entry fails before the file opens
+    if covering.vertex_map.keys() != set(cover):
+        raise GraphStructureError("vertex map domain does not equal the cover vertex set")
+    images = [covering.vertex_map[v] for v in cover]
     _write_lines(path, itertools.chain(
         ["covering 1", "cover"], _graph_block_lines(covering.cover),
         ["base"], _graph_block_lines(covering.base),
-        [f"vertex-map {len(covering.vertex_map)}"], (f"{v} {b}" for v, b in zip(cover, images)),
+        [f"vertex-map {len(cover)}"], (f"{v} {b}" for v, b in zip(cover, images)),
         [f"arc-map {len(covering.arc_map)}"], (f"{k} {b}" for k, b in enumerate(covering.arc_map)),
     ))
 
@@ -419,10 +431,13 @@ def write_action(spec: ActionSpec, path: str):
         lines.append(f"points {len(act.points)}")
         lines.extend(act.points)
         names = act.generator_names()
+        _check_line_starts(act.points, "point id", ActionError)
+        _check_line_starts(names, "generator name", ActionError)
         lines.append(f"generators {len(names)}")
         for name in names:
             lines.append(name + " " + " ".join(str(i + 1) for i in act.perms[name]))
     else:
+        _check_line_starts(spec.alphabet, "alphabet letter", ActionError)
         lines.append("alphabet " + " ".join(spec.alphabet))
         lines.append(f"states {len(spec.transitions)}")
         for name in sorted(spec.transitions):
@@ -461,6 +476,7 @@ def write_element(element: GroupAlgebraElement, path: str):
     from .orbital import word_str
 
     words = element.support()
+    _check_line_starts((w[0] for w in words if w), "word token", ActionError)
     lines = ["element 1", f"terms {len(words)}"]
     for w in words:
         lines.append(f"{word_str(w)} {format_complex(element.terms[w])}")

@@ -123,6 +123,12 @@ class StreamedGraph:
     in_weight_sum: float | None = None
 
 
+def _check_dense(n: int):
+    """Refuse the dense matrix of a graph of ``n`` vertices past ``MAX_DENSE_DIM``."""
+    if n > MAX_DENSE_DIM:
+        raise DimensionCapError(f"graph has {n} vertices; the dense cap is {MAX_DENSE_DIM}")
+
+
 def materialize(graph: WeightedGraph) -> np.ndarray:
     """Dense matrix of the graph operator in canonical vertex order.
 
@@ -130,8 +136,7 @@ def materialize(graph: WeightedGraph) -> np.ndarray:
     ``(H f)(u) = sum_w M[u, w] f(w)``.
     """
     n = len(graph.vertices)
-    if n > MAX_DENSE_DIM:
-        raise DimensionCapError(f"graph has {n} vertices; the dense cap is {MAX_DENSE_DIM}")
+    _check_dense(n)
     m = np.zeros((n, n), dtype=complex)
     np.add.at(m, (graph.source, graph.target), graph.weight)
     return m

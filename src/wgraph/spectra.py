@@ -207,39 +207,36 @@ def _spectrum_and_verdicts(m: np.ndarray, lams=None, radius: float | None = None
     For a Hermitian ``M``, ``sigma_min(M - lam)`` is the distance of ``lam`` to the spectrum,
     so both deficiency distances are ``(d/R)^2``, with ``d`` the distance of ``lam`` to the
     computed spectrum, and the side is "left" for a member.  ``d`` is off by at most
-    :func:`_eigvalsh_error`.  A ``lam`` whose verdict that error could flip, and every
-    ``lam`` of a non-Hermitian matrix, gets the dense test.  That test reads no spectrum, so
-    where the points are given it runs beside the public :func:`spectrum` (see
-    ``_dense_verdicts``).
+    :func:`_eigvalsh_error`; a ``lam`` whose verdict that error could flip gets the dense test.
+    Every ``lam`` of a non-Hermitian matrix gets it too, in one ``_in_pair`` call: the worker
+    tests the first half of the points, rounded up, and the caller the rest, after the public
+    :func:`spectrum` where the points are given, as the dense test reads no spectrum.
     """
     bound, r, points = _membership_args(m, () if lams is None else lams, radius, tol)
     hermitian = is_hermitian(m)
-    if lams is not None and not hermitian:
-        verdicts, spec = _dense_verdicts(m, points, r, tol, beside=lambda: spectrum(m))
-        return spec, verdicts
-    spec = _solve(m, hermitian, bound)
-    return spec, _verdicts(m, spec, list(spec.values) if lams is None else points, hermitian, bound, r, tol)
-
-
-def _verdicts(m: np.ndarray, spec: SpectralSet, lams: list, hermitian: bool, bound: float, r: float,
-              tol: float) -> list[MembershipVerdict]:
-    """The verdicts of ``_spectrum_and_verdicts`` on ``lams``, for a matrix whose spectrum is
-    ``spec``, whose :func:`is_hermitian` verdict is ``hermitian`` and whose Schur bound is
-    ``bound``, at the radius ``r`` that ``_membership_args`` returned."""
+    spec = _solve(m, hermitian, bound) if lams is None or hermitian else None
+    if lams is None:
+        points = list(spec.values)
     if not hermitian:
-        return _dense_verdicts(m, lams, r, tol)[0]
+        def run(part):
+            return [membership_by_deficiency(m, lam, r, tol) for lam in part]
+
+        half = (len(points) + 1) // 2
+        first, (spec, rest) = _in_pair(len(m), lambda: run(points[:half]),
+                                       lambda: (spectrum(m) if spec is None else spec, run(points[half:])))
+        return spec, first + rest
     delta = _eigvalsh_error(len(m), bound)
     # the spectrum is real and sorted, so the nearest eigenvalue to lam is a neighbour of Re(lam)
-    z = np.asarray(lams, dtype=complex)
+    z = np.asarray(points, dtype=complex)
     verdicts = []
-    for lam, d in zip(lams, np.hypot(_gaps(spec.as_array().real, z.real), z.imag).tolist()):
+    for lam, d in zip(points, np.hypot(_gaps(spec.as_array().real, z.real), z.imag).tolist()):
         near, far, q = (d + delta) / r, max(d - delta, 0.0) / r, d / r
         member = bool(near * near <= tol)
         if member or far * far > tol:
             verdicts.append(MembershipVerdict(member, "left" if member else "none", q * q, r, q * q, q * q))
         else:
             verdicts.append(membership_by_deficiency(m, lam, r, tol))
-    return verdicts
+    return spec, verdicts
 
 
 def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
@@ -248,19 +245,6 @@ def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
     _check_tol(tol)
     bound = matrix_norm_bound(m)
     return bound, _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
-
-
-def _dense_verdicts(m: np.ndarray, lams: list, radius: float, tol: float, beside=None) -> tuple[list, object]:
-    """:func:`membership_by_deficiency` of each of ``lams``, in order, and the value of
-    ``beside()`` (None without it).  The first half of the list, rounded up, runs beside
-    ``beside`` and the rest of the list (see ``_in_pair``), so at most two threads run."""
-    def run(part):
-        return [membership_by_deficiency(m, lam, radius, tol) for lam in part]
-
-    half = (len(lams) + 1) // 2
-    first, (other, second) = _in_pair(len(m), lambda: run(lams[:half]),
-                                      lambda: (beside() if beside else None, run(lams[half:])))
-    return first + second, other
 
 
 def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -490,6 +474,8 @@ def shift_counterexample_report(depth: int = 100, trials: int = 100, seed: int =
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     fwd = shift_graph("forward")
     adj = shift_graph("adjoint")
     radius = _deficiency_radius(norm_bound(fwd))

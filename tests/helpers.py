@@ -25,6 +25,7 @@ from wgraph import (
     make_graph,
     materialize,
     norm_bound,
+    orbital_graph,
     voltage_cover,
 )
 from wgraph.covering import _vertex_images
@@ -42,6 +43,26 @@ GRIGORCHUK_TRANSITIONS = {
     "d": {"0": ("0", "e"), "1": ("1", "b")},
     "e": {"0": ("0", "e"), "1": ("1", "e")},
 }
+
+
+def schreier_tower(transitions, alphabet, element: GroupAlgebraElement, level: int) -> CoveringMap:
+    """The covering of the level-``level`` orbital graph of ``element`` by its level-(level + 1)
+    graph, both rooted at the word of the first letter.  A vertex drops its last letter; the arc
+    of word g at point z goes to the base arc of g at ``z[:level]``, and a weight-0 completion
+    arc goes to the reversal of its partner's image.  The first ``level`` letters of ``g z``
+    depend only on ``z[:level]``, so endpoints commute with the map."""
+    root = str(alphabet[0])
+    cover, base = (orbital_graph(GroupAction.from_mealy(transitions, alphabet, n), root * n, element)
+                   for n in (level + 1, level))
+    c, b = cover.graph, base.graph
+    base_arc = {(base.labels[k], b.vertices[b.target[k]]): k for k in base.labels}
+    arc_map = [-1] * len(c.weight)
+    for k, word in cover.labels.items():
+        arc_map[k] = base_arc[(word, c.vertices[c.target[k]][:level])]
+    for k, image in enumerate(arc_map):
+        if image < 0:  # a weight-0 completion arc, whose partner is labeled
+            arc_map[k] = int(b.pair[arc_map[c.pair[k]]])
+    return CoveringMap(c, b, {v: v[:level] for v in c.vertices}, tuple(arc_map))
 
 
 def odometer_action(level: int) -> GroupAction:

@@ -322,6 +322,13 @@ def test_demo_shift(capsys):
     assert "one-sided" in out.lower()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_demo_shift_refuses_fewer_than_one_trial(capsys, trials):
+    for fmt in ([], ["--json"]):
+        code, out, err = run(capsys, ["demo-shift", "--trials", trials, *fmt])
+        assert (code, out, err) == (2, "", "ERROR: trials must be at least 1\n")
+
+
 def test_demo_shift_json(capsys):
     code, out, _ = run(capsys, ["demo-shift", "--depth", "30", "--trials", "20", "--json"])
     assert code == 0

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_voltage_cover, reference_route_steps
+from helpers import GRIGORCHUK_TRANSITIONS, random_voltage_cover, reference_route_steps, schreier_tower
 
 import wgraph.covering
 import wgraph.operator
 from wgraph import (
+    ActionSpec,
     CoveringError,
     CoveringMap,
     DimensionCapError,
     GraphStructureError,
+    GroupAlgebraElement,
     deficiency_route_check,
     induced_covering,
     induced_deficiency_covering,
@@ -21,7 +23,11 @@ from wgraph import (
     spectrum,
     verify_covering,
     voltage_cover,
+    write_action,
+    write_covering,
+    write_element,
 )
+from wgraph.cli import main
 from wgraph.spectra import DEFAULT_SUBSET_TOL, _distance_to_one, _nearest
 
 
@@ -475,3 +481,40 @@ def test_voltage_cover_checks_the_lift_budget_before_reading_voltages(monkeypatc
         voltage_cover(base, 2, unread())
     monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 6)
     assert voltage_cover(base, 2, [(1, 0), (1, 0)])[0].order == 6
+
+
+# --- the Schreier tower: the level-(n+1) orbital graph of an element covers the level-n one
+
+TOWER_ELEMENTS = {
+    "a+b+c+d": GroupAlgebraElement({(w,): 1.0 for w in "abcd"}),
+    "non-normal": GroupAlgebraElement({("a",): 1.0, ("b",): 0.5, ("c",): 0.25 + 0.5j}),
+}
+
+
+@pytest.mark.parametrize("level", [3, 6])
+@pytest.mark.parametrize("name", sorted(TOWER_ELEMENTS))
+def test_the_schreier_tower_is_a_covering_with_spectral_inclusion(name, level):
+    covering = schreier_tower(GRIGORCHUK_TRANSITIONS, ["0", "1"], TOWER_ELEMENTS[name], level)
+    assert (covering.cover.order, covering.base.order) == (2 ** (level + 1), 2 ** level)
+    assert verify_covering(covering) == []
+    inc = spectral_inclusion_check(covering)
+    assert inc.included and inc.intertwining_residual == 0.0
+    assert deficiency_route_check(covering).all_ok
+
+
+@pytest.mark.parametrize("name", sorted(TOWER_ELEMENTS))
+def test_cover_include_on_the_tower_prints_the_orbital_spectrum_of_the_base(name, tmp_path, capsys):
+    level, element = 6, TOWER_ELEMENTS[name]
+    cov, act, elt = (str(tmp_path / f) for f in ("tower.cov", "grigorchuk.act", "element.elt"))
+    write_covering(schreier_tower(GRIGORCHUK_TRANSITIONS, ["0", "1"], element, level), cov)
+    write_action(ActionSpec("mealy", transitions=GRIGORCHUK_TRANSITIONS, alphabet=("0", "1")), act)
+    write_element(element, elt)
+    assert main(["cover", "include", "--map", cov]) == 0
+    include = capsys.readouterr().out.splitlines()
+    main(["orbital", "--action", act, "--element", elt, "--x", "0" * level, "--y", "1" * level,
+          "--level", str(level)])
+    orbital = capsys.readouterr().out.splitlines()
+    assert "INCLUDED: ok" in include
+    base = next(line for line in include if line.startswith("BASE SPECTRUM: "))
+    x = next(line for line in orbital if line.startswith("SPECTRUM X: "))
+    assert base.removeprefix("BASE SPECTRUM: ") == x.removeprefix("SPECTRUM X: ")

@@ -20,6 +20,8 @@ from wgraph import (
     ActionError,
     ActionSpec,
     CoveringMap,
+    GraphStructureError,
+    GroupAction,
     GroupAlgebraElement,
     ParseError,
     WeightedGraph,
@@ -141,11 +143,13 @@ def test_covering_round_trip_still_verifies(tmp_path):
 def test_covering_with_an_unmapped_vertex_is_not_written(tmp_path):
     covering = random_voltage_cover(np.random.default_rng(74))[2]
     v = covering.cover.vertices[-1]
-    vertex_map = {u: b for u, b in covering.vertex_map.items() if u != v}
-    with pytest.raises(KeyError):
-        write_covering(CoveringMap(covering.cover, covering.base, vertex_map, covering.arc_map),
-                       tmp_path / "c.cov")
-    assert not (tmp_path / "c.cov").exists()
+    missing = {u: b for u, b in covering.vertex_map.items() if u != v}
+    extra = {**covering.vertex_map, "stray": covering.base.vertices[0]}  # the count would not match the lines
+    for vertex_map in (missing, extra):
+        with pytest.raises(GraphStructureError, match="^vertex map domain does not equal the cover vertex set$"):
+            write_covering(CoveringMap(covering.cover, covering.base, vertex_map, covering.arc_map),
+                           tmp_path / "c.cov")
+        assert not (tmp_path / "c.cov").exists()
 
 
 def _graph_block(g):
@@ -345,6 +349,68 @@ def test_element_file_validation(tmp_path):
     nocoeff.write_text("element 1\nterms 1\na\n")
     with pytest.raises(ParseError):
         read_element(nocoeff)
+
+
+def _two_point_graph(a, b):
+    return make_graph([a, b], [(a, b, 1.0), (b, a, 0.5j)], [1, 0])
+
+
+def _loop_covering(cover_ids, base_id):
+    """Two cover vertices over a one-vertex base with one self-paired loop."""
+    x, y = cover_ids
+    return CoveringMap(_two_point_graph(x, y), make_graph([base_id], [(base_id, base_id, 1.0)], [0]),
+                       {x: base_id, y: base_id}, (0, 0))
+
+
+def _id_writers(token):
+    """Per writer, the error a bad id raises, how it writes an object holding ``token`` at the
+    start of one of its lines, and how it reads that object back."""
+    swap = GroupAction(("p", "q"), {"a": (1, 0)})
+    return {
+        "graph": (GraphStructureError, lambda p: write_graph(_two_point_graph(token, "b"), p), read_graph),
+        "cover-vertex": (GraphStructureError, lambda p: write_covering(_loop_covering((token, "b"), "v"), p),
+                         read_covering),
+        "base-vertex": (GraphStructureError, lambda p: write_covering(_loop_covering(("x", "y"), token), p),
+                        read_covering),
+        "point": (ActionError,
+                  lambda p: write_action(ActionSpec("perm", action=GroupAction((token, "q"), swap.perms)), p),
+                  read_action),
+        "generator": (ActionError,
+                      lambda p: write_action(ActionSpec("perm", action=GroupAction(swap.points, {token: (1, 0)})), p),
+                      read_action),
+        "word": (ActionError, lambda p: write_element(GroupAlgebraElement({(token, "b"): 1.0}), p), read_element),
+    }
+
+
+ID_WRITERS = list(_id_writers("a"))
+WRITER_OF = {read_graph: write_graph, read_covering: write_covering, read_action: write_action,
+             read_element: write_element}
+
+
+@pytest.mark.parametrize("writer", ID_WRITERS)
+def test_writers_refuse_a_token_that_would_begin_a_comment_line(tmp_path, writer):
+    error, write, _ = _id_writers("#a")[writer]
+    path = tmp_path / "out"
+    with pytest.raises(error, match="'#a' starts with '#' and would be read back as a comment$"):
+        write(path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("writer", ID_WRITERS)
+def test_a_hash_inside_a_token_round_trips(tmp_path, writer):
+    _, write, read = _id_writers("a#1")[writer]
+    first, second = tmp_path / "first", tmp_path / "second"
+    write(first)
+    WRITER_OF[read](read(first), second)
+    assert "a#1" in first.read_text() and first.read_bytes() == second.read_bytes()
+
+
+def test_mealy_writer_refuses_a_hash_letter(tmp_path):
+    transitions = {"a": {"#": ("1", "e"), "1": ("#", "e")}, "e": {"#": ("#", "e"), "1": ("1", "e")}}
+    path = tmp_path / "hash.act"
+    with pytest.raises(ActionError, match="^alphabet letter '#' starts with '#'"):
+        write_action(ActionSpec("mealy", transitions=transitions, alphabet=("#", "1")), path)
+    assert not path.exists()
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):

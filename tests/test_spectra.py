@@ -294,6 +294,13 @@ def test_shift_report_demonstrates_one_sided_failure():
     assert shift_counterexample_report(depth=1, trials=1).passed
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_shift_report_refuses_fewer_than_one_trial(trials):
+    # with no random vector tested the orthogonality check would read "pass" on nothing
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        shift_counterexample_report(depth=10, trials=trials)
+
+
 @pytest.mark.parametrize("radius", [np.inf, 1e200, np.nan, 1e-200, -4.0])
 def test_membership_refuses_a_radius_whose_square_is_not_finite_and_positive(radius):
     with pytest.raises(ValueError, match="radius must be positive"):
