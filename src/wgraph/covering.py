@@ -228,6 +228,14 @@ def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side:
     return _checked(chain, "induced deficiency covering")
 
 
+def _check_voltages(d: int, volts):
+    """Refuse a voltage that is not a permutation of the sheets ``0..d-1``; one of another
+    length is refused before ``0..d-1`` is listed."""
+    for k, p in enumerate(volts):
+        if len(p) != d or sorted(p) != list(range(d)):
+            raise ValueError(f"voltage of arc {k} is not a permutation of 0..{d - 1}")
+
+
 def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedGraph, CoveringMap]:
     """Lift a base graph to a degree-d cover via arc voltages.
 
@@ -251,9 +259,7 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
     volts = [tuple(int(x) for x in p) for p in voltages]
     if len(volts) != len(base.arcs):
         raise ValueError(f"need one voltage per arc: got {len(volts)} for {len(base.arcs)} arcs")
-    for k, p in enumerate(volts):
-        if sorted(p) != list(range(d)):
-            raise ValueError(f"voltage of arc {k} is not a permutation of 0..{d - 1}")
+    _check_voltages(d, volts)
     volt = np.array(volts, dtype=np.int64).reshape(len(volts), d)
     inverse = np.empty_like(volt)
     np.put_along_axis(inverse, volt, np.arange(d)[None, :], axis=1)

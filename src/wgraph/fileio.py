@@ -331,6 +331,11 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def write_voltages(degree: int, voltages, path: str):
+    from .covering import _check_voltages
+
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    _check_voltages(degree, voltages)
     lines = ["voltage 1", f"degree {degree}", f"arcs {len(voltages)}"]
     for perm in voltages:
         lines.append(" ".join(str(i + 1) for i in perm))
@@ -425,6 +430,8 @@ def read_action(path: str) -> ActionSpec:
 
 
 def write_action(spec: ActionSpec, path: str):
+    if spec.kind not in ("perm", "mealy"):
+        raise ActionError(f"expected kind 'perm' or 'mealy', got {spec.kind!r}")
     lines = ["action 1", f"kind {spec.kind}"]
     if spec.kind == "perm":
         act = spec.action
@@ -437,6 +444,10 @@ def write_action(spec: ActionSpec, path: str):
         for name in names:
             lines.append(name + " " + " ".join(str(i + 1) for i in act.perms[name]))
     else:
+        # the level-1 expansion refuses what read_action or realize would: a state name that is
+        # no generator token, a missing transition, an unknown next state, a row that does not
+        # permute the alphabet
+        spec.realize(1)
         _check_line_starts(spec.alphabet, "alphabet letter", ActionError)
         lines.append("alphabet " + " ".join(spec.alphabet))
         lines.append(f"states {len(spec.transitions)}")

@@ -711,20 +711,14 @@ def spectra_compare_orbits(
     _check_tol(tol)
     gx = orbital_graph(action_x, x, element)
     gy = orbital_graph(action_y, y, element)
-    mx = _as_square_matrix(materialize(gx.graph), "spectrum")
-    my = _as_square_matrix(materialize(gy.graph), "spectrum")
-    # bit for bit, so that a signed zero counts as a difference; the uint64
-    # views compare without copying either matrix
-    same_matrix = np.array_equal(mx.view(np.uint64), my.view(np.uint64))
+    # one element on the same labeled adjacency materializes to the same matrix bit for bit
+    same = _same_adjacency(gx, gy)
     radius = default_radius_bound(element)
-    sx, in_x = _spectrum_and_verdicts(mx, None, radius, tol)
-    sy, in_y = (sx, in_x) if same_matrix else _spectrum_and_verdicts(my, sx.values, radius, tol)
-    if max_radius is not None:
-        cap = max_radius
-    elif _same_adjacency(gx, gy):
-        cap = gx.diameter() + 1
-    else:
-        cap = max(gx.diameter(), gy.diameter()) + 1
+    sx, in_x = _spectrum_and_verdicts(_as_square_matrix(materialize(gx.graph), "spectrum"), None, radius, tol)
+    sy, in_y = (sx, in_x) if same else _spectrum_and_verdicts(
+        _as_square_matrix(materialize(gy.graph), "spectrum"), sx.values, radius, tol)
+    cap = max_radius if max_radius is not None else (
+        gx.diameter() if same else max(gx.diameter(), gy.diameter())) + 1
     iso = local_iso_check(gx, gy, cap)
     return OrbitComparison(
         root_x=x,

@@ -413,6 +413,43 @@ def test_mealy_writer_refuses_a_hash_letter(tmp_path):
     assert not path.exists()
 
 
+IDENTITY_ROW = {"0": ("0", "e"), "1": ("1", "e")}
+
+
+def _mealy(rows):
+    return ActionSpec("mealy", transitions={**rows, "e": IDENTITY_ROW}, alphabet=("0", "1"))
+
+
+UNREADABLE_ACTIONS = {
+    "spaced-state": (_mealy({"s t": {"0": ("1", "e"), "1": ("0", "s t")}}), "bad generator token 's t'"),
+    "missing-transition": (_mealy({"a": {"0": ("1", "e")}}), "state 'a' must have one transition per letter"),
+    "unknown-next-state": (_mealy({"a": {"0": ("1", "zz"), "1": ("0", "a")}}), "references unknown state 'zz'"),
+    "not-a-permutation": (_mealy({"a": {"0": ("1", "e"), "1": ("1", "a")}}), "does not permute the alphabet"),
+    "unknown-kind": (ActionSpec("foo"), "^expected kind 'perm' or 'mealy', got 'foo'$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_ACTIONS))
+def test_action_writer_refuses_a_spec_it_cannot_read_back(tmp_path, case):
+    spec, message = UNREADABLE_ACTIONS[case]
+    path = tmp_path / "bad.act"
+    with pytest.raises(ActionError, match=message):
+        write_action(spec, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("degree, voltages, message", [
+    (0, [], "degree must be at least 1"),
+    (2, [(1, 0), (0, 1, 2)], "voltage of arc 1 is not a permutation of 0..1"),
+    (2, [(0, 0)], "voltage of arc 0 is not a permutation of 0..1"),
+], ids=["zero-degree", "long-voltage", "repeated-sheet"])
+def test_voltage_writer_refuses_what_read_voltages_rejects(tmp_path, degree, voltages, message):
+    path = tmp_path / "bad.volt"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_voltages(degree, voltages, path)
+    assert not path.exists()
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     p = tmp_path / "commented.wg"
     p.write_text(

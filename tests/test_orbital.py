@@ -724,23 +724,49 @@ def test_equal_operators_share_spectrum_diameter_and_cross_checks(monkeypatch):
     assert member[0][1] is None and member[1][1] == comp.spectrum_x.values and len(comp.spectrum_x) == 8
 
 
-def test_a_signed_zero_makes_the_operators_differ(monkeypatch):
-    act = odometer_action(3)
+def test_a_same_orbit_comparison_materializes_one_matrix(monkeypatch):
+    act, elem = _grigorchuk(5)
+    built = _counting(monkeypatch, "materialize")
+    member = _counting(monkeypatch, "_spectrum_and_verdicts")
+    comp = spectra_compare_orbits(act, act, "00000", "11111", elem)
+    assert len(built) == len(member) == 1
+    assert comp.spectrum_y is comp.spectrum_x and comp.saturated
+
+
+def test_an_equal_matrix_on_another_adjacency_is_solved_again(monkeypatch):
+    act, elem = _grigorchuk(5)
+    # the same permutations under swapped names b <-> d: a different labeled graph, the same matrix
+    swapped = GroupAction(act.points, {**act.perms, "b": act.perms["d"], "d": act.perms["b"]})
+    gx, gy = orbital_graph(act, "00000", elem), orbital_graph(swapped, "00000", elem)
+    assert materialize(gx.graph).tobytes() == materialize(gy.graph).tobytes()
+    built = _counting(monkeypatch, "materialize")
+    member = _counting(monkeypatch, "_spectrum_and_verdicts")
+    comp = spectra_compare_orbits(act, swapped, "00000", "00000", elem)
+    assert len(built) == len(member) == 2
+    assert member[1][1] == comp.spectrum_x.values
+    # the results of one shared operator: one spectrum, equal verdicts, nothing local past radius 0
+    assert comp.spectrum_y == comp.spectrum_x and comp.hausdorff == 0.0
+    assert all(c.in_y == c.in_x for c in comp.cross_checks)
+    assert comp.max_common_radius == 0 and not comp.saturated
+
+
+def test_a_non_finite_y_matrix_is_refused_after_the_x_spectrum(monkeypatch):
+    act = _two_orbit_action()
     real = wgraph.orbital.materialize
     built = []
 
-    def materialize_flipping_a_zero(graph):
+    def materialize_y_with_an_inf(graph):
         m = real(graph)
         if built:
-            m[tuple(np.argwhere(m == 0)[0])] = complex(-0.0, 0.0)
+            m[0, 0] = np.inf
         built.append(m)
         return m
 
-    monkeypatch.setattr(wgraph.orbital, "materialize", materialize_flipping_a_zero)
+    monkeypatch.setattr(wgraph.orbital, "materialize", materialize_y_with_an_inf)
     member = _counting(monkeypatch, "_spectrum_and_verdicts")
-    spectra_compare_orbits(act, act, "000", "011", adjacency_element())
-    assert np.array_equal(built[0], built[1]) and built[0].tobytes() != built[1].tobytes()
-    assert len(member) == 2
+    with pytest.raises(ValueError, match="^spectrum: matrix has non-finite entries$"):
+        spectra_compare_orbits(act, act, "p0", "q0", adjacency_element())
+    assert len(built) == 2 and len(member) == 1
 
 
 def _two_orbit_action():
