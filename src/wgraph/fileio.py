@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -333,6 +334,10 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def write_voltages(degree: int, voltages, path: str):
     from .covering import _check_voltages
 
+    try:
+        degree = operator.index(degree)
+    except TypeError:
+        raise ValueError(f"degree must be an int, got {degree!r}") from None
     if degree < 1:
         raise ValueError("degree must be at least 1")
     _check_voltages(degree, voltages)
@@ -432,6 +437,9 @@ def read_action(path: str) -> ActionSpec:
 def write_action(spec: ActionSpec, path: str):
     if spec.kind not in ("perm", "mealy"):
         raise ActionError(f"expected kind 'perm' or 'mealy', got {spec.kind!r}")
+    for field in ("action",) if spec.kind == "perm" else ("transitions", "alphabet"):
+        if getattr(spec, field) is None:
+            raise ActionError(f"a kind {spec.kind} action spec needs its {field!r} field")
     lines = ["action 1", f"kind {spec.kind}"]
     if spec.kind == "perm":
         act = spec.action

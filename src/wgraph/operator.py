@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ MAX_DENSE_DIM = 2048
 # largest arc count a composition may build; at about 28 bytes an arc the
 # arc arrays stay below half a gigabyte
 MAX_ARCS = 1 << 24
+# entries per block of rows that whole-matrix scans read at a time (1 MiB of complex)
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _key_order(k):
@@ -213,13 +216,28 @@ def norm_bound(op) -> float:
     raise TypeError(f"no norm bound for object of type {type(op).__name__}")
 
 
+def _row_blocks(m: np.ndarray, entries: int) -> list[slice]:
+    """Slices of the rows of ``m`` in index order, about ``entries`` entries each."""
+    step = max(1, entries // max(1, m.shape[-1]))
+    return [slice(i, i + step) for i in range(0, len(m), step)]
+
+
 def matrix_norm_bound(matrix: np.ndarray) -> float:
-    """Schur bound ``sqrt(max row abs-sum * max col abs-sum)`` for a matrix."""
+    """Schur bound ``sqrt(max row abs-sum * max col abs-sum)`` for a matrix.
+
+    The moduli are taken one block of ``_BLOCK_ENTRIES`` entries at a time, and each column
+    sum adds its rows in index order, as ``np.abs(m).sum(axis=0)`` does on a C-contiguous
+    ``m``."""
     m = np.asarray(matrix)
     if m.size == 0:
         return 0.0
-    absm = np.abs(m)
-    return _schur_bound(float(absm.sum(axis=1).max()), float(absm.sum(axis=0).max()))
+    rows, cols = np.empty(len(m)), np.zeros(m.shape[1])
+    for block in _row_blocks(m, _BLOCK_ENTRIES):
+        absm = np.abs(m[block])
+        rows[block] = absm.sum(axis=1)
+        cols = functools.reduce(np.add, absm, cols)
+        del absm  # before the next block's moduli are taken
+    return _schur_bound(float(rows.max()), float(cols.max()))
 
 
 def shift_graph(direction: str = "forward") -> StreamedGraph:

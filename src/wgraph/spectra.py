@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import WeightedGraph, _check_lambda, _check_radius, _cmul
 from .errors import DimensionCapError
-from .operator import MAX_DENSE_DIM, FinSuppVector, apply, matrix_norm_bound, norm_bound, shift_graph
+from .operator import (_BLOCK_ENTRIES, MAX_DENSE_DIM, FinSuppVector, _row_blocks, apply, matrix_norm_bound,
+                       norm_bound, shift_graph)
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -43,8 +44,6 @@ _EIG_ACCURACY = 1e-8
 # eigvalsh's backward error is taken as p(n) eps ||M|| with p(n) = _EIGVALSH_GROWTH * n
 _EIGVALSH_GROWTH = 4
 _EPS = float(np.finfo(float).eps)
-# entries per block of rows that is_hermitian compares with its columns (1 MiB of complex)
-_BLOCK_ENTRIES = 1 << 16
 # matrix order from which _in_pair starts a second thread.  Below it numpy 2.4 (OpenBLAS
 # 0.3.31) kept the GIL through eigvalsh, and through eigvals below about 300, so on two cores
 # a pair of tasks ran no faster on two threads than in turn, and at order 384 a fifth slower.
@@ -79,7 +78,7 @@ def _as_square_matrix(matrix, what: str) -> np.ndarray:
         raise ValueError(f"{what} requires a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DENSE_DIM:
         raise DimensionCapError(f"{what}: dimension {m.shape[0]} exceeds the cap {MAX_DENSE_DIM}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not all(np.isfinite(m[block]).all() for block in _row_blocks(m, _BLOCK_ENTRIES)):
         raise ValueError(f"{what}: matrix has non-finite entries")
     return m
 
@@ -92,11 +91,10 @@ def is_hermitian(matrix) -> bool:
     temporaries stay small; the first block off by more than ``HERMITIAN_ATOL`` settles a "no".
     """
     m = np.asarray(matrix, dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // max(1, len(m)))
     gap = peak = 0.0
-    for i in range(0, len(m), step):
-        rows = m[i:i + step]
-        block_gap = float(np.abs(rows - m[:, i:i + step].conj().T).max(initial=0.0))
+    for block in _row_blocks(m, _BLOCK_ENTRIES):
+        rows = m[block]
+        block_gap = float(np.abs(rows - m[:, block].conj().T).max(initial=0.0))
         if not block_gap <= HERMITIAN_ATOL:  # above every threshold the scale allows, or NaN
             return False
         gap, peak = max(gap, block_gap), max(peak, float(np.abs(rows).max(initial=0.0)))
@@ -293,7 +291,10 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     _, radius, (lam,) = _membership_args(m, [lam], radius, tol)
     a = m.copy()
     a[np.diag_indices(len(a))] -= lam
-    dist_left, dist_right = (_distance_to_one(_deficiency_matrix(a, radius, s)) for s in ("left", "right"))
+    dist_left = _distance_to_one(_deficiency_matrix(a, radius, "left"))
+    right = _deficiency_matrix(a, radius, "right")
+    del a  # eigvalsh's copy of the right-side matrix can take the shifted copy's memory
+    dist_right = _distance_to_one(right)
     member = dist_left <= tol or dist_right <= tol
     if member:
         side = "left" if dist_left <= dist_right else "right"

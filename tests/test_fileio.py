@@ -438,6 +438,22 @@ def test_action_writer_refuses_a_spec_it_cannot_read_back(tmp_path, case):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("spec, field", [(ActionSpec("mealy"), "transitions"), (ActionSpec("perm"), "action")],
+                         ids=["mealy", "perm"])
+def test_action_writer_names_the_missing_field_of_a_spec(tmp_path, spec, field):
+    path = tmp_path / "bare.act"
+    with pytest.raises(ActionError, match=f"^a kind {spec.kind} action spec needs its '{field}' field$"):
+        write_action(spec, path)
+    assert not path.exists()
+
+
+def test_voltage_writer_refuses_a_degree_that_is_not_an_int(tmp_path):
+    path = tmp_path / "float.volt"
+    with pytest.raises(ValueError, match="^degree must be an int, got 2.0$"):
+        write_voltages(2.0, [(1, 0)], path)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("degree, voltages, message", [
     (0, [], "degree must be at least 1"),
     (2, [(1, 0), (0, 1, 2)], "voltage of arc 1 is not a permutation of 0..1"),

@@ -14,6 +14,8 @@ from wgraph import (
     norm_bound,
     shift_graph,
 )
+import wgraph.operator
+from wgraph.operator import _schur_bound
 
 
 def test_finsupp_vector_drops_zeros_and_accumulates():
@@ -129,3 +131,25 @@ def test_streamed_graph_requires_sources_oracle_for_apply():
         in_weight_sum=1.0,
     )
     assert norm_bound(bounded) == pytest.approx(1.0)
+
+
+def _matrix_norm_bound_reference(m):
+    """The whole-matrix formula that :func:`matrix_norm_bound` computes in blocks of rows."""
+    absm = np.abs(m)
+    return _schur_bound(float(absm.sum(axis=1).max()), float(absm.sum(axis=0).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 768])  # at 2^16 entries, 768 rows: nine blocks of 85 and one of 3
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("block", [1, 1000, 1 << 16])
+def test_matrix_norm_bound_in_blocks_is_the_whole_matrix_formula_bit_for_bit(monkeypatch, n, kind, block):
+    monkeypatch.setattr(wgraph.operator, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    if kind == "complex":
+        m = m + 1j * rng.standard_normal((n, n))
+    m[rng.random((n, n)) < 0.1] = -0.0
+    cases = [m, np.abs(m) * 0.0, -np.abs(m) * 0.0]
+    cases += [m * scale for scale in (1e200, 1e-170)]  # the product of the sums overflows, underflows
+    for case in cases:
+        assert matrix_norm_bound(case) == _matrix_norm_bound_reference(case)

@@ -23,7 +23,7 @@ from wgraph import (
     subset_check,
 )
 import wgraph.spectra
-from wgraph.spectra import _EIGVALSH_GROWTH, _eigvalsh_error, _in_pair, _spectrum_and_verdicts
+from wgraph.spectra import _EIGVALSH_GROWTH, _as_square_matrix, _eigvalsh_error, _in_pair, _spectrum_and_verdicts
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -517,6 +517,28 @@ def test_is_hermitian_in_blocks_matches_the_whole_matrix_formula(monkeypatch, bl
     verdicts = [is_hermitian(m) for m in cases]
     assert verdicts == [_is_hermitian_reference(m) for m in cases]
     assert True in verdicts and False in verdicts
+
+
+def test_whole_matrix_scans_hold_no_quarter_of_the_matrix():
+    m = np.random.default_rng(512).standard_normal((512, 1024)).view(complex)
+    for scan in (matrix_norm_bound, lambda m: _as_square_matrix(m, "spectrum")):
+        tracemalloc.start()
+        try:
+            scan(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes / 4, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0), complex(0, np.inf), complex(-np.inf, 1)])
+@pytest.mark.parametrize("where", [(767, 0), (765, 767)])  # the last of the blocks of 85 rows
+def test_a_non_finite_entry_in_the_last_row_block_is_refused(bad, where):
+    m = np.ones((768, 768), dtype=complex)
+    m[where] = bad
+    for what, call in (("spectrum", spectrum), ("membership_by_deficiency", lambda m: membership_by_deficiency(m, 0))):
+        with pytest.raises(ValueError, match=f"^{what}: matrix has non-finite entries$"):
+            call(m)
 
 
 def test_the_hermitian_verdict_is_taken_once_and_is_no_field_of_the_set(monkeypatch):
