@@ -118,30 +118,30 @@ def cmd_graph_op(args) -> int:
         if args.factor is None:
             raise ValueError("scale needs --factor")
         lam = parse_complex(args.factor)
-        result = scale(graph, lam)
+        build = lambda: scale(graph, lam)
         expect = lambda m: lam * m
     elif args.op == "add":
         if args.factor is None:
             raise ValueError("add needs --factor")
         lam = parse_complex(args.factor)
-        result = add_scalar(graph, lam)
+        build = lambda: add_scalar(graph, lam)
         expect = lambda m: m + lam * np.eye(graph.order)
     elif args.op == "adjoint":
-        result = adjoint(graph)
+        build = lambda: adjoint(graph)
         expect = lambda m: m.conj().T
     elif args.op == "compose":
         if args.other is None:
             raise ValueError("compose needs --other")
         other = read_graph(args.other)
         rep.kv("OTHER ORDER", other.order)
-        result = compose(graph, other)
+        build = lambda: compose(graph, other)
         expect = lambda m: m @ materialize(other)
     elif args.op == "deficiency":
         if args.lam is None or args.radius is None:
             raise ValueError("deficiency needs --lambda and --R")
         lam = parse_complex(args.lam)
         side = args.side
-        result = deficiency_graph(graph, lam, args.radius, side=side)
+        build = lambda: deficiency_graph(graph, lam, args.radius, side=side)
 
         def expect(m):
             m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
@@ -152,6 +152,10 @@ def cmd_graph_op(args) -> int:
         rep.kv("SIDE", side)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown operation {args.op!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
+        result = build()
+    if not np.isfinite(result.weight).all():
+        raise ValueError(f"graph-op {args.op}: the result has a non-finite weight")
     rep.kv("RESULT ARCS", len(result.arcs))
     # The dense check spends its time in numpy, which releases the GIL, and the write in repr,
     # which holds it, so the two overlap; an error of the check is reported before one of the

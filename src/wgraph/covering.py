@@ -12,6 +12,7 @@ graphs, transporting the eigenvalue-1 witness instead of eigenvectors;
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
@@ -228,6 +229,17 @@ def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side:
     return _checked(chain, "induced deficiency covering")
 
 
+def _check_degree(degree) -> int:
+    """``degree`` as an int; refused unless it is an integer of at least 1."""
+    try:
+        d = operator.index(degree)
+    except TypeError:
+        raise ValueError(f"degree must be an int, got {degree!r}") from None
+    if d < 1:
+        raise ValueError("degree must be at least 1")
+    return d
+
+
 def _check_voltages(d: int, volts):
     """Refuse a voltage that is not a permutation of the sheets ``0..d-1``; one of another
     length is refused before ``0..d-1`` is listed."""
@@ -250,9 +262,7 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
     """
     from .operator import MAX_ARCS
 
-    d = int(degree)
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    d = _check_degree(degree)
     order, arcs = d * base.order, d * len(base.weight)
     if max(order, arcs) > MAX_ARCS:
         raise DimensionCapError(f"cover would have {order} vertices and {arcs} arcs; the arc cap is {MAX_ARCS}")

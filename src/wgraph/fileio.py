@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -332,14 +331,9 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def write_voltages(degree: int, voltages, path: str):
-    from .covering import _check_voltages
+    from .covering import _check_degree, _check_voltages
 
-    try:
-        degree = operator.index(degree)
-    except TypeError:
-        raise ValueError(f"degree must be an int, got {degree!r}") from None
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    degree = _check_degree(degree)
     _check_voltages(degree, voltages)
     lines = ["voltage 1", f"degree {degree}", f"arcs {len(voltages)}"]
     for perm in voltages:

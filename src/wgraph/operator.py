@@ -1,12 +1,15 @@
-"""Graphs as operators: dense materialization and sparse application."""
+"""Graphs as operators: dense materialization and sparse application.
+
+:class:`WeightedGraph` is the one operator type here.  The one-sided shift of
+:func:`wgraph.spectra.shift_counterexample_report` acts on the naturals, which
+no finite graph holds; it is applied directly to finitely supported vectors.
+"""
 
 from __future__ import annotations
 
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -17,12 +20,10 @@ __all__ = [
     "MAX_DENSE_DIM",
     "MAX_ARCS",
     "FinSuppVector",
-    "StreamedGraph",
     "materialize",
     "apply",
     "norm_bound",
     "matrix_norm_bound",
-    "shift_graph",
 ]
 
 MAX_DENSE_DIM = 2048
@@ -41,7 +42,7 @@ def _key_order(k):
 class FinSuppVector:
     """Finitely supported vector: a sparse index -> coefficient map.
 
-    Keys are vertex ids or natural numbers (streamed operators).  Zero
+    Keys are vertex ids, or natural numbers for the one-sided shift.  Zero
     coefficients are never stored, so ``==`` is exact equality of support
     and coefficients, which the shift identities rely on.
     """
@@ -108,24 +109,6 @@ class FinSuppVector:
         return f"FinSuppVector({{{body}}})"
 
 
-@dataclass(frozen=True)
-class StreamedGraph:
-    """Operator given by a local out-arc rule on an unbounded vertex set.
-
-    ``rule(v)`` lists the out-arcs of ``v`` as ``(target, weight)`` pairs
-    and defines the operator row by row: ``(H f)(v) = sum w * f(target)``.
-    ``sources(v)``, when given, lists every vertex with an out-arc into
-    ``v``; sparse application needs it (an out-rule alone cannot enumerate
-    in-neighbors).  The declared weight-sum bounds, when given, make
-    :func:`norm_bound` available.
-    """
-
-    rule: Callable[[object], list]
-    sources: Callable[[object], list] | None = None
-    out_weight_sum: float | None = None
-    in_weight_sum: float | None = None
-
-
 def _check_dense(n: int):
     """Refuse the dense matrix of a graph of ``n`` vertices past ``MAX_DENSE_DIM``."""
     if n > MAX_DENSE_DIM:
@@ -145,8 +128,8 @@ def materialize(graph: WeightedGraph) -> np.ndarray:
     return m
 
 
-def apply(op, vec: FinSuppVector) -> FinSuppVector:
-    """Apply a graph or streamed operator to a finitely supported vector.
+def apply(op: WeightedGraph, vec: FinSuppVector) -> FinSuppVector:
+    """Apply a graph operator to a finitely supported vector.
 
     Exact sparse evaluation: the result support lies in the in-neighborhood
     of the input support and no rounding beyond complex arithmetic occurs.
@@ -166,22 +149,6 @@ def apply(op, vec: FinSuppVector) -> FinSuppVector:
         return FinSuppVector(
             {op.vertices[i]: complex(real[i], imag[i]) for i in rows[np.argsort(first)].tolist()}
         )
-    if isinstance(op, StreamedGraph):
-        if op.sources is None:
-            raise ValueError(
-                "streamed operator declares no source oracle; sparse application is unavailable"
-            )
-        candidates: set = set()
-        for t in vec.support():
-            candidates.update(op.sources(t))
-        out = {}
-        for v in sorted(candidates, key=_key_order):
-            total = 0j
-            for t, w in op.rule(v):
-                total += complex(w) * vec[t]
-            if total != 0:
-                out[v] = total
-        return FinSuppVector(out)
     raise TypeError(f"cannot apply object of type {type(op).__name__}")
 
 
@@ -195,13 +162,10 @@ def _schur_bound(row_sum: float, col_sum: float) -> float:
     return math.sqrt(row_sum) * math.sqrt(col_sum)
 
 
-def norm_bound(op) -> float:
-    """Upper bound on the operator norm.
-
-    For finite graphs this is the Schur bound
+def norm_bound(op: WeightedGraph) -> float:
+    """Upper bound on the operator norm of a graph: the Schur bound
     ``sqrt(max_v sum_out |w| * max_v sum_in |w|)``, which dominates the
-    spectral radius.  Streamed operators must declare both weight-sum
-    bounds; guessing is refused.
+    spectral radius.
     """
     if isinstance(op, WeightedGraph):
         # hypot is what abs(complex) computes; np.abs may differ in the last bit
@@ -209,10 +173,6 @@ def norm_bound(op) -> float:
         outs = np.bincount(op.source, weights=w, minlength=op.order)
         ins = np.bincount(op.target, weights=w, minlength=op.order)
         return _schur_bound(float(outs.max()), float(ins.max()))
-    if isinstance(op, StreamedGraph):
-        if op.out_weight_sum is None or op.in_weight_sum is None:
-            raise ValueError("streamed operator declares no weight-sum bounds; norm_bound is unavailable")
-        return _schur_bound(float(op.out_weight_sum), float(op.in_weight_sum))
     raise TypeError(f"no norm bound for object of type {type(op).__name__}")
 
 
@@ -238,39 +198,3 @@ def matrix_norm_bound(matrix: np.ndarray) -> float:
         cols = functools.reduce(np.add, absm, cols)
         del absm  # before the next block's moduli are taken
     return _schur_bound(float(rows.max()), float(cols.max()))
-
-
-def shift_graph(direction: str = "forward") -> StreamedGraph:
-    """One-sided shift on square-summable sequences over the naturals.
-
-    ``"forward"`` is the isometry with ``(S f)(n) = f(n - 1)`` and
-    ``(S f)(0) = 0``, so ``S delta_k = delta_{k+1}``; ``"adjoint"`` is its
-    adjoint, ``(S* f)(n) = f(n + 1)``, with ``S* delta_0 = 0``.
-    """
-
-    def _check(n):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"shift vertex must be a natural number, got {n!r}")
-        return n
-
-    if direction == "forward":
-
-        def rule(n):
-            return [(n - 1, 1.0)] if _check(n) >= 1 else []
-
-        def sources(n):
-            _check(n)
-            return [n + 1]
-
-        return StreamedGraph(rule, sources, 1.0, 1.0)
-    if direction == "adjoint":
-
-        def rule(n):
-            _check(n)
-            return [(n + 1, 1.0)]
-
-        def sources(n):
-            return [n - 1] if _check(n) >= 1 else []
-
-        return StreamedGraph(rule, sources, 1.0, 1.0)
-    raise ValueError("direction must be 'forward' or 'adjoint'")

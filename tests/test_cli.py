@@ -97,6 +97,16 @@ def test_graph_op_scale(files, capsys, tmp_path):
     assert read_graph(out_path).arcs[0].weight == 2 + 1j
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("op, flags", [("scale", ["--factor", "1e308"]), ("compose", ["--other", "huge.wg"])])
+def test_graph_op_refuses_a_result_with_a_non_finite_weight(op, flags, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_graph(make_graph(["x", "y"], [("x", "y", 1e308 + 1e308j), ("y", "x", 1e308)], [1, 0]), "huge.wg")
+    code, out, err = run(capsys, ["graph-op", op, "--graph", "huge.wg", *flags, "--out", "s.wg"])
+    assert (code, out, err) == (2, "", f"ERROR: graph-op {op}: the result has a non-finite weight\n")
+    assert not (tmp_path / "s.wg").exists()
+
+
 def test_graph_op_add_and_adjoint(files, capsys):
     for argv in (
         ["graph-op", "add", "--graph", files["swap.wg"], "--factor=-0.5i"],

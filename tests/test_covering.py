@@ -185,6 +185,14 @@ def test_voltage_cover_identity_voltages_stack_copies():
     assert np.max(np.abs(sc - stacked)) <= 1e-10
 
 
+def test_voltage_cover_refuses_a_degree_that_is_not_an_int():
+    base = c2_base()
+    volts = [(1, 0)] * len(base.arcs)
+    with pytest.raises(ValueError, match="^degree must be an int, got 2.7$"):
+        voltage_cover(base, 2.7, volts)
+    assert voltage_cover(base, np.int64(2), volts) == voltage_cover(base, 2, volts)
+
+
 def test_voltage_cover_loop_with_transposition_gives_two_cycle():
     base = make_graph(["v"], [("v", "v", 1.0)], [0])
     cover, covering = voltage_cover(base, 2, [(1, 0)])

@@ -35,7 +35,6 @@ from wgraph import (
     read_graph,
     read_matrix,
     read_voltages,
-    shift_graph,
     verify_covering,
     write_action,
     write_covering,
@@ -567,13 +566,6 @@ def test_covering_duplicate_vertex_map_entry(tmp_path):
     with pytest.raises(ParseError) as e:
         read_covering(q)
     assert "duplicate" in e.value.message
-
-
-def test_streamed_graphs_are_not_serializable(tmp_path):
-    s = shift_graph()
-    with pytest.raises(AttributeError):
-        write_graph(s, tmp_path / "s.wg")
-    assert not (tmp_path / "s.wg").exists()
 
 
 GOOD_BLOCK = ["vertices 2", "u", "v", "arcs 2", "u v 1.0 1", "v u -0.5+2i 0"]

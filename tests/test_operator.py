@@ -6,16 +6,15 @@ from helpers import random_graph
 from wgraph import (
     DimensionCapError,
     FinSuppVector,
-    StreamedGraph,
     apply,
     make_graph,
     materialize,
     matrix_norm_bound,
     norm_bound,
-    shift_graph,
 )
 import wgraph.operator
 from wgraph.operator import _schur_bound
+from wgraph.spectra import _shift, _shift_adjoint
 
 
 def test_finsupp_vector_drops_zeros_and_accumulates():
@@ -90,47 +89,27 @@ def test_norm_bound_dominates_spectral_radius():
 
 
 def test_shift_moves_deltas_forward():
-    s = shift_graph("forward")
     for k in range(101):
-        assert apply(s, FinSuppVector.delta(k)) == FinSuppVector.delta(k + 1)
+        assert _shift(FinSuppVector.delta(k)) == FinSuppVector.delta(k + 1)
 
 
 def test_shift_adjoint_kills_origin_and_inverts_shift():
-    s = shift_graph("forward")
-    star = shift_graph("adjoint")
-    assert apply(star, FinSuppVector.delta(0)).is_zero()
+    assert _shift_adjoint(FinSuppVector.delta(0)).is_zero()
     rng = np.random.default_rng(17)
     for _ in range(100):
         keys = rng.integers(0, 50, size=rng.integers(1, 8))
         f = FinSuppVector(
             [(int(k), complex(rng.normal(), rng.normal())) for k in keys]
         )
-        assert apply(star, apply(s, f)) == f
+        assert _shift_adjoint(_shift(f)) == f
 
 
-def test_shift_rejects_bad_indices():
-    s = shift_graph("forward")
-    with pytest.raises(ValueError):
-        apply(s, FinSuppVector({-1: 1.0}))
-    with pytest.raises(ValueError):
-        apply(s, FinSuppVector({0.5: 1.0}))
-    with pytest.raises(ValueError):
-        shift_graph("sideways")
-
-
-def test_streamed_graph_requires_sources_oracle_for_apply():
-    g = StreamedGraph(rule=lambda n: [(n + 1, 1.0)])
-    with pytest.raises(ValueError):
-        apply(g, FinSuppVector.delta(0))
-    with pytest.raises(ValueError):
-        norm_bound(g)
-    bounded = StreamedGraph(
-        rule=lambda n: [(n + 1, 1.0)],
-        sources=lambda n: [n - 1] if n >= 1 else [],
-        out_weight_sum=1.0,
-        in_weight_sum=1.0,
-    )
-    assert norm_bound(bounded) == pytest.approx(1.0)
+@pytest.mark.parametrize("op", [None, np.eye(2), FinSuppVector.delta(0)], ids=["None", "matrix", "vector"])
+def test_apply_and_norm_bound_take_only_a_weighted_graph(op):
+    with pytest.raises(TypeError, match=f"^cannot apply object of type {type(op).__name__}$"):
+        apply(op, FinSuppVector.delta(0))
+    with pytest.raises(TypeError, match=f"^no norm bound for object of type {type(op).__name__}$"):
+        norm_bound(op)
 
 
 def _matrix_norm_bound_reference(m):

@@ -47,7 +47,7 @@ CASES = {
                            ("deficiency-right", ["deficiency", "--lambda", "0.5+0.25i", "--R", "8"]),
                            ("deficiency-left", ["deficiency", "--lambda", "-1", "--R", "10", "--side", "left"]))},
     **{f"cover-lift{fmt}": (["cover", "lift", "--graph", "g.wg", "--volt", "g.volt", "--out", "g.cov", *json],
-                            0, ("g.cov",), True)
+                            0, () if json else ("g.cov",), True)
        for fmt, json in (("", []), ("-json", ["--json"]))},
     **{f"cover-verify-{name}{fmt}": (["cover", "verify", "--map", f"{name}.cov", *json], code, (), True)
        for name, code in (("good", 0), ("bad", 1))
