@@ -90,13 +90,6 @@ def _spectrum_kv(rep: Report, key: str, spectral_set):
     rep.kv(key, " ".join(values), values)
 
 
-def _verdict_fields(rep: Report, prefix: str, verdict):
-    rep.kv(f"{prefix}MEMBER", "yes" if verdict.member else "no", verdict.member)
-    rep.kv(f"{prefix}SIDE", verdict.witness_side)
-    rep.kv(f"{prefix}DIST LEFT", _fmt(verdict.dist_left), verdict.dist_left)
-    rep.kv(f"{prefix}DIST RIGHT", _fmt(verdict.dist_right), verdict.dist_right)
-
-
 def _self_check_deviation(graph, expect, result) -> float:
     """Max entry of ``|materialize(result) - expect(materialize(graph))|``.  The dense n x n
     copies set the memory peak, so the input's is freed once the expected matrix is built."""
@@ -191,7 +184,10 @@ def cmd_spectrum(args) -> int:
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(verdict.R_used), verdict.R_used)
         rep.kv("TOL", _fmt(args.tol), args.tol)
-        _verdict_fields(rep, "", verdict)
+        rep.kv("MEMBER", "yes" if verdict.member else "no", verdict.member)
+        rep.kv("SIDE", verdict.witness_side)
+        rep.kv("DIST LEFT", _fmt(verdict.dist_left), verdict.dist_left)
+        rep.kv("DIST RIGHT", _fmt(verdict.dist_right), verdict.dist_right)
     if args.out:
         write_matrix(m, args.out)
         rep.kv("WROTE", args.out)

@@ -38,9 +38,7 @@ __all__ = [
     "add_scalar",
     "adjoint",
     "compose",
-    "deficiency_chain",
     "deficiency_graph",
-    "GRAPH_OPS",
 ]
 
 
@@ -159,10 +157,6 @@ class WeightedGraph:
             return self._vertex_pos[vertex]
         except KeyError:
             raise GraphStructureError(f"unknown vertex {vertex!r}") from None
-
-    def out_arcs(self, vertex: str) -> tuple[int, ...]:
-        """Indices of the arcs whose source is ``vertex``."""
-        return tuple(np.flatnonzero(self.source == self.vertex_index(vertex)).tolist())
 
     @property
     def order(self) -> int:
@@ -373,8 +367,8 @@ def compose(graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
     return _compose(graph, other)[0]
 
 
-GRAPH_OPS = SimpleNamespace(scale=scale, add_scalar=add_scalar, adjoint=adjoint, compose=compose)
-"""The graph operations, as the ``ops`` argument of :func:`deficiency_chain`."""
+_GRAPH_OPS = SimpleNamespace(scale=scale, add_scalar=add_scalar, adjoint=adjoint, compose=compose)
+"""The graph operations, as the ``ops`` argument of :func:`_deficiency_chain`."""
 
 
 def _check_radius(radius: float):
@@ -391,11 +385,11 @@ def _check_lambda(lam) -> complex:
     return z
 
 
-def deficiency_chain(x, lam, radius: float, side: str, ops):
+def _deficiency_chain(x, lam, radius: float, side: str, ops):
     """The five operations that assemble a deficiency graph, applied to ``x``.
 
     ``ops`` supplies ``scale``, ``add_scalar``, ``adjoint`` and ``compose``
-    for the kind of object ``x`` is: :data:`GRAPH_OPS` for graphs, or
+    for the kind of object ``x`` is: :data:`_GRAPH_OPS` for graphs, or
     induced coverings for a covering.
     """
     _check_radius(radius)
@@ -418,4 +412,4 @@ def deficiency_graph(graph: WeightedGraph, lam, radius: float, side: str = "righ
     product order.  Assembled purely from ``add_scalar``, ``adjoint``,
     ``compose`` and ``scale``, so the matrix identity holds exactly.
     """
-    return deficiency_chain(graph, lam, radius, side, GRAPH_OPS)
+    return _deficiency_chain(graph, lam, radius, side, _GRAPH_OPS)

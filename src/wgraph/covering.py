@@ -19,7 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (WeightedGraph, _check_lambda, _compose, add_scalar, adjoint, deficiency_chain,
+from .core import (WeightedGraph, _check_lambda, _compose, _deficiency_chain, add_scalar, adjoint,
                    deficiency_graph, scale)
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
@@ -35,7 +35,6 @@ __all__ = [
     "verify_covering",
     "induced_covering",
     "induced_deficiency_covering",
-    "COVERING_OPS",
     "voltage_cover",
     "pullback_matrix",
     "spectral_inclusion_check",
@@ -208,13 +207,13 @@ def induced_covering(covering: CoveringMap, op: str, *, factor=None, other: Cove
     return _checked(_induced(covering, op, factor=factor, other=other), f"induced covering for {op}")
 
 
-COVERING_OPS = SimpleNamespace(
+_COVERING_OPS = SimpleNamespace(
     scale=lambda c, factor: _induced(c, "scale", factor=factor),
     add_scalar=lambda c, factor: _induced(c, "add_scalar", factor=factor),
     adjoint=lambda c: _induced(c, "adjoint"),
     compose=lambda c, other: _induced(c, "compose", other=other),
 )
-"""Induced coverings, unverified, as the ``ops`` of :func:`wgraph.core.deficiency_chain`."""
+"""Induced coverings, unverified, as the ``ops`` of :func:`wgraph.core._deficiency_chain`."""
 
 
 def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side: str = "right") -> CoveringMap:
@@ -225,7 +224,7 @@ def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side:
     covering, so the two graphs equal the direct constructions arc for
     arc.  The result is verified once, at the end of the chain.
     """
-    chain = deficiency_chain(covering, lam, radius, side, COVERING_OPS)
+    chain = _deficiency_chain(covering, lam, radius, side, _COVERING_OPS)
     return _checked(chain, "induced deficiency covering")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import WeightedGraph, make_graph
 from .errors import ActionError, GraphStructureError, ParseError
-from .operator import MAX_DENSE_DIM
+from .operator import MAX_DENSE_DIM, _row_blocks
 
 if TYPE_CHECKING:  # the readers and writers of these layers import them when they run
     from .covering import CoveringMap
@@ -115,7 +115,7 @@ class _Cursor:
         if parts[1] != "1":
             self.fail(lineno, f"unsupported {kind} format version {parts[1]!r}")
 
-    def count(self, keyword: str, minimum: int = 0, cap: int | None = None) -> int:
+    def count(self, keyword: str, minimum: int = 0) -> int:
         lineno, line = self.next_line(f"{keyword!r} count")
         parts = line.split()
         if len(parts) != 2 or parts[0] != keyword:
@@ -123,8 +123,6 @@ class _Cursor:
         n = self.int_field(lineno, parts[1], "count")
         if n < minimum:
             self.fail(lineno, f"{keyword} count must be at least {minimum}")
-        if cap is not None and n > cap:
-            self.fail(lineno, f"{keyword} {n} exceeds the dense cap {cap}")
         return n
 
     def fields(self, what: str, count: int, shape: str) -> tuple[int, str, list[str]]:
@@ -205,11 +203,23 @@ def _complex_strings(values: np.ndarray) -> list[str]:
     return out
 
 
+def _check_finite(values: np.ndarray, what):
+    """Refuse the first non-finite entry of ``values``, as the readers would; ``what(*index)``
+    names the entry at ``index``.  Writers call it before the file opens."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(f"{what(*index)} is the non-finite number {format_complex(values[index])!r}, "
+                         "which no reader accepts")
+
+
 def _graph_block_lines(graph: WeightedGraph):
-    """Lines of a graph block; reads every attribute and checks the vertex ids now, formats the
-    arcs a chunk at a time."""
+    """Lines of a graph block; reads every attribute and checks the vertex ids and weights now,
+    formats the arcs a chunk at a time."""
     names = graph.vertices
     _check_line_starts(names, "vertex id", GraphStructureError)
+    _check_finite(graph.weight, lambda k: (
+        f"the weight of arc {k} ({names[graph.source[k]]} -> {names[graph.target[k]]})"))
     arcs = (
         f"{names[s]} {names[t]} {w} {p}"
         for i in range(0, len(graph.weight), _CHUNK)
@@ -234,7 +244,9 @@ def write_graph(graph: WeightedGraph, path: str):
 def read_matrix(path: str) -> np.ndarray:
     cur = _Cursor(path)
     cur.header("matrix")
-    n = cur.count("dim", minimum=1, cap=MAX_DENSE_DIM)
+    n = cur.count("dim", minimum=1)
+    if n > MAX_DENSE_DIM:
+        cur.fail(cur.lineno, f"dim {n} exceeds the dense cap {MAX_DENSE_DIM}")
     out = np.zeros((n, n), dtype=complex)
     for i in range(n):
         lineno, line = cur.next_line("matrix row")
@@ -256,6 +268,8 @@ def write_matrix(matrix: np.ndarray, path: str):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    for block in _row_blocks(m):
+        _check_finite(m[block], lambda i, j: f"matrix entry ({block.start + i}, {j})")
     rows = (" ".join(_complex_strings(row)) for row in m)
     _write_lines(path, itertools.chain(["matrix 1", f"dim {m.shape[0]}"], rows))
 
@@ -490,6 +504,8 @@ def write_element(element: GroupAlgebraElement, path: str):
 
     words = element.support()
     _check_line_starts((w[0] for w in words if w), "word token", ActionError)
+    coefficients = np.array([element.terms[w] for w in words], dtype=complex)
+    _check_finite(coefficients, lambda k: f"the coefficient of {word_str(words[k])!r}")
     lines = ["element 1", f"terms {len(words)}"]
     for w in words:
         lines.append(f"{word_str(w)} {format_complex(element.terms[w])}")

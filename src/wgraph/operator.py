@@ -72,9 +72,6 @@ class FinSuppVector:
     def __getitem__(self, key) -> complex:
         return self._entries.get(key, 0j)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -82,19 +79,6 @@ class FinSuppVector:
         if not isinstance(other, FinSuppVector):
             return NotImplemented
         return self._entries == other._entries
-
-    def __add__(self, other: "FinSuppVector") -> "FinSuppVector":
-        out = dict(self._entries)
-        for k, v in other._entries.items():
-            out[k] = out.get(k, 0j) + v
-        return FinSuppVector(out)
-
-    def __sub__(self, other: "FinSuppVector") -> "FinSuppVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, factor) -> "FinSuppVector":
-        lam = complex(factor)
-        return FinSuppVector({k: lam * v for k, v in self._entries.items()})
 
     def inner(self, other: "FinSuppVector") -> complex:
         """Inner product, linear in ``self`` and conjugate-linear in ``other``."""
@@ -176,9 +160,9 @@ def norm_bound(op: WeightedGraph) -> float:
     raise TypeError(f"no norm bound for object of type {type(op).__name__}")
 
 
-def _row_blocks(m: np.ndarray, entries: int) -> list[slice]:
-    """Slices of the rows of ``m`` in index order, about ``entries`` entries each."""
-    step = max(1, entries // max(1, m.shape[-1]))
+def _row_blocks(m: np.ndarray) -> list[slice]:
+    """Slices of the rows of ``m`` in index order, about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, m.shape[-1]))
     return [slice(i, i + step) for i in range(0, len(m), step)]
 
 
@@ -192,7 +176,7 @@ def matrix_norm_bound(matrix: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     rows, cols = np.empty(len(m)), np.zeros(m.shape[1])
-    for block in _row_blocks(m, _BLOCK_ENTRIES):
+    for block in _row_blocks(m):
         absm = np.abs(m[block])
         rows[block] = absm.sum(axis=1)
         cols = functools.reduce(np.add, absm, cols)

@@ -360,11 +360,21 @@ def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement)
     permutation representation of the element to the block spanned by the
     orbit.  Arcs of mutually inverse support words are each other's
     reversals; a support word without its inverse gets weight-0 reverse
-    arcs so the pairing stays total.
+    arcs so the pairing stays total.  The arcs, and the word images the
+    orbit search holds, are counted against :data:`wgraph.operator.MAX_ARCS`
+    before either is built.
     """
+    from .operator import MAX_ARCS
+
     if not element:
         raise ActionError("cannot build the orbital graph of the zero element")
     supp = element.support()
+    # one image array and one arc per point for each support word and each inverse missing from it
+    steps = len(supp) + len({invert_word(g) for g in supp} - set(supp))
+    arcs = steps * len(action.points)
+    if arcs > MAX_ARCS:
+        raise DimensionCapError(f"the orbital graph of {steps} words and inverses on {len(action.points)} points "
+                                f"would have up to {arcs} arcs; the arc cap is {MAX_ARCS}")
     order, images = _orbit(action, start, supp)
     n, orb = len(order), np.asarray(order)
     names = [action.points[i] for i in order]

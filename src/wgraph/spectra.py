@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import WeightedGraph, _check_lambda, _check_radius, _cmul
 from .errors import DimensionCapError
-from .operator import _BLOCK_ENTRIES, MAX_DENSE_DIM, FinSuppVector, _row_blocks, matrix_norm_bound
+from .operator import MAX_DENSE_DIM, FinSuppVector, _row_blocks, matrix_norm_bound
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -77,7 +77,7 @@ def _as_square_matrix(matrix, what: str) -> np.ndarray:
         raise ValueError(f"{what} requires a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DENSE_DIM:
         raise DimensionCapError(f"{what}: dimension {m.shape[0]} exceeds the cap {MAX_DENSE_DIM}")
-    if not all(np.isfinite(m[block]).all() for block in _row_blocks(m, _BLOCK_ENTRIES)):
+    if not all(np.isfinite(m[block]).all() for block in _row_blocks(m)):
         raise ValueError(f"{what}: matrix has non-finite entries")
     return m
 
@@ -91,7 +91,7 @@ def is_hermitian(matrix) -> bool:
     """
     m = np.asarray(matrix, dtype=complex)
     gap = peak = 0.0
-    for block in _row_blocks(m, _BLOCK_ENTRIES):
+    for block in _row_blocks(m):
         rows = m[block]
         block_gap = float(np.abs(rows - m[:, block].conj().T).max(initial=0.0))
         if not block_gap <= HERMITIAN_ATOL:  # above every threshold the scale allows, or NaN

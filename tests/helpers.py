@@ -198,7 +198,8 @@ def _reference_ball(g: LabeledOrbitalGraph, center: str, radius: int):
     inn: dict[str, dict] = {v: {} for v in verts}
     arcs = g.graph.arcs
     # the labeled arcs inside the ball, in arc-index order, read from their sources' out-arcs
-    for k in sorted(k for v in verts for k in g.graph.out_arcs(v) if k in g.labels):
+    out_arcs = (np.flatnonzero(g.graph.source == g.graph.vertex_index(v)).tolist() for v in verts)
+    for k in sorted(k for ks in out_arcs for k in ks if k in g.labels):
         a = arcs[k]
         if a.target in verts:
             out[a.source][g.labels[k]] = a.target

@@ -163,6 +163,27 @@ def test_induced_compose_needs_matching_vertex_maps():
         induced_covering(cov, "compose", other=other)
 
 
+@pytest.mark.parametrize("context, check", [
+    ("deficiency route", deficiency_route_check),
+    ("spectral inclusion", spectral_inclusion_check),
+    ("induced covering for adjoint", lambda c: induced_covering(c, "adjoint")),
+])
+def test_checks_refuse_a_covering_with_violations(context, check):
+    cov = c4_over_c2()
+    bad = CoveringMap(cov.cover, cov.base, dict(cov.vertex_map, c1="x"), cov.arc_map)
+    detail = "; ".join([*(f"endpoint at arc {k}" for k in range(4)), "local_bijectivity at vertex c1"])
+    with pytest.raises(CoveringError, match=f"^{context}: 5 violation\\(s\\): {detail}$"):
+        check(bad)
+
+
+def test_induced_covering_refuses_an_unknown_op_and_a_compose_without_other():
+    cov = c4_over_c2()
+    with pytest.raises(ValueError, match="^unknown operation 'shift'$"):
+        induced_covering(cov, "shift")
+    with pytest.raises(ValueError, match="^compose needs a second covering$"):
+        induced_covering(cov, "compose")
+
+
 def test_induced_deficiency_covering_matches_direct_chain():
     cov = c4_over_c2()
     for side in ("left", "right"):

@@ -43,12 +43,16 @@ from wgraph import (
     write_matrix,
     write_voltages,
 )
+import wgraph.operator
 from wgraph import fileio
 from wgraph.cli import main
 
 INF, NAN = float("inf"), float("nan")
 # every pair of 0.0, -0.0, 1.5, NaN, inf and -inf as real and imaginary part
 SPECIALS = [complex(re, im) for re in (0.0, -0.0, 1.5, NAN, INF, -INF) for im in (0.0, -0.0, 1.5, NAN, INF, -INF)]
+# the signed zeros and 1.5 in both parts, which the writers write; they refuse the others
+FINITE_SPECIALS = [z for z in SPECIALS if np.isfinite(z)]
+NONFINITE_SPECIALS = [z for z in SPECIALS if not np.isfinite(z)]
 
 
 def test_complex_formatting_examples():
@@ -161,7 +165,7 @@ def test_writers_stream_the_same_bytes_across_chunks(tmp_path, monkeypatch):
     rng = np.random.default_rng(89)
     g = random_graph(rng, n=8, max_pairs=8)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m.flat[:len(SPECIALS)] = SPECIALS
+    m.flat[:len(FINITE_SPECIALS)] = FINITE_SPECIALS
     covering = random_voltage_cover(rng)[2]
     vertex_map, arc_map = covering.vertex_map, covering.arc_map
     cases = [
@@ -178,6 +182,14 @@ def test_writers_stream_the_same_bytes_across_chunks(tmp_path, monkeypatch):
         p = tmp_path / "out"
         write(obj, p)
         assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
+    p.unlink()
+    monkeypatch.setattr(wgraph.operator, "_BLOCK_ENTRIES", 16)  # checked two rows at a time
+    for z in NONFINITE_SPECIALS:  # refused before the file opens
+        bad = m.copy()
+        bad[5, 6] = z
+        with pytest.raises(ValueError, match=r"^matrix entry \(5, 6\) is the non-finite number "):
+            write_matrix(bad, p)
+        assert not p.exists()
 
 
 def test_write_lines_writes_a_list_once(monkeypatch):
@@ -230,19 +242,32 @@ def test_arc_weights_are_written_as_format_complex_writes_them(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         overflowed = compose(huge, huge)
     assert np.isinf(overflowed.weight.real).any() and np.isinf(overflowed.weight.imag).any()
-    special = WeightedGraph(g.vertices, g.source, g.target, np.resize(np.array(SPECIALS), len(w)), g.pair)
-    assert len(w) >= len(SPECIALS)
-    for graph in (g, signed, real, overflowed, special):
-        p = tmp_path / "w.wg"
+    special = WeightedGraph(g.vertices, g.source, g.target, np.resize(np.array(FINITE_SPECIALS), len(w)), g.pair)
+    p = tmp_path / "w.wg"
+    for graph in (g, signed, real, special):
         write_graph(graph, p)
         assert p.read_text() == "\n".join(["wgraph 1", *_graph_block(graph)]) + "\n"
+    p.unlink()
+    # the writer refuses the first non-finite weight before the file opens
+    refusals = [(overflowed, int(np.flatnonzero(~np.isfinite(overflowed.weight))[0]))]
+    for z in NONFINITE_SPECIALS:
+        weight = g.weight.copy()
+        weight[-1] = z
+        refusals.append((g.with_weights(weight), len(w) - 1))
+    for graph, k in refusals:
+        a = graph.arcs[k]
+        with pytest.raises(ValueError) as e:
+            write_graph(graph, p)
+        assert str(e.value) == (f"the weight of arc {k} ({a.source} -> {a.target}) is the non-finite number "
+                                f"'{format_complex(a.weight)}', which no reader accepts")
+        assert not p.exists()
 
 
 def test_matrix_writer_holds_about_one_write_of_rows(tmp_path):
     rng = np.random.default_rng(103)
     m = rng.normal(size=(1024, 1024)).astype(complex)  # tracing makes each string cost microseconds
     m[::4, ::4] += 1j * rng.normal(size=(256, 256))
-    m[1, :len(SPECIALS)] = SPECIALS
+    m[1, :len(FINITE_SPECIALS)] = FINITE_SPECIALS
     p = tmp_path / "big.mat"
     tracemalloc.start()
     try:
@@ -359,6 +384,32 @@ def _loop_covering(cover_ids, base_id):
     x, y = cover_ids
     return CoveringMap(_two_point_graph(x, y), make_graph([base_id], [(base_id, base_id, 1.0)], [0]),
                        {x: base_id, y: base_id}, (0, 0))
+
+
+def _non_finite_writes():
+    """Per writer, a write of an object holding one non-finite number, and what the refusal
+    names; ``.wg`` weights and ``.mat`` entries are refused in the byte tests above."""
+    g = _two_point_graph("x", "y")
+    base = make_graph(["v"], [("v", "v", 1.0)], [0])
+    return {
+        "cover": (lambda p: write_covering(CoveringMap(g.with_weights([1.0, complex(1.5, INF)]), base,
+                                                       {"x": "v", "y": "v"}, (0, 0)), p),
+                  "the weight of arc 1 (y -> x) is the non-finite number '1.5+infi'"),
+        "base": (lambda p: write_covering(CoveringMap(g, base.with_weights([-INF]), {"x": "v", "y": "v"}, (0, 0)), p),
+                 "the weight of arc 0 (v -> v) is the non-finite number '-inf'"),
+        "element": (lambda p: write_element(GroupAlgebraElement({("a",): 1.0, ("b", "a'"): complex(INF, 1)}), p),
+                    "the coefficient of \"b a'\" is the non-finite number 'inf+1.0i'"),
+    }
+
+
+@pytest.mark.parametrize("writer", ["cover", "base", "element"])
+def test_writers_refuse_a_non_finite_number(tmp_path, writer):
+    write, what = _non_finite_writes()[writer]
+    p = tmp_path / "out"
+    with pytest.raises(ValueError) as e:
+        write(p)
+    assert str(e.value) == f"{what}, which no reader accepts"
+    assert not p.exists()
 
 
 def _id_writers(token):
@@ -619,6 +670,46 @@ def test_graph_block_faults_name_their_line_and_message(tmp_path, ext, fault):
     p = tmp_path / f"bad.{ext}"
     p.write_text("\n".join([*head, *block, *tail]) + "\n")
     assert _read_error(reader, p) == (len(head) + line, message)
+
+
+PERM_HEAD = ["action 1", "kind perm", "points 2", "p", "q"]
+MEALY_HEAD = ["action 1", "kind mealy", "alphabet 0 1", "states 2"]
+# a file, its reader, the line of the refusal and its message
+READER_FAULTS = {
+    "matrix bad entry": (["matrix 1", "dim 2", "1 0", "1 2x"], read_matrix, 4, "bad complex number '2x'"),
+    "matrix nan entry": (["matrix 1", "dim 2", "0.5 nan", "1 0"], read_matrix, 3, "non-finite complex number 'nan'"),
+    "count keyword": (["wgraph 1", "vertex 1", "v", "arcs 0"], read_graph, 2,
+                      "expected 'vertices' <count>, got 'vertex 1'"),
+    "no cover line": (["covering 1", *GOOD_BLOCK, *GOOD_COVER_TAIL], read_covering, 2,
+                      "expected 'cover', got 'vertices 2'"),
+    "no base line": (["covering 1", "cover", *GOOD_BLOCK, *GOOD_COVER_TAIL[len(GOOD_BLOCK) + 1:]], read_covering, 9,
+                     "expected 'base', got 'vertex-map 2'"),
+    "duplicate generator": ([*PERM_HEAD, "generators 2", "a 2 1", "a 1 2"], read_action, 8,
+                            "duplicate generator 'a'"),
+    "reserved generator": ([*PERM_HEAD, "generators 2", "a 2 1", "e 1 2"], read_action, 8,
+                           "'e' is reserved for the identity word"),
+    "duplicate point": (["action 1", "kind perm", "points 2", "p", "p", "generators 1", "a 2 1"], read_action, 7,
+                        "duplicate point ids"),
+    "bad alphabet line": (["action 1", "kind mealy", "alphabet"], read_action, 3,
+                          "expected 'alphabet <letters...>', got 'alphabet'"),
+    "repeated letter": (["action 1", "kind mealy", "alphabet 0 1 0"], read_action, 3,
+                        "alphabet letters must be distinct single characters"),
+    "long letter": (["action 1", "kind mealy", "alphabet 0 10"], read_action, 3,
+                    "alphabet letters must be distinct single characters"),
+    "bad state line": ([*MEALY_HEAD, "stat a"], read_action, 5, "expected 'state <name>', got 'stat a'"),
+    "duplicate state": ([*MEALY_HEAD, "state a", "0 1 a", "1 0 a", "state a"], read_action, 8,
+                        "duplicate state 'a'"),
+    "duplicate transition": ([*MEALY_HEAD, "state a", "0 1 a", "0 0 a"], read_action, 7,
+                             "duplicate transition for input '0'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(READER_FAULTS))
+def test_reader_faults_name_their_line_and_message(tmp_path, fault):
+    lines, reader, line, message = READER_FAULTS[fault]
+    p = tmp_path / "bad"
+    p.write_text("\n".join(lines) + "\n")
+    assert _read_error(reader, p) == (line, message)
 
 
 @pytest.mark.parametrize("ext", sorted(CONTAINERS))

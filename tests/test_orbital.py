@@ -54,6 +54,7 @@ from wgraph import (
     spectrum,
     word_str,
 )
+import wgraph.operator
 import wgraph.orbital
 from wgraph.cli import main
 from wgraph.fileio import ActionSpec, write_action, write_element
@@ -135,6 +136,13 @@ def test_element_drops_zero_terms():
     assert combined.coefficient(("a",)) == 3.0
 
 
+def test_words_with_an_unknown_generator_are_refused():
+    act = GroupAction(("0", "1"), {"a": (1, 0)})
+    for word in (("b",), ("a", "b'")):
+        with pytest.raises(ActionError, match="^unknown generator 'b'$"):
+            act.act_point(word, "0")
+
+
 def test_orbit_of_trivial_action_is_a_singleton():
     act = GroupAction(("p", "q"), {"a": (0, 1)})
     assert orbit(act, "p", [("a",)]) == ("p",)
@@ -187,7 +195,8 @@ def test_orbital_graph_labels_are_deterministic_per_vertex():
     act = odometer_action(3)
     og = orbital_graph(act, "000", adjacency_element())
     for v in og.graph.vertices:
-        out_words = sorted(og.labels[k] for k in og.graph.out_arcs(v) if k in og.labels)
+        out_arcs = np.flatnonzero(og.graph.source == og.graph.vertex_index(v)).tolist()
+        out_words = sorted(og.labels[k] for k in out_arcs if k in og.labels)
         in_words = sorted(
             og.labels[k] for k, a in enumerate(og.graph.arcs)
             if a.target == v and k in og.labels
@@ -867,6 +876,28 @@ def test_max_radius_past_the_dense_cap_is_refused_before_any_verdict_is_built(mo
     assert code == 2
     assert capsys.readouterr().err == f"ERROR: {message}\n"
     assert built == [] and verdicts == []
+
+
+def test_the_arc_budget_is_checked_before_the_orbit_is_searched(monkeypatch, tmp_path, capsys):
+    element = GroupAlgebraElement({("a",): 1.0, ("a", "a"): 0.5})  # neither inverse is in the support
+    act = odometer_action(3)
+    # two words and their two inverses on 8 points: every arc of the transitive action is counted
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 32)
+    assert len(orbital_graph(act, "000", element).graph.weight) == 32
+
+    def unsearched(*args):
+        raise AssertionError("the orbit was searched before the arc budget was checked")
+
+    monkeypatch.setattr(wgraph.orbital, "_orbit", unsearched)
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 31)
+    message = "the orbital graph of 4 words and inverses on 8 points would have up to 32 arcs; the arc cap is 31"
+    with pytest.raises(DimensionCapError) as e:
+        orbital_graph(act, "000", element)
+    assert str(e.value) == message
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, element)
+    code = main(["orbital", "--action", act_path, "--element", elt_path, "--x", "000", "--y", "011", "--level", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == f"ERROR: {message}\n"
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan")])

@@ -4,8 +4,8 @@ Each case runs ``main`` in a fresh directory that holds the fixture files below,
 its exit code, stdout, stderr and each file it writes with the files under ``tests/pins``:
 ``<case>.stdout``, ``<case>.stderr`` and ``<case>.<file>``, an empty stream having no file.
 Spectra and the ``graph-op`` reports are left out, as the bits of a spectrum and of
-``SELF-CHECK DEVIATION`` depend on the BLAS build; of ``graph-op`` only the written graph is
-pinned.
+``SELF-CHECK DEVIATION`` depend on the BLAS build; of ``graph-op`` only the written graph and
+the refusals are pinned, and of ``spectrum`` the written matrix and a refusal.
 """
 
 from pathlib import Path
@@ -42,10 +42,20 @@ CASES = {
     "demo-shift-trials0": (["demo-shift", "--trials", "0"], 2, (), True),
     **{f"graph-op-{name}": (["graph-op", *flags, "--graph", "g.wg", "--out", "out.wg"], 0, ("out.wg",), False)
        for name, flags in (("scale", ["scale", "--factor", "0.5-2i"]),
+                           ("add", ["add", "--factor", "0.5-2i"]),
                            ("adjoint", ["adjoint"]),
                            ("compose", ["compose", "--other", "h.wg"]),
                            ("deficiency-right", ["deficiency", "--lambda", "0.5+0.25i", "--R", "8"]),
                            ("deficiency-left", ["deficiency", "--lambda", "-1", "--R", "10", "--side", "left"]))},
+    # the refusals of a missing or contradictory flag
+    **{f"graph-op-{name}": (["graph-op", *flags, "--graph", "g.wg", "--out", "out.wg"], 2, (), True)
+       for name, flags in (("add-no-factor", ["add"]),
+                           ("compose-no-other", ["compose"]),
+                           ("deficiency-no-lambda", ["deficiency", "--R", "8"]),
+                           ("deficiency-no-R", ["deficiency", "--lambda", "1"]))},
+    "spectrum-graph-and-matrix": (["spectrum", "--graph", "g.wg", "--matrix", "g.wg"], 2, (), True),
+    # of spectrum only the written matrix, which involves no LAPACK
+    "spectrum-out": (["spectrum", "--graph", "g.wg", "--out", "m.mat"], 0, ("m.mat",), False),
     **{f"cover-lift{fmt}": (["cover", "lift", "--graph", "g.wg", "--volt", "g.volt", "--out", "g.cov", *json],
                             0, () if json else ("g.cov",), True)
        for fmt, json in (("", []), ("-json", ["--json"]))},

@@ -10,6 +10,7 @@ from helpers import circulant_spectrum, unit_disk
 from wgraph import (
     DEFAULT_MEMBERSHIP_TOL,
     HERMITIAN_ATOL,
+    DimensionCapError,
     SpectralSet,
     deficiency_graph,
     hausdorff_distance,
@@ -22,6 +23,7 @@ from wgraph import (
     spectrum,
     subset_check,
 )
+import wgraph.operator
 import wgraph.spectra
 from wgraph.spectra import _EIGVALSH_GROWTH, _as_square_matrix, _eigvalsh_error, _in_pair, _spectrum_and_verdicts
 
@@ -57,6 +59,15 @@ def test_spectrum_of_eight_cycle_matches_closed_form():
     # vanishes at every closed-form eigenvalue
     for lam in circulant_spectrum(8):
         assert abs(np.linalg.det(m - lam * np.eye(8))) <= 1e-8
+
+
+def test_spectrum_refuses_a_matrix_that_is_not_square_or_past_the_cap(monkeypatch):
+    with pytest.raises(ValueError, match=r"^spectrum requires a square matrix, got shape \(2, 3\)$"):
+        spectrum(np.zeros((2, 3)))
+    monkeypatch.setattr(wgraph.spectra, "MAX_DENSE_DIM", 2)
+    spectrum(NILPOTENT)
+    with pytest.raises(DimensionCapError, match="^spectrum: dimension 3 exceeds the cap 2$"):
+        spectrum(np.eye(3))
 
 
 def test_spectrum_of_hermitian_matrix_is_real():
@@ -498,7 +509,7 @@ def _is_hermitian_reference(m):
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 16])
 def test_is_hermitian_in_blocks_matches_the_whole_matrix_formula(monkeypatch, block):
-    monkeypatch.setattr(wgraph.spectra, "_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(wgraph.operator, "_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(5)
     cases = [np.zeros((0, 0)), np.zeros((3, 3)), NILPOTENT]
     for n in (1, 2, 5, 16):
