@@ -277,9 +277,8 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
         raise ValueError(f"voltage of arc {int(wrong[0])} is not inverse to the voltage of its reversal")
 
     # lifted vertex (v, i) is number v * d + i; its position in the cover is rank[v * d + i]
+    # distinct: the last '@' of a name splits it back into its base vertex and sheet
     names = [f"{v}@{i + 1}" for v in base.vertices for i in range(d)]
-    if len(set(names)) != len(names):
-        raise ValueError("lifted vertex names collide; rename the base vertices")
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), dtype=np.int64)
     rank[order] = np.arange(len(names))

@@ -387,8 +387,15 @@ def read_action(path: str) -> ActionSpec:
         cur.fail(lineno, f"expected 'kind perm' or 'kind mealy', got {line!r}")
     kind = parts[1]
     if kind == "perm":
+        from .orbital import GroupAction, _check_generator_name
+
         n = cur.count("points", minimum=1)
-        points = cur.ids(n, "point")
+        points = {}  # an ordered set of the point ids
+        for _ in range(n):
+            (point,) = cur.ids(1, "point")
+            if point in points:
+                cur.fail(cur.lineno, "duplicate point ids")
+            points[point] = None
         g = cur.count("generators", minimum=1)
         perms = {}
         for _ in range(g):
@@ -396,17 +403,17 @@ def read_action(path: str) -> ActionSpec:
             name = parts[0]
             if name in perms:
                 cur.fail(lineno, f"duplicate generator {name!r}")
+            try:
+                _check_generator_name(name)
+            except ActionError as e:
+                cur.fail(lineno, str(e))
             images = tuple(cur.int_field(lineno, t, "point image") - 1 for t in parts[1:])
             if sorted(images) != list(range(n)):
                 cur.fail(lineno, f"generator {name!r} is not a permutation of 1..{n}")
             perms[name] = images
         cur.expect_end()
-        from .orbital import GroupAction
-
-        try:
-            return ActionSpec("perm", action=GroupAction(tuple(points), perms))
-        except ActionError as e:
-            raise ParseError(str(path), lineno, str(e)) from None
+        # every refusal of GroupAction has been made above, on the line at fault
+        return ActionSpec("perm", action=GroupAction(tuple(points), perms))
     lineno, line = cur.next_line("'alphabet' line")
     parts = line.split()
     if len(parts) < 2 or parts[0] != "alphabet":

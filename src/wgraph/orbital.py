@@ -67,6 +67,11 @@ def _check_token(token: str) -> str:
     return token
 
 
+def _check_generator_name(name: str):
+    if _check_token(name).endswith("'"):
+        raise ActionError(f"generator name {name!r} may not end with an apostrophe")
+
+
 def parse_word(text: str) -> tuple[str, ...]:
     """Parse "a a' b" into a word; the single token "e" is the empty word."""
     toks = text.split()
@@ -114,9 +119,7 @@ class GroupAction:
             raise ActionError("duplicate point ids")
         n = len(self.points)
         for name, perm in self.perms.items():
-            _check_token(name)
-            if name.endswith("'"):
-                raise ActionError(f"generator name {name!r} may not end with an apostrophe")
+            _check_generator_name(name)
             if sorted(perm) != list(range(n)):
                 raise ActionError(f"generator {name!r} is not a permutation of the point set")
 
@@ -260,13 +263,21 @@ def orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
 
 
 def _orbit(action: GroupAction, start: str, words) -> tuple[list[int], dict]:
-    """:func:`orbit` as point positions, with each step word's image of every point."""
+    """:func:`orbit` as point positions, with each step word's image of every point.  It owns the
+    arc budget: the images and their arcs, one per step and point, are checked before any is built."""
+    from .operator import MAX_ARCS
+
     wl = sorted({tuple(w) for w in words}, key=_word_key)
     if not wl:
         raise ActionError("orbit needs at least one word")
-    i0 = action.point_index(start)
     # the search tries each word, then its inverse; a repeated step keeps its first place
-    images = {step: action._word_image(step) for w in wl for step in (w, invert_word(w))}
+    steps = list(dict.fromkeys(step for w in wl for step in (w, invert_word(w))))
+    arcs = len(steps) * len(action.points)
+    if arcs > MAX_ARCS:
+        raise DimensionCapError(f"the orbital graph of {len(steps)} words and inverses on {len(action.points)} points "
+                                f"would have up to {arcs} arcs; the arc cap is {MAX_ARCS}")
+    i0 = action.point_index(start)
+    images = {step: action._word_image(step) for step in steps}
     return _bfs(np.stack(list(images.values()), axis=1).tolist(), i0)[0], images
 
 
@@ -360,21 +371,11 @@ def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement)
     permutation representation of the element to the block spanned by the
     orbit.  Arcs of mutually inverse support words are each other's
     reversals; a support word without its inverse gets weight-0 reverse
-    arcs so the pairing stays total.  The arcs, and the word images the
-    orbit search holds, are counted against :data:`wgraph.operator.MAX_ARCS`
-    before either is built.
+    arcs so the pairing stays total; the orbit search checks the arc budget.
     """
-    from .operator import MAX_ARCS
-
     if not element:
         raise ActionError("cannot build the orbital graph of the zero element")
     supp = element.support()
-    # one image array and one arc per point for each support word and each inverse missing from it
-    steps = len(supp) + len({invert_word(g) for g in supp} - set(supp))
-    arcs = steps * len(action.points)
-    if arcs > MAX_ARCS:
-        raise DimensionCapError(f"the orbital graph of {steps} words and inverses on {len(action.points)} points "
-                                f"would have up to {arcs} arcs; the arc cap is {MAX_ARCS}")
     order, images = _orbit(action, start, supp)
     n, orb = len(order), np.asarray(order)
     names = [action.points[i] for i in order]
@@ -639,12 +640,12 @@ def rayleigh_transfer(
     ``vec`` must be supported in the radius-``support_radius`` ball around
     ``vx``.  ``s_builder`` maps a labeled orbital graph to the operator
     graph whose quadratic form is compared (for example a
-    :func:`positive_element_graph` closure).  The built operator sees
-    ``gx.transfer_reach`` (the longest label word, at least 1) past the
-    support, so the balls of radius ``support_radius + gx.transfer_reach``
-    around the roots must be isomorphic — for operators assembled from
-    products of two element factors the interior path midpoints stay
-    within that reach, so the two quadratic forms agree exactly.
+    :func:`positive_element_graph` closure); it receives the :func:`ball`
+    of radius ``support_radius + gx.transfer_reach`` around each root, and
+    the two balls must be isomorphic.  A product of two element factors
+    reaches a support row only through arcs of that ball, and gets the
+    same terms in the same order as on the whole orbit, so both quadratic
+    forms are the whole-orbit ones bit for bit.
 
     Returns ``(value_x, value_y)`` with ``value = <H vec, vec>`` as reals.
     """
@@ -657,18 +658,16 @@ def rayleigh_transfer(
             f"balls of radius {radius} around {vx!r} and {vy!r} are not isomorphic; "
             "match radius insufficient"
         )
-    dist = gx.distances(vx)
-    escaped = [k for k in vec.support() if dist.get(k, radius + 1) > support_radius]
+    near = set(ball(gx, vx, support_radius).graph.vertices)
+    escaped = [k for k in vec.support() if k not in near]
     if escaped:
         raise ActionError(
             f"vector support escapes the radius-{support_radius} ball around {vx!r}: {escaped[:3]}"
         )
-    sx = s_builder(gx)
-    sy = s_builder(gy)
-    value_x = apply(sx, vec).inner(vec)
+    value_x = apply(s_builder(ball(gx, vx, radius)), vec).inner(vec)
     iso = dict(zip(order_x, order_y))
     mapped = FinSuppVector({iso[k]: c for k, c in vec.items()})
-    value_y = apply(sy, mapped).inner(mapped)
+    value_y = apply(s_builder(ball(gy, vy, radius)), mapped).inner(mapped)
     return float(value_x.real), float(value_y.real)
 
 

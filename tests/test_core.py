@@ -61,6 +61,14 @@ def test_duplicate_vertex_ids_are_found_in_linear_time():
     assert str(e.value) == "duplicate vertex ids: ['v59999', 'v7']"
 
 
+def test_vertex_index_refuses_an_unknown_vertex():
+    g = two_cycle()
+    assert g.vertex_index("v") == 1
+    with pytest.raises(GraphStructureError) as e:
+        g.vertex_index("w")
+    assert str(e.value) == "unknown vertex 'w'"
+
+
 def test_make_graph_accepts_arc_values_and_loop_styles():
     g = make_graph(["a"], [Arc("a", "a", 2.0), ("a", "a", 3.0), ("a", "a", 4.0)], [0, 2, 1])
     assert g.pairing == (0, 2, 1)

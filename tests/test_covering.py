@@ -163,6 +163,31 @@ def test_induced_compose_needs_matching_vertex_maps():
         induced_covering(cov, "compose", other=other)
 
 
+def _identity_covering(g):
+    return CoveringMap(g, g, {v: v for v in g.vertices}, tuple(range(len(g.weight))))
+
+
+def test_induced_compose_refuses_factors_without_a_shared_skeleton():
+    # u - w composed with w - t has the path u -> w -> t and no path back: the composed
+    # cover would need a weight-0 reversal, which no base arc projects from
+    left = make_graph(["t", "u", "w"], [("u", "w", 1.0), ("w", "u", 1.0)], [1, 0])
+    right = make_graph(["t", "u", "w"], [("w", "t", 1.0), ("t", "w", 1.0)], [1, 0])
+    with pytest.raises(CoveringError) as e:
+        induced_covering(_identity_covering(left), "compose", other=_identity_covering(right))
+    assert str(e.value) == "composed cover needed zero-completion arcs; compose factors must share an arc skeleton"
+
+
+def test_induced_compose_refuses_a_factor_pair_with_no_base_arc():
+    # the cover arcs u -> w and w -> t are sent to each other's base arcs, so the cover
+    # path u -> w -> u is sent to the pair (w -> t, w -> u), which is no path of the base
+    g = make_graph(["t", "u", "w"], [("u", "w", 1.0), ("w", "u", 1.0), ("w", "t", 1.0), ("t", "w", 1.0)],
+                   [1, 0, 3, 2])
+    swapped = CoveringMap(g, g, {v: v for v in g.vertices}, (2, 1, 0, 3))
+    with pytest.raises(CoveringError) as e:
+        induced_covering(swapped, "compose", other=swapped)
+    assert str(e.value) == "no base arc for the composed factor pair (2, 1)"
+
+
 @pytest.mark.parametrize("context, check", [
     ("deficiency route", deficiency_route_check),
     ("spectral inclusion", spectral_inclusion_check),

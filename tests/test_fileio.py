@@ -688,8 +688,14 @@ READER_FAULTS = {
                             "duplicate generator 'a'"),
     "reserved generator": ([*PERM_HEAD, "generators 2", "a 2 1", "e 1 2"], read_action, 8,
                            "'e' is reserved for the identity word"),
-    "duplicate point": (["action 1", "kind perm", "points 2", "p", "p", "generators 1", "a 2 1"], read_action, 7,
+    "duplicate point": (["action 1", "kind perm", "points 2", "p", "p", "generators 1", "a 2 1"], read_action, 5,
                         "duplicate point ids"),
+    "reserved first generator": ([*PERM_HEAD, "generators 2", "e 2 1", "a 1 2"], read_action, 7,
+                                 "'e' is reserved for the identity word"),
+    "apostrophe generator": ([*PERM_HEAD, "generators 2", "a' 2 1", "b 1 2"], read_action, 7,
+                             "generator name \"a'\" may not end with an apostrophe"),
+    "bad generator token": ([*PERM_HEAD, "generators 2", "a'b 2 1", "b 1 2"], read_action, 7,
+                            "bad generator token \"a'b\""),
     "bad alphabet line": (["action 1", "kind mealy", "alphabet"], read_action, 3,
                           "expected 'alphabet <letters...>', got 'alphabet'"),
     "repeated letter": (["action 1", "kind mealy", "alphabet 0 1 0"], read_action, 3,

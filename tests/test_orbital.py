@@ -26,6 +26,7 @@ from helpers import (
     reference_local_iso,
     reference_orbit,
     reference_orbital_graph,
+    unit_disk,
 )
 
 from wgraph import (
@@ -93,6 +94,26 @@ def test_group_action_validation():
         GroupAction(("p", "q"), {"e": (1, 0)})
     with pytest.raises(ActionError):
         GroupAction(("p", "q"), {"a'": (1, 0)})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GroupAction(("p", "q r"), {}), ActionError, "point id 'q r' is empty or contains whitespace"),
+    (lambda: GroupAction.from_mealy(ODOMETER_TRANSITIONS, ["0", "1", "0"], 2), ActionError,
+     "alphabet must be nonempty without repeats"),
+    (lambda: GroupAction.from_mealy(ODOMETER_TRANSITIONS, ["0", "10"], 2), ActionError,
+     "alphabet letters must be single characters"),
+    (lambda: GroupAction.from_mealy(ODOMETER_TRANSITIONS, ["0", "1"], 0), ActionError, "level must be at least 1"),
+    (lambda: orbit(odometer_action(2), "00", []), ActionError, "orbit needs at least one word"),
+    (lambda: orbital_graph(odometer_action(2), "00", GroupAlgebraElement({})), ActionError,
+     "cannot build the orbital graph of the zero element"),
+    (lambda: ball(orbital_graph(odometer_action(2), "00", adjacency_element()), "00", -1), ValueError,
+     "radius must be nonnegative"),
+], ids=["point with whitespace", "repeated letter", "two-character letter", "level 0", "orbit of no words",
+        "zero element graph", "negative ball radius"])
+def test_action_and_orbit_refusals_name_their_fault(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
 
 
 def test_words_act_rightmost_token_first():
@@ -439,6 +460,72 @@ def test_rayleigh_transfer_equal_on_ball_supported_vectors():
         )
         vx, vy = rayleigh_transfer(g3, g4, builder, vec, 2, ("000", match))
         assert abs(vx - vy) <= 1e-12
+
+
+def _whole_orbit_form(g: LabeledOrbitalGraph, builder, vec: FinSuppVector) -> float:
+    return float(apply(builder(g), vec).inner(vec).real)
+
+
+def test_rayleigh_transfer_equals_the_whole_orbit_forms_bit_for_bit():
+    """The transfer builds its operators on two balls; each value is the quadratic form of
+    the operator built on the whole orbit, to the last bit."""
+    rng = np.random.default_rng(2718)
+    for case in range(60):
+        act = random_finite_action(rng, max_points=12)
+        names = act.generator_names()
+        elem = random_element(rng, names) if case % 2 else _random_element(rng, names)
+        # the same action on relabeled points: an isomorphic orbit whose arcs come in another order
+        relabel = [int(i) for i in rng.permutation(len(act.points))]
+        perms = {name: tuple(relabel[perm[i]] for i in np.argsort(relabel).tolist())
+                 for name, perm in act.perms.items()}
+        x = act.points[int(rng.integers(len(act.points)))]
+        gx = orbital_graph(act, x, elem)
+        gy = orbital_graph(GroupAction(act.points, perms), act.points[relabel[act.point_index(x)]], elem)
+        radius = default_radius_bound(elem)
+        centre = complex(unit_disk(rng)) * radius / 2
+
+        def builder(g):
+            return positive_element_graph(g, elem, centre, radius)
+
+        support_radius = case % 3
+        vx = gx.graph.vertices[int(rng.integers(len(gx.graph.vertices)))]
+        code, order_x = _ball_code(gx, vx, support_radius + gx.transfer_reach)
+        vy, order_y = next((v, order) for v in gy.graph.vertices
+                           for c, order in [_ball_code(gy, v, support_radius + gx.transfer_reach)] if c == code)
+        near = ball(gx, vx, support_radius).graph.vertices
+        keep = rng.random(len(near)) < 0.7
+        vec = FinSuppVector({v: complex(*rng.normal(size=2)) for v, k in zip(near, keep.tolist()) if k})
+        mapped = FinSuppVector({dict(zip(order_x, order_y))[k]: c for k, c in vec.items()})
+        got = rayleigh_transfer(gx, gy, builder, vec, support_radius, (vx, vy))
+        assert got == (_whole_orbit_form(gx, builder, vec), _whole_orbit_form(gy, builder, mapped)), case
+
+
+def test_rayleigh_transfer_builds_its_operators_within_the_arc_budget_of_the_balls(monkeypatch, tmp_path, capsys):
+    """The deficiency graphs of the two balls fit an arc budget that those of the whole
+    orbits exceed: the transfer and the orbital command then succeed with unchanged results."""
+    act, elem = odometer_action(6), adjacency_element()
+    gx, gy = orbital_graph(act, "000000", elem), orbital_graph(act, "101101", elem)
+    radius = default_radius_bound(elem)
+
+    def builder(g):
+        return positive_element_graph(g, elem, 0.5, radius)
+
+    vec = FinSuppVector.delta("000000")
+    match = ("000000", local_iso_check(gx, gy, 1).radii[1].x_matches["000000"])
+    want = rayleigh_transfer(gx, gy, builder, vec, 0, match)
+    act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, elem)
+    argv = ["orbital", "--action", act_path, "--element", elt_path, "--x", "000000", "--y", "101101", "--level", "6"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    # 64 points of degree 3 once a loop is added: 576 composed arcs on the orbit, 17 on a ball of 3
+    budget = max(len(gx.graph.weight), len(builder(ball(gx, "000000", 1)).weight))
+    assert budget < 576
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", budget)
+    with pytest.raises(DimensionCapError, match="composition would have 576 arcs"):
+        builder(gx)
+    assert rayleigh_transfer(gx, gy, builder, vec, 0, match) == want
+    assert main(argv) == 0
+    assert capsys.readouterr().out == report and "TRANSFER: ok" in report
 
 
 def test_apply_on_orbital_graph_matches_dense():
@@ -888,11 +975,15 @@ def test_the_arc_budget_is_checked_before_the_orbit_is_searched(monkeypatch, tmp
     def unsearched(*args):
         raise AssertionError("the orbit was searched before the arc budget was checked")
 
-    monkeypatch.setattr(wgraph.orbital, "_orbit", unsearched)
+    monkeypatch.setattr(GroupAction, "_word_image", unsearched)
     monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 31)
     message = "the orbital graph of 4 words and inverses on 8 points would have up to 32 arcs; the arc cap is 31"
     with pytest.raises(DimensionCapError) as e:
         orbital_graph(act, "000", element)
+    assert str(e.value) == message
+    # orbit() runs the same search over the same words, so it meets the same budget
+    with pytest.raises(DimensionCapError) as e:
+        orbit(act, "000", element.support())
     assert str(e.value) == message
     act_path, elt_path = _write_inputs(tmp_path, ODOMETER_TRANSITIONS, element)
     code = main(["orbital", "--action", act_path, "--element", elt_path, "--x", "000", "--y", "011", "--level", "3"])

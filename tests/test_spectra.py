@@ -228,6 +228,9 @@ def test_subset_check_examples():
     assert r.max_deviation == pytest.approx(0.5)
     assert r.worst_point == 0.5 + 0j
     assert subset_check(SpectralSet(()), SpectralSet((1 + 0j,))).included
+    # no point lies near an empty set: the first point is the worst, at an infinite distance
+    r = subset_check(SpectralSet((1 + 0j, 2 + 0j)), SpectralSet(()))
+    assert (r.included, r.max_deviation, r.worst_point) == (False, float("inf"), 1 + 0j)
 
 
 def _dense_hausdorff(p, q) -> float:
