@@ -23,7 +23,6 @@ loads ``orbital``, and no other subcommand loads ``covering``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -281,7 +280,7 @@ def cmd_cover_include(args) -> int:
 
 
 def cmd_orbital(args) -> int:
-    from .orbital import positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
+    from .orbital import _first_match, positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
 
     spec = read_action(args.action)
     action = spec.realize(args.level)
@@ -316,7 +315,7 @@ def cmd_orbital(args) -> int:
     code = 0
     reach = comp.graph_x.transfer_reach
     if comp.max_common_radius >= reach:
-        match = comp.local_iso.radii[reach].x_matches[args.x]  # a passing radius matches every vertex
+        match = _first_match(comp.graph_x, comp.graph_y, args.x, reach)  # a passing radius matches every vertex
         alpha = comp.spectrum_x.values[-1]
         builder = lambda g: positive_element_graph(g, element, alpha, comp.radius)
         vx, vy = rayleigh_transfer(
@@ -339,13 +338,32 @@ def cmd_orbital(args) -> int:
 
 def cmd_demo_shift(args) -> int:
     report = shift_counterexample_report(depth=args.depth, trials=args.trials, seed=args.seed)
-    if args.json:
-        data = {k.replace("_", "-"): v for k, v in dataclasses.asdict(report).items()}
-        data["passed"] = report.passed
-        print(json.dumps(data, indent=2, sort_keys=True))
+    rep = Report()
+    rep.raw("shift-report 1")
+    rep.kv("depth", report.depth)
+    rep.kv("trials", report.trials)
+    rep.raw(f"R: {_fmt(report.radius)}")
+    rep.jset("radius", report.radius)
+    checks = (("isometry S*S=I on delta_k (k<=depth)", "isometry-exact", report.isometry_exact),
+              ("S S* delta_0 = 0", "corange-kills-origin", report.corange_kills_origin),
+              ("<delta_0, S f> = 0 on random f", "range-orthogonal-to-origin", report.range_orthogonal_to_origin))
+    for check, key, ok in checks:
+        rep.raw(f"CHECK {check}: {'pass' if ok else 'FAIL'}")
+        rep.jset(key, ok)
+    for side, dist in (("right", report.right_distance), ("left", report.left_distance)):
+        rep.raw(f"{side}-product distance of 1 at lambda=0: {_fmt(dist)}")
+        rep.jset(f"{side}-distance", dist)
+    misses = report.one_sided_misses_membership
+    rep.jset("one-sided-misses-membership", misses)
+    if misses:
+        rep.raw("VERDICT: the right product I - S*S/R^2 reports lambda=0 invertible, yet delta_0 is orthogonal "
+                "to the range of S, so 0 is in the spectrum; the left product witnesses it exactly.")
+        rep.raw("A one-sided deficiency test is unsound for non-normal operators; "
+                "membership must take the union over both product orders.")
     else:
-        for line in report.lines():
-            print(line)
+        rep.raw("VERDICT: demonstration failed; see the check lines above.")
+    rep.jset("passed", report.passed)
+    rep.emit(args.json)
     return 0 if report.passed else 1
 
 

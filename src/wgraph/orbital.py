@@ -263,8 +263,9 @@ def orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
 
 
 def _orbit(action: GroupAction, start: str, words) -> tuple[list[int], dict]:
-    """:func:`orbit` as point positions, with each step word's image of every point.  It owns the
-    arc budget: the images and their arcs, one per step and point, are checked before any is built."""
+    """:func:`orbit` as point positions, with each step word's image of every point, a column of
+    one int32 table whose row ``i`` lists the neighbours of point ``i``.  It owns the arc budget:
+    the images and their arcs, one per step and point, are checked before any is built."""
     from .operator import MAX_ARCS
 
     wl = sorted({tuple(w) for w in words}, key=_word_key)
@@ -277,8 +278,13 @@ def _orbit(action: GroupAction, start: str, words) -> tuple[list[int], dict]:
         raise DimensionCapError(f"the orbital graph of {len(steps)} words and inverses on {len(action.points)} points "
                                 f"would have up to {arcs} arcs; the arc cap is {MAX_ARCS}")
     i0 = action.point_index(start)
-    images = {step: action._word_image(step) for step in steps}
-    return _bfs(np.stack(list(images.values()), axis=1).tolist(), i0)[0], images
+    table = np.empty((len(action.points), len(steps)), dtype=np.int32)  # the arc budget keeps positions below 2^24
+    for k, step in enumerate(steps):
+        table[:, k] = action._word_image(step)
+    # the search reads each row through a memoryview, with no Python int held per step and point
+    flat = memoryview(table.reshape(-1))
+    rows = [flat[i * len(steps):(i + 1) * len(steps)] for i in range(len(table))]
+    return _bfs(rows, i0)[0], dict(zip(steps, table.T))
 
 
 @dataclass(frozen=True)
@@ -603,6 +609,14 @@ def _first_matches(codes: dict, other: dict) -> dict:
     for w, code in other.items():
         first.setdefault(code, w)
     return {v: first.get(code) for v, code in codes.items()}
+
+
+def _first_match(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, x: str, radius: int):
+    """The first vertex of ``gy``, in vertex order, whose ball of ``radius`` has the code of the
+    ball around ``x`` in ``gx``, or None: what ``x_matches[x]`` of :func:`local_iso_check` reads
+    at that radius, with only x's ball and the balls of ``gy`` up to the match coded."""
+    code = _ball_code(gx, x, radius)[0]
+    return next((v for v in gy.graph.vertices if _ball_code(gy, v, radius)[0] == code), None)
 
 
 def positive_element_graph(

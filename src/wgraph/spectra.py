@@ -433,36 +433,6 @@ class ShiftReport:
             and self.one_sided_misses_membership
         )
 
-    def lines(self) -> list[str]:
-        out = [
-            "shift-report 1",
-            f"depth: {self.depth}",
-            f"trials: {self.trials}",
-            f"R: {self.radius!r}",
-            f"CHECK isometry S*S=I on delta_k (k<=depth): {_pf(self.isometry_exact)}",
-            f"CHECK S S* delta_0 = 0: {_pf(self.corange_kills_origin)}",
-            f"CHECK <delta_0, S f> = 0 on random f: {_pf(self.range_orthogonal_to_origin)}",
-            f"right-product distance of 1 at lambda=0: {self.right_distance!r}",
-            f"left-product distance of 1 at lambda=0: {self.left_distance!r}",
-        ]
-        if self.one_sided_misses_membership:
-            out.append(
-                "VERDICT: the right product I - S*S/R^2 reports lambda=0 invertible, "
-                "yet delta_0 is orthogonal to the range of S, so 0 is in the spectrum; "
-                "the left product witnesses it exactly."
-            )
-            out.append(
-                "A one-sided deficiency test is unsound for non-normal operators; "
-                "membership must take the union over both product orders."
-            )
-        else:
-            out.append("VERDICT: demonstration failed; see the check lines above.")
-        return out
-
-
-def _pf(ok: bool) -> str:
-    return "pass" if ok else "FAIL"
-
 
 def _shift(f: FinSuppVector) -> FinSuppVector:
     """The one-sided shift S on vectors indexed by the naturals: ``S delta_k = delta_{k+1}``."""

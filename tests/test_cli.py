@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from wgraph import (
 )
 import wgraph.cli
 import wgraph.covering
+import wgraph.orbital
 import wgraph.spectra
 from wgraph.cli import main
 
@@ -324,6 +326,33 @@ def test_orbital_bad_inputs(files, capsys):
     assert code == 2 and "level" in err
 
 
+@pytest.fixture
+def swap3(tmp_path):
+    """A three-point action with the fixed point p and the swap of q and r, and the element a."""
+    act, elt = tmp_path / "swap3.act", tmp_path / "a.elt"
+    act.write_text("action 1\nkind perm\npoints 3\np\nq\nr\ngenerators 1\na 1 3 2\n")
+    elt.write_text("element 1\nterms 1\na 1.0\n")
+    return ["orbital", "--action", str(act), "--element", str(elt)]
+
+
+def test_orbital_prints_a_miss_line_for_each_point_of_x_outside_the_y_spectrum(swap3, capsys):
+    # the orbit of q has spectrum {-1, 1} and that of the fixed point p has {1}
+    assert run(capsys, swap3 + ["--x", "q", "--y", "p"]) == (0, (
+        "ELEMENT: a:1.0\nORBIT X: q size=2\nORBIT Y: p size=1\nR: 2.0\nSPECTRUM X: -1.0 1.0\n"
+        "SPECTRUM Y: 1.0\nHAUSDORFF: 2.0\nLOCAL-ISO RADIUS: -1\nLOCAL-ISO SATURATED: no\n"
+        "CROSS-CHECKS: 2\nCROSS-MISSES: 1\nMISS: lambda=-1.0 x=yes y=no\n"
+        "TRANSFER: skipped (no match at transfer radius)\n"), "")
+
+
+def test_orbital_reports_a_failed_transfer_and_exits_one(swap3, capsys, monkeypatch):
+    monkeypatch.setattr(wgraph.orbital, "rayleigh_transfer", lambda *args: (1.0, 0.5))
+    assert run(capsys, swap3 + ["--x", "q", "--y", "r"]) == (1, (
+        "ELEMENT: a:1.0\nORBIT X: q size=2\nORBIT Y: r size=2\nR: 2.0\nSPECTRUM X: -1.0 1.0\n"
+        "SPECTRUM Y: -1.0 1.0\nHAUSDORFF: 0.0\nLOCAL-ISO RADIUS: 2\nLOCAL-ISO SATURATED: yes\n"
+        "CROSS-CHECKS: 2\nCROSS-MISSES: 0\nTRANSFER ALPHA: 1.0\nTRANSFER X: 1.0\nTRANSFER Y: 0.5\n"
+        "TRANSFER DEVIATION: 0.5\nTRANSFER: FAILED\n"), "")
+
+
 def test_demo_shift(capsys):
     code, out, _ = run(capsys, ["demo-shift", "--depth", "30", "--trials", "20"])
     assert code == 0
@@ -346,6 +375,24 @@ def test_demo_shift_json(capsys):
     assert data["passed"] is True
     assert data["right-distance"] == 0.25
     assert data["left-distance"] == 0.0
+
+
+def test_a_failed_demonstration_prints_its_verdict_and_exits_one(capsys, monkeypatch):
+    real = wgraph.cli.shift_counterexample_report
+    monkeypatch.setattr(wgraph.cli, "shift_counterexample_report", lambda **kw: dataclasses.replace(
+        real(**kw), corange_kills_origin=False, one_sided_misses_membership=False))
+    argv = ["demo-shift", "--depth", "5", "--trials", "3"]
+    assert run(capsys, argv) == (1, (
+        "shift-report 1\ndepth: 5\ntrials: 3\nR: 2.0\n"
+        "CHECK isometry S*S=I on delta_k (k<=depth): pass\nCHECK S S* delta_0 = 0: FAIL\n"
+        "CHECK <delta_0, S f> = 0 on random f: pass\n"
+        "right-product distance of 1 at lambda=0: 0.25\nleft-product distance of 1 at lambda=0: 0.0\n"
+        "VERDICT: demonstration failed; see the check lines above.\n"), "")
+    assert run(capsys, argv + ["--json"]) == (1, (
+        '{\n  "corange-kills-origin": false,\n  "depth": 5,\n  "isometry-exact": true,\n'
+        '  "left-distance": 0.0,\n  "one-sided-misses-membership": false,\n  "passed": false,\n'
+        '  "radius": 2.0,\n  "range-orthogonal-to-origin": true,\n  "right-distance": 0.25,\n'
+        '  "trials": 3\n}\n'), "")
 
 
 def test_parse_errors_surface_with_location(files, capsys, tmp_path):

@@ -1,7 +1,9 @@
 import gc
+import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -59,7 +61,7 @@ import wgraph.operator
 import wgraph.orbital
 from wgraph.cli import main
 from wgraph.fileio import ActionSpec, write_action, write_element
-from wgraph.orbital import _ball_code
+from wgraph.orbital import _ball_code, _first_match
 
 
 def test_word_parsing_and_inversion():
@@ -1040,8 +1042,47 @@ def test_cli_codes_only_the_transfer_radius(monkeypatch, tmp_path, capsys):
     code = main(["orbital", "--action", act_path, "--element", elt_path,
                  "--x", "00000", "--y", "10110", "--level", "5"])
     assert code == 0 and "TRANSFER: ok" in capsys.readouterr().out
-    # the matches at the transfer reach, then the two balls rayleigh_transfer compares
-    assert {args[2] for args in coded} == {1} and len(coded) == 32 + 2
+    # x's ball and the first y ball, which matches it on the cycle, then the two balls
+    # rayleigh_transfer compares
+    assert {args[2] for args in coded} == {1} and len(coded) == 1 + 1 + 2
+
+
+def test_the_transfer_match_is_the_local_iso_match_with_the_balls_up_to_it_coded(monkeypatch):
+    rng = np.random.default_rng(3131)
+    later = unmatched = 0
+    for case in range(60):
+        act_x = random_finite_action(rng, max_points=10)
+        act_y = act_x if case % 2 else repermuted(rng, act_x)
+        elem = random_element(rng, act_x.generator_names())
+        x, y = (act_x.points[int(i)] for i in rng.integers(0, len(act_x.points), size=2))
+        gx, gy = orbital_graph(act_x, x, elem), orbital_graph(act_y, y, elem)
+        ys = gy.graph.vertices
+        for v in local_iso_check(gx, gy, 3).radii:
+            for vx in v.x_matches:  # empty past the first failing radius
+                want = v.x_matches[vx]
+                coded = _counting(monkeypatch, "_ball_code")
+                assert _first_match(gx, gy, vx, v.radius) == want
+                assert len(coded) == 1 + (len(ys) if want is None else ys.index(want) + 1)
+                monkeypatch.undo()
+                later += want is not None and want != ys[0]
+                unmatched += want is None
+    assert later > 100 and unmatched > 20
+
+
+def test_orbit_holds_its_image_table_as_integers():
+    # the 1,456 reduced words of length 1 to 6 and their inverses on 128 points: 372,736 (step,
+    # point) pairs, which took 27 B each as Python lists of positions and take 4 as int32
+    act, _ = _grigorchuk(7)
+    words = [w for n in range(1, 7) for w in itertools.product("abcd", repeat=n)
+             if all(x != y for x, y in zip(w, w[1:]))]
+    tracemalloc.start()
+    try:
+        points = orbit(act, "0000000", words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 1456 and len(points) == 128
+    assert peak / (2 * len(words) * len(act.points)) < 12
 
 
 def test_cli_codes_no_ball_when_the_transfer_is_skipped(monkeypatch, tmp_path, capsys):

@@ -303,8 +303,6 @@ def test_shift_report_demonstrates_one_sided_failure():
     assert rep.right_distance == pytest.approx(0.25)
     assert rep.left_distance == 0.0
     assert rep.one_sided_misses_membership
-    text = "\n".join(rep.lines())
-    assert "one-sided" in text.lower()
     assert shift_counterexample_report(depth=1, trials=1).passed
 
 
