@@ -194,23 +194,28 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_cover_verify(args) -> int:
+def _cover_head(rep: Report, covering) -> list:
+    """The two orders, the violation count and a ``VIOLATION:`` line per violation of
+    ``covering``, which ``cover verify`` and ``cover include`` share; returns the violations
+    as JSON items."""
     from .covering import verify_covering
 
-    covering = read_covering(args.map)
     violations = verify_covering(covering)
-    rep = Report()
     rep.kv("COVER ORDER", covering.cover.order)
     rep.kv("BASE ORDER", covering.base.order)
     rep.kv("VIOLATIONS", len(violations))
-    items = []
     for v in violations:
         rep.raw(f"VIOLATION: {v.kind} at {v.where}: {v.detail}")
-        items.append({"kind": v.kind, "where": v.where, "detail": v.detail})
+    return [{"kind": v.kind, "where": v.where, "detail": v.detail} for v in violations]
+
+
+def cmd_cover_verify(args) -> int:
+    rep = Report()
+    items = _cover_head(rep, read_covering(args.map))
     rep.jset("violation-list", items)
-    rep.kv("VERIFIED", "ok" if not violations else "FAILED", not violations)
+    rep.kv("VERIFIED", "ok" if not items else "FAILED", not items)
     rep.emit(args.json)
-    return 0 if not violations else 1
+    return 0 if not items else 1
 
 
 def cmd_cover_lift(args) -> int:
@@ -233,17 +238,11 @@ def cmd_cover_lift(args) -> int:
 
 
 def cmd_cover_include(args) -> int:
-    from .covering import deficiency_route_check, spectral_inclusion_check, verify_covering
+    from .covering import deficiency_route_check, spectral_inclusion_check
 
     covering = read_covering(args.map)
-    violations = verify_covering(covering)
     rep = Report()
-    rep.kv("COVER ORDER", covering.cover.order)
-    rep.kv("BASE ORDER", covering.base.order)
-    rep.kv("VIOLATIONS", len(violations))
-    if violations:
-        for v in violations:
-            rep.raw(f"VIOLATION: {v.kind} at {v.where}: {v.detail}")
+    if _cover_head(rep, covering):
         rep.kv("INCLUDED", "FAILED", False)
         rep.emit(args.json)
         return 1

@@ -128,8 +128,13 @@ class GroupAction:
         return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
-    def _inverses(self) -> dict:
-        return {name: tuple(np.argsort(perm).tolist()) for name, perm in self.perms.items()}
+    def _images(self) -> dict:
+        """Each token's image array: a generator's permutation, and its inverse under ``name'``."""
+        images = {}
+        for name, perm in self.perms.items():
+            images[name] = np.asarray(perm)
+            images[name + "'"] = np.argsort(images[name])
+        return images
 
     def point_index(self, point: str) -> int:
         try:
@@ -140,26 +145,14 @@ class GroupAction:
     def generator_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.perms))
 
-    def _token_perm(self, token: str) -> tuple[int, ...]:
-        base, inverse = (token[:-1], True) if token.endswith("'") else (token, False)
-        if base not in self.perms:
-            raise ActionError(f"unknown generator {base!r}")
-        return self._inverses[base] if inverse else self.perms[base]
-
-    def act_index(self, word: tuple[str, ...], index: int) -> int:
-        for token in reversed(word):
-            index = self._token_perm(token)[index]
-        return index
-
-    def act_point(self, word: tuple[str, ...], point: str) -> str:
-        return self.points[self.act_index(word, self.point_index(point))]
-
     def _word_image(self, word: tuple[str, ...]) -> np.ndarray:
-        """Position of the image of every point under ``word``, tokens applied
-        right to left as in :meth:`act_index`."""
+        """Position of the image of every point under ``word``, the rightmost token applied first."""
         image = np.arange(len(self.points))
         for token in reversed(word):
-            image = np.take(self._token_perm(token), image)
+            if token not in self._images:
+                base = token.removesuffix("'")
+                raise ActionError(f"unknown generator {base!r}")
+            image = self._images[token][image]
         return image
 
     @classmethod
@@ -308,13 +301,12 @@ class LabeledOrbitalGraph:
         order, -1 where the vertex has no such labeled arc."""
         g = self.graph
         slot = {w: 2 * i for i, w in enumerate(self.alphabet)}
-        adj = [[-1] * (2 * len(self.alphabet)) for _ in g.vertices]
-        labeled = list(self.labels)
-        for k, s, t in zip(labeled, g.source[labeled].tolist(), g.target[labeled].tolist()):
-            i = slot[self.labels[k]]
-            adj[s][i] = t
-            adj[t][i + 1] = s
-        return [tuple(ns) for ns in adj]
+        labeled = np.fromiter(self.labels, dtype=np.intp, count=len(self.labels))
+        column = np.fromiter(map(slot.get, self.labels.values()), dtype=np.intp, count=len(self.labels))
+        adj = np.full((len(g.vertices), 2 * len(self.alphabet)), -1, dtype=np.int32)
+        adj[g.source[labeled], column] = g.target[labeled]
+        adj[g.target[labeled], column + 1] = g.source[labeled]
+        return list(map(tuple, adj.tolist()))
 
     @cached_property
     def _neighbors(self) -> list:

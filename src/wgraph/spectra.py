@@ -43,9 +43,9 @@ _EIG_ACCURACY = 1e-8
 # eigvalsh's backward error is taken as p(n) eps ||M|| with p(n) = _EIGVALSH_GROWTH * n
 _EIGVALSH_GROWTH = 4
 _EPS = float(np.finfo(float).eps)
-# matrix order from which _in_pair starts a second thread.  Below it numpy 2.4 (OpenBLAS
-# 0.3.31) kept the GIL through eigvalsh, and through eigvals below about 300, so on two cores
-# a pair of tasks ran no faster on two threads than in turn, and at order 384 a fifth slower.
+# matrix order from which _in_pair starts a second thread.  Below it numpy 2.4 (OpenBLAS 0.3.31)
+# kept the GIL through eigvalsh, and through eigvals below about 300: at order 384 a --check-lambda
+# took as long paired as in turn, and the non-normal orbital at orders 128 and 256 up to 17% longer.
 _PAIR_MIN_ORDER = 512
 
 
@@ -238,10 +238,16 @@ def _spectrum_and_verdicts(m: np.ndarray, lams=None, radius: float | None = None
 
 def _membership_args(m: np.ndarray, lams, radius: float | None, tol: float):
     """The Schur bound of ``m``, the radius of its verdicts and ``lams`` as complex numbers,
-    with a bad ``tol``, radius or point refused in that order."""
+    with a bad ``tol``, radius or point refused in that order; a point is bad where
+    ``((|lam| + bound) / radius)^2``, which bounds its distances and products, is not finite."""
     _check_tol(tol)
     bound = matrix_norm_bound(m)
-    return bound, _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
+    r, points = _deficiency_radius(bound, radius), [_check_lambda(lam) for lam in lams]
+    for lam in points:
+        if not (abs(lam) + bound) * (abs(lam) + bound) / (r * r) < np.inf:
+            raise ValueError(f"lambda {lam!r} is too far out: (|lambda| + the norm bound {bound!r})^2 / R^2 "
+                             "is not finite")
+    return bound, r, points
 
 
 def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -390,6 +390,15 @@ def reference_verify_covering(covering: CoveringMap) -> list[Violation]:
 # images and vertex positions replaced, kept as oracles of a differential test.
 
 
+def reference_act_index(action: GroupAction, word, index: int) -> int:
+    """Position of the image of point ``index`` under ``word``, the rightmost token first, read from
+    ``action.perms`` alone: an inverse token finds the point that its generator sends to ``index``."""
+    for token in reversed(word):
+        perm = action.perms[token.removesuffix("'")]
+        index = perm.index(index) if token.endswith("'") else perm[index]
+    return index
+
+
 def reference_orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
     wl = sorted({tuple(w) for w in words}, key=lambda w: (len(w), w))
     steps = []
@@ -402,7 +411,7 @@ def reference_orbit(action: GroupAction, start: str, words) -> tuple[str, ...]:
     while queue:
         i = queue.popleft()
         for w in steps:
-            j = action.act_index(w, i)
+            j = reference_act_index(action, w, i)
             if j not in seen:
                 seen.add(j)
                 order.append(j)
@@ -438,7 +447,8 @@ def reference_orbital_graph(action: GroupAction, start: str, element: GroupAlgeb
         for z in pts:
             index[(g, z)] = len(arcs)
             labels[len(arcs)] = g
-            arcs.append((action.act_point(g, z), z, element.coefficient(g)))
+            arcs.append((action.points[reference_act_index(action, g, action.point_index(z))], z,
+                         element.coefficient(g)))
     pairing = [-1] * len(arcs)
     for (g, z), k in index.items():
         if invert_word(g) in supp:

@@ -19,6 +19,7 @@ from helpers import (
     odometer_action,
     random_element,
     random_finite_action,
+    reference_act_index,
     reference_adjacency,
     reference_ball,
     reference_ball_code,
@@ -121,10 +122,28 @@ def test_action_and_orbit_refusals_name_their_fault(call, error, message):
 def test_words_act_rightmost_token_first():
     act = GroupAction(("0", "1", "2"), {"a": (1, 2, 0), "b": (1, 0, 2)})
     # (ab)(x) = a(b(x)): b swaps 0,1 then a rotates
-    assert act.act_point(("a", "b"), "0") == "2"
-    assert act.act_point(("b", "a"), "0") == "0"
-    assert act.act_point(("a", "a'"), "1") == "1"
-    assert act.act_point((), "2") == "2"
+    for word, image in [(("a", "b"), [2, 1, 0]), (("b", "a"), [0, 2, 1]), (("a", "a'"), [0, 1, 2]),
+                        (("a'",), [2, 0, 1]), ((), [0, 1, 2])]:
+        assert act._word_image(word).tolist() == image, word
+        assert [reference_act_index(act, word, i) for i in range(3)] == image, word
+
+
+def test_word_images_equal_the_reference_on_random_actions():
+    rng = np.random.default_rng(4242)
+    seen = set()
+    for _ in range(40):
+        act = random_finite_action(rng)
+        tokens = [g + p for g in act.generator_names() for p in ("", "'")]
+        for _ in range(10):
+            word = tuple(tokens[int(i)] for i in rng.integers(len(tokens), size=int(rng.integers(0, 7))))
+            if len(word) > 1 and rng.random() < 0.3:
+                word = word[:1] * len(word)  # one token repeated
+            want = [reference_act_index(act, word, i) for i in range(len(act.points))]
+            assert act._word_image(word).tolist() == want, word
+            seen |= {"empty"} if not word else set()
+            seen |= {"inverse"} if any(t.endswith("'") for t in word) else set()
+            seen |= {"repeated"} if len(set(word)) < len(word) else set()
+    assert seen == {"empty", "inverse", "repeated"}
 
 
 def test_odometer_action_is_a_full_cycle():
@@ -133,11 +152,11 @@ def test_odometer_action_is_a_full_cycle():
         n = 2**level
         assert len(act.points) == n
         seen = set()
-        p = act.points[0]
+        image, p = act._word_image(("a",)), 0
         for _ in range(n):
             seen.add(p)
-            p = act.act_point(("a",), p)
-        assert len(seen) == n and p == act.points[0]
+            p = int(image[p])
+        assert len(seen) == n and p == 0
 
 
 def test_mealy_validation_and_cap():
@@ -163,7 +182,7 @@ def test_words_with_an_unknown_generator_are_refused():
     act = GroupAction(("0", "1"), {"a": (1, 0)})
     for word in (("b",), ("a", "b'")):
         with pytest.raises(ActionError, match="^unknown generator 'b'$"):
-            act.act_point(word, "0")
+            orbit(act, "0", [word])
 
 
 def test_orbit_of_trivial_action_is_a_singleton():
@@ -210,7 +229,7 @@ def test_orbital_graph_operator_is_weighted_permutation_sum():
         for word in elem.support():
             coeff = elem.coefficient(word)
             for z in pts:
-                expected[pos[act.act_point(word, z)], pos[z]] += coeff
+                expected[pos[act.points[reference_act_index(act, word, act.point_index(z))]], pos[z]] += coeff
         assert np.array_equal(materialize(og.graph), expected)
 
 
@@ -1184,3 +1203,31 @@ def test_grigorchuk_orbital_graph_equals_the_name_based_reference(level):
     want = reference_from_mealy(GRIGORCHUK_TRANSITIONS, ["0", "1"], level)
     assert act.points == want.points and act.perms == want.perms
     _assert_graph_equals_reference(act, "0" * level, elem, roots=["0" * level, "1" * level])
+
+
+def test_ball_adjacency_and_codes_equal_the_reference_on_cut_balls():
+    # a ball drops the labeled arcs that leave it and keeps weight-0 completions, which carry no
+    # label, so its labels are a sparse dict over the arc positions
+    rng = np.random.default_rng(6161)
+    balls = cut = sparse = 0
+    for _ in range(60):
+        act = random_finite_action(rng, max_points=10)
+        elem = _random_element(rng, act.generator_names())
+        root = act.points[int(rng.integers(len(act.points)))]
+        g, want = orbital_graph(act, root, elem), reference_orbital_graph(act, root, elem)
+        adj = reference_adjacency(want)
+        for center in g.graph.vertices[:3]:
+            dist = reference_distances(adj, center)
+            for radius in (0, 1, 2):
+                got, ref = ball(g, center, radius), reference_ball(want, dist, radius)
+                ref_adj = reference_adjacency(ref)
+                names = got.graph.vertices
+                assert [[names[t] if t >= 0 else None for t in row] for row in got._adjacency] == \
+                    [ref_adj[v] for v in names]
+                for v in names:
+                    for r in range(radius + 2):
+                        assert _ball_code(got, v, r) == reference_ball_code(ref_adj, v, r)
+                balls += 1
+                cut += any(ns.count(None) < ref_adj[v].count(None) for v, ns in adj.items() if v in ref_adj)
+                sparse += len(got.labels) < len(got.graph.weight)
+    assert balls > 400 and cut > 200 and sparse > 200

@@ -29,6 +29,7 @@ from wgraph import (
     subset_check,
     voltage_cover,
 )
+import wgraph.spectra
 from wgraph.spectra import _spectrum_and_verdicts
 
 # the 2-cycle x <-> y with unit weights, its 2-sheet cover, and an element of
@@ -90,6 +91,23 @@ def test_a_non_finite_lambda_is_refused(lam):
     ):
         with pytest.raises(ValueError, match="lambda must be finite"):
             call()
+
+
+@pytest.mark.parametrize("matrix, lam, near", [
+    (MATRIX, 1e160, 1e150), (MATRIX, complex(-1e308, 1e308), -1e150j),
+    (np.array([[0.0, 1e-20], [0.0, 0.0]], dtype=complex), 1e150, 1e140),  # a radius of 2e-12 divides the square
+])
+def test_a_lambda_whose_distances_overflow_is_refused_before_any_product(matrix, lam, near, monkeypatch):
+    bound = matrix_norm_bound(matrix)
+    message = f"lambda {complex(lam)!r} is too far out: (|lambda| + the norm bound {bound!r})^2 / R^2 is not finite"
+    monkeypatch.setattr(wgraph.spectra, "_deficiency_matrix", None)  # any product would fail otherwise
+    for call in (lambda: membership_by_deficiency(matrix, lam), lambda: _spectrum_and_verdicts(matrix, [0.0, lam])):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == message
+    monkeypatch.undo()
+    verdict = membership_by_deficiency(matrix, near)  # nearer in, the distances are finite
+    assert not verdict.member and np.isfinite([verdict.dist_left, verdict.dist_right]).all()
 
 
 def test_schur_bounds_of_huge_entries_are_finite():
