@@ -18,6 +18,7 @@ agree bit for bit with arc-by-arc arithmetic.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -369,6 +370,14 @@ def compose(graph: WeightedGraph, other: WeightedGraph) -> WeightedGraph:
 
 _GRAPH_OPS = SimpleNamespace(scale=scale, add_scalar=add_scalar, adjoint=adjoint, compose=compose)
 """The graph operations, as the ``ops`` argument of :func:`_deficiency_chain`."""
+
+
+def _check_int(value, name: str, error=ValueError) -> int:
+    """``value`` as an int; refused with ``error`` unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an int, got {value!r}") from None
 
 
 def _check_radius(radius: float):

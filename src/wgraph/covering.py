@@ -12,14 +12,13 @@ graphs, transporting the eigenvalue-1 witness instead of eigenvectors;
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (WeightedGraph, _check_lambda, _compose, _deficiency_chain, add_scalar, adjoint,
+from .core import (WeightedGraph, _check_int, _check_lambda, _compose, _deficiency_chain, add_scalar, adjoint,
                    deficiency_graph, scale)
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
@@ -230,10 +229,7 @@ def induced_deficiency_covering(covering: CoveringMap, lam, radius: float, side:
 
 def _check_degree(degree) -> int:
     """``degree`` as an int; refused unless it is an integer of at least 1."""
-    try:
-        d = operator.index(degree)
-    except TypeError:
-        raise ValueError(f"degree must be an int, got {degree!r}") from None
+    d = _check_int(degree, "degree")
     if d < 1:
         raise ValueError("degree must be at least 1")
     return d

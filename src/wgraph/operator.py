@@ -1,4 +1,4 @@
-"""Graphs as operators: dense materialization and sparse application.
+"""Graphs as operators: dense materialization and the product with a vector from the arcs.
 
 :class:`WeightedGraph` is the one operator type here.  The one-sided shift of
 :func:`wgraph.spectra.shift_counterexample_report` acts on the naturals, which
@@ -21,7 +21,6 @@ __all__ = [
     "MAX_ARCS",
     "FinSuppVector",
     "materialize",
-    "apply",
     "norm_bound",
     "matrix_norm_bound",
 ]
@@ -69,9 +68,6 @@ class FinSuppVector:
     def items(self):
         return [(k, self._entries[k]) for k in self.support()]
 
-    def __getitem__(self, key) -> complex:
-        return self._entries.get(key, 0j)
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -112,28 +108,16 @@ def materialize(graph: WeightedGraph) -> np.ndarray:
     return m
 
 
-def apply(op: WeightedGraph, vec: FinSuppVector) -> FinSuppVector:
-    """Apply a graph operator to a finitely supported vector.
-
-    Exact sparse evaluation: the result support lies in the in-neighborhood
-    of the input support and no rounding beyond complex arithmetic occurs.
-    """
-    if isinstance(op, WeightedGraph):
-        values = np.zeros(op.order, dtype=complex)
-        for k, v in vec.items():
-            if k in op._vertex_pos:
-                values[op._vertex_pos[k]] = v
-        hit = np.flatnonzero(values[op.target] != 0)
-        source = op.source[hit]
-        terms = _cmul(op.weight[hit], values[op.target[hit]])
-        # sum each row in arc order; rows appear in the order of their first arc
-        rows, first = np.unique(source, return_index=True)
-        real = np.bincount(source, weights=terms.real, minlength=op.order)
-        imag = np.bincount(source, weights=terms.imag, minlength=op.order)
-        return FinSuppVector(
-            {op.vertices[i]: complex(real[i], imag[i]) for i in rows[np.argsort(first)].tolist()}
-        )
-    raise TypeError(f"cannot apply object of type {type(op).__name__}")
+def _matvec(graph: WeightedGraph, v: np.ndarray) -> np.ndarray:
+    """``H v`` for a complex vector ``v`` in vertex order: row ``u`` sums, in arc index order, the
+    products ``w * v[t]`` of the arcs u -> t with ``v[t] != 0``, each rounded as Python's complex
+    product; a row without such an arc is 0."""
+    hit = np.flatnonzero(v[graph.target])
+    terms = _cmul(graph.weight[hit], v[graph.target[hit]])
+    out = np.empty(graph.order, dtype=complex)
+    out.real = np.bincount(graph.source[hit], weights=terms.real, minlength=graph.order)
+    out.imag = np.bincount(graph.source[hit], weights=terms.imag, minlength=graph.order)
+    return out
 
 
 def _schur_bound(row_sum: float, col_sum: float) -> float:

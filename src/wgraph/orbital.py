@@ -19,9 +19,9 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .core import WeightedGraph, _check_pairing, deficiency_graph
+from .core import WeightedGraph, _check_int, _check_pairing, deficiency_graph
 from .errors import ActionError, DimensionCapError
-from .operator import FinSuppVector, MAX_DENSE_DIM, apply, materialize
+from .operator import FinSuppVector, MAX_DENSE_DIM, _matvec, materialize
 from .spectra import (
     DEFAULT_MEMBERSHIP_TOL,
     MembershipVerdict,
@@ -171,6 +171,7 @@ class GroupAction:
             raise ActionError("alphabet must be nonempty without repeats")
         if any(len(ch) != 1 for ch in letters):
             raise ActionError("alphabet letters must be single characters")
+        level = _check_int(level, "level", ActionError)
         if level < 1:
             raise ActionError("level must be at least 1")
         if len(letters) ** level > MAX_DENSE_DIM:
@@ -409,6 +410,7 @@ def orbital_graph(action: GroupAction, start: str, element: GroupAlgebraElement)
 
 def ball(orbital: LabeledOrbitalGraph, center: str, radius: int) -> LabeledOrbitalGraph:
     """Induced labeled subgraph on the radius-``radius`` ball around ``center``."""
+    radius = _check_int(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     g = orbital.graph
@@ -541,8 +543,9 @@ class _LazyMatches(Mapping):
 
 
 def _check_max_radius(max_radius: int):
-    """Refuse a negative ball radius, and one past ``MAX_DENSE_DIM``, which no orbit within the
-    dense cap has as its diameter, before a verdict is built for each radius."""
+    """Refuse a non-integer or negative ball radius, and one past ``MAX_DENSE_DIM``, which no orbit
+    within the dense cap has as its diameter, before a verdict is built for each radius."""
+    _check_int(max_radius, "max_radius")
     if max_radius < 0:
         raise ValueError("max_radius must be nonnegative")
     if max_radius > MAX_DENSE_DIM:
@@ -653,10 +656,10 @@ def rayleigh_transfer(
     same terms in the same order as on the whole orbit, so both quadratic
     forms are the whole-orbit ones bit for bit.
 
-    Returns ``(value_x, value_y)`` with ``value = <H vec, vec>`` as reals.
+    Returns ``(value_x, value_y)`` with ``value = Re <H vec, vec>``, summed on ball positions.
     """
     vx, vy = match
-    radius = support_radius + gx.transfer_reach
+    radius = _check_int(support_radius, "support_radius") + gx.transfer_reach
     code_x, order_x = _ball_code(gx, vx, radius)
     code_y, order_y = _ball_code(gy, vy, radius)
     if gx.alphabet != gy.alphabet or code_x != code_y:
@@ -670,11 +673,19 @@ def rayleigh_transfer(
         raise ActionError(
             f"vector support escapes the radius-{support_radius} ball around {vx!r}: {escaped[:3]}"
         )
-    value_x = apply(s_builder(ball(gx, vx, radius)), vec).inner(vec)
     iso = dict(zip(order_x, order_y))
-    mapped = FinSuppVector({iso[k]: c for k, c in vec.items()})
-    value_y = apply(s_builder(ball(gy, vy, radius)), mapped).inner(mapped)
-    return float(value_x.real), float(value_y.real)
+    return (_form(s_builder(ball(gx, vx, radius)), dict(vec.items())),
+            _form(s_builder(ball(gy, vy, radius)), {iso[k]: c for k, c in vec.items()}))
+
+
+def _form(op: WeightedGraph, entries: dict) -> float:
+    """``Re <H v, v>`` for the vertex -> value ``entries`` of ``v``: the sum from 0j of the Python
+    products ``(H v)_i conj(v_i)`` over the support rows where ``H v`` is not 0, in vertex order."""
+    v = np.zeros(op.order, dtype=complex)
+    v[[op.vertex_index(k) for k in entries]] = list(entries.values())
+    hv = _matvec(op, v)
+    rows = np.flatnonzero((v != 0) & (hv != 0)).tolist()
+    return sum((complex(hv[i]) * complex(v[i]).conjugate() for i in rows), 0j).real
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightedGraph, _check_lambda, _check_radius, _cmul
+from .core import WeightedGraph, _check_int, _check_lambda, _check_radius, _cmul
 from .errors import DimensionCapError
-from .operator import MAX_DENSE_DIM, FinSuppVector, _row_blocks, matrix_norm_bound
+from .operator import MAX_DENSE_DIM, FinSuppVector, _matvec, _row_blocks, matrix_norm_bound
 
 __all__ = [
     "HERMITIAN_ATOL",
@@ -312,8 +312,8 @@ def _witness_distance(graph: WeightedGraph, v: np.ndarray, lam: complex, radius:
     """Certified upper bound ``((rho + e)/R)^2`` on ``sigma_min(H - lam)^2 / R^2`` for the
     operator ``H`` of ``graph``, from the trial vector ``v``.
 
-    ``rho = ||(H - lam) v|| / ||v||`` is computed from the arc arrays: one complex product per
-    arc, formed as Python forms it, summed per row and per part, less ``lam v``.  Each norm is
+    ``rho = ||(H - lam) v|| / ||v||`` takes ``H v`` from the arcs (``operator._matvec``): one complex
+    product per arc, formed as Python forms it, summed per row and per part; less ``lam v``.  Each norm is
     taken of the parts scaled by a power of two, so that no square overflows or underflows.
     ``e = 2 gamma_K (S + |lam|)`` bounds the rounding of all of it, with ``S = bound``, the
     Schur bound of ``graph``, ``u = eps/2``, ``gamma_k = k u / (1 - k u)``, ``K = 2m + 4n + 8``,
@@ -338,19 +338,14 @@ def _witness_distance(graph: WeightedGraph, v: np.ndarray, lam: complex, radius:
     matrix has ``sigma_min(A) = sigma_min(A*)``, so the result bounds the distance of 1 to the
     deficiency spectrum at ``lam`` on either side.  A non-finite residual gives NaN or inf.
     """
-    n = graph.order
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = _cmul(graph.weight, v[graph.target])
-        shift = _cmul(lam, v)
-        residual = np.empty(n, dtype=complex)
-        residual.real = np.bincount(graph.source, weights=terms.real, minlength=n) - shift.real
-        residual.imag = np.bincount(graph.source, weights=terms.imag, minlength=n) - shift.imag
+        residual = _matvec(graph, v) - _cmul(lam, v)
         parts = np.stack([residual, v]).view(float)
         exponent = np.frexp(np.abs(parts).max(axis=1))[1]
         scaled = np.ldexp(parts, -exponent[:, None])
         norms = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exponent)
     rho = float(norms[0]) / float(norms[1])
-    k = 2 * (int(graph._out_degree.max()) + 1) + 4 * n + 8
+    k = 2 * (int(graph._out_degree.max()) + 1) + 4 * graph.order + 8
     u = _EPS / 2
     e = 2 * (k * u / (1 - k * u)) * (bound + abs(lam))
     q = (rho + e) / radius
@@ -458,6 +453,7 @@ def shift_counterexample_report(depth: int = 100, trials: int = 100, seed: int =
     square truncations of the shift have isospectral products both ways, so
     no matrix can exhibit the failure).
     """
+    depth, trials, seed = _check_int(depth, "depth"), _check_int(trials, "trials"), _check_int(seed, "seed")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if trials < 1:

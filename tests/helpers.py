@@ -11,6 +11,7 @@ import numpy as np
 from wgraph import (
     Arc,
     CoveringMap,
+    FinSuppVector,
     GraphStructureError,
     GroupAction,
     GroupAlgebraElement,
@@ -28,6 +29,7 @@ from wgraph import (
     orbital_graph,
     voltage_cover,
 )
+from wgraph.core import _cmul
 from wgraph.covering import _vertex_images
 from wgraph.spectra import _distance_to_one, _witness_distance
 
@@ -331,6 +333,37 @@ def reference_materialize(graph: WeightedGraph) -> np.ndarray:
     for a in graph.arcs:
         m[pos[a.source], pos[a.target]] += a.weight
     return m
+
+
+def reference_residual(graph: WeightedGraph, v: np.ndarray, lam: complex) -> np.ndarray:
+    """``(H - lam) v`` as ``_witness_distance`` once formed it: one product over every arc,
+    summed per row and per part by ``bincount``, less ``lam v``."""
+    n = graph.order
+    terms = _cmul(graph.weight, v[graph.target])
+    shift = _cmul(lam, v)
+    residual = np.empty(n, dtype=complex)
+    residual.real = np.bincount(graph.source, weights=terms.real, minlength=n) - shift.real
+    residual.imag = np.bincount(graph.source, weights=terms.imag, minlength=n) - shift.imag
+    return residual
+
+
+def reference_form(op: WeightedGraph, vec: FinSuppVector) -> float:
+    """``Re <H vec, vec>`` as the transfer once formed it on names: ``operator.apply`` summed
+    ``H vec`` over the arcs that meet the support into a vector without zeros, and
+    ``FinSuppVector.inner`` summed the products over the shared keys in sorted order."""
+    values = np.zeros(op.order, dtype=complex)
+    for k, c in vec.items():
+        if k in op._vertex_pos:
+            values[op._vertex_pos[k]] = c
+    hit = np.flatnonzero(values[op.target] != 0)
+    source = op.source[hit]
+    terms = _cmul(op.weight[hit], values[op.target[hit]])
+    real = np.bincount(source, weights=terms.real, minlength=op.order)
+    imag = np.bincount(source, weights=terms.imag, minlength=op.order)
+    hv = {op.vertices[i]: 0j + complex(real[i], imag[i]) for i in np.unique(source).tolist()}
+    entries = dict(vec.items())
+    keys = sorted(k for k in hv.keys() & entries.keys() if hv[k] != 0)
+    return float(sum((hv[k] * entries[k].conjugate() for k in keys), 0j).real)
 
 
 def reference_norm_bound(graph: WeightedGraph) -> float:

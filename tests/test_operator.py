@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
-from helpers import random_graph
+from helpers import random_graph, reference_residual, unit_disk
 
 from wgraph import (
     DimensionCapError,
     FinSuppVector,
-    apply,
     make_graph,
     materialize,
     matrix_norm_bound,
     norm_bound,
 )
 import wgraph.operator
-from wgraph.operator import _schur_bound
+from wgraph.core import _cmul
+from wgraph.operator import _matvec, _schur_bound
 from wgraph.spectra import _shift, _shift_adjoint
 
 
 def test_finsupp_vector_drops_zeros_and_accumulates():
     v = FinSuppVector([("a", 1.0), ("a", -1.0), ("b", 2j)])
     assert v.support() == ["b"]
-    assert v["a"] == 0j and v["b"] == 2j
+    assert v.items() == [("b", 2j)]
     assert FinSuppVector({"x": 0.0}).is_zero()
 
 
@@ -32,22 +32,35 @@ def test_finsupp_vector_inner_and_norm():
     assert FinSuppVector.delta("a").norm() == 1.0
 
 
-def test_apply_on_two_cycle_swaps_deltas():
+def test_matvec_on_two_cycle_swaps_deltas():
     g = make_graph(["v", "w"], [("v", "w", 1.0), ("w", "v", 1.0)], [1, 0])
-    assert apply(g, FinSuppVector.delta("v")) == FinSuppVector.delta("w")
+    out = _matvec(g, np.array([1, 0], dtype=complex))
+    assert np.array_equal(out, [0, 1]) and np.array_equal(out, materialize(g)[:, 0])
 
 
-def test_apply_matches_dense_product_on_random_graphs():
+def test_matvec_matches_dense_product_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(30):
         g = random_graph(rng, max_n=10)
         m = materialize(g)
-        for j, v in enumerate(g.vertices):
-            out = apply(g, FinSuppVector.delta(v))
-            col = np.zeros(g.order, dtype=complex)
-            for key, val in out.items():
-                col[g.vertex_index(key)] = val
-            assert np.array_equal(col, m[:, j])
+        for j, delta in enumerate(np.eye(g.order, dtype=complex)):
+            assert np.array_equal(_matvec(g, delta), m[:, j])
+
+
+def test_matvec_residual_is_the_all_arcs_residual_bit_for_bit():
+    """Leaving out the arcs whose entry of ``v`` is 0 or -0.0 changes no bit of the residual
+    of ``_witness_distance``, the sign of a zero included."""
+    rng = np.random.default_rng(343)
+    zeros = np.array([0.0, -0.0, 0j, complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)])
+    for case in range(200):
+        g = random_graph(rng, max_n=12)
+        v = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+        kind = rng.integers(0, 3, size=g.order)
+        v[kind == 0] = rng.choice(zeros, size=int((kind == 0).sum()))
+        v[kind == 1] = v[kind == 1].real  # a real entry: an imaginary part of +0.0
+        lam = complex(unit_disk(rng)) * 2 if case % 4 else 0j
+        got = _matvec(g, v) - _cmul(lam, v)
+        assert got.tobytes() == reference_residual(g, v, lam).tobytes(), case
 
 
 def test_materialize_enforces_dimension_cap():
@@ -101,9 +114,7 @@ def test_shift_adjoint_kills_origin_and_inverts_shift():
 
 
 @pytest.mark.parametrize("op", [None, np.eye(2), FinSuppVector.delta(0)], ids=["None", "matrix", "vector"])
-def test_apply_and_norm_bound_take_only_a_weighted_graph(op):
-    with pytest.raises(TypeError, match=f"^cannot apply object of type {type(op).__name__}$"):
-        apply(op, FinSuppVector.delta(0))
+def test_norm_bound_takes_only_a_weighted_graph(op):
     with pytest.raises(TypeError, match=f"^no norm bound for object of type {type(op).__name__}$"):
         norm_bound(op)
 

@@ -25,6 +25,7 @@ from helpers import (
     reference_ball_code,
     reference_ball_iso,
     reference_distances,
+    reference_form,
     reference_from_mealy,
     reference_local_iso,
     reference_orbit,
@@ -43,7 +44,6 @@ from wgraph import (
     MAX_DENSE_DIM,
     RadiusVerdict,
     WeightedGraph,
-    apply,
     ball,
     default_radius_bound,
     invert_word,
@@ -54,6 +54,7 @@ from wgraph import (
     parse_word,
     positive_element_graph,
     rayleigh_transfer,
+    shift_counterexample_report,
     spectra_compare_orbits,
     spectrum,
     word_str,
@@ -62,6 +63,7 @@ import wgraph.operator
 import wgraph.orbital
 from wgraph.cli import main
 from wgraph.fileio import ActionSpec, write_action, write_element
+from wgraph.operator import _matvec
 from wgraph.orbital import _ball_code, _first_match
 
 
@@ -442,6 +444,30 @@ def transfer_setup():
     return g3, g4, builder
 
 
+def _odometer_graph(level=3):
+    return orbital_graph(odometer_action(level), "0" * level, adjacency_element())
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: GroupAction.from_mealy(ODOMETER_TRANSITIONS, "01", 2.0), ActionError, "level"),
+    (lambda: local_iso_check(_odometer_graph(), _odometer_graph(4), 1.5), ValueError, "max_radius"),
+    (lambda: spectra_compare_orbits(odometer_action(3), odometer_action(3), "000", "011", adjacency_element(),
+                                    max_radius=1.5), ValueError, "max_radius"),
+    (lambda: shift_counterexample_report(trials=2.0), ValueError, "trials"),
+    (lambda: shift_counterexample_report(depth=2.0), ValueError, "depth"),
+    (lambda: shift_counterexample_report(seed=2.0), ValueError, "seed"),
+    (lambda: ball(_odometer_graph(), "000", 1.5), ValueError, "radius"),
+    (lambda: rayleigh_transfer(*transfer_setup(), FinSuppVector.delta("000"), 0.5, ("000", "0000")), ValueError,
+     "support_radius"),
+], ids=["from_mealy", "local_iso_check", "spectra_compare_orbits", "shift_trials", "shift_depth", "shift_seed",
+        "ball", "rayleigh_transfer"])
+def test_entry_points_refuse_a_non_integer_argument(call, error, name):
+    """A float is refused with the error of a bad value, never truncated: a radius of 1.5 would build
+    a ball of radius 1, and a support radius of 0.5 would code balls one deeper than it builds them."""
+    with pytest.raises(error, match=f"^{name} must be an int, got "):
+        call()
+
+
 def test_rayleigh_transfer_zero_vector():
     g3, g4, builder = transfer_setup()
     match = local_iso_check(g3, g4, 2).radii[2].x_matches["000"]
@@ -483,13 +509,10 @@ def test_rayleigh_transfer_equal_on_ball_supported_vectors():
         assert abs(vx - vy) <= 1e-12
 
 
-def _whole_orbit_form(g: LabeledOrbitalGraph, builder, vec: FinSuppVector) -> float:
-    return float(apply(builder(g), vec).inner(vec).real)
-
-
 def test_rayleigh_transfer_equals_the_whole_orbit_forms_bit_for_bit():
     """The transfer builds its operators on two balls; each value is the quadratic form of
-    the operator built on the whole orbit, to the last bit."""
+    the operator built on the whole orbit, to the last bit, as the name-keyed product and
+    inner product of ``reference_form`` sum it."""
     rng = np.random.default_rng(2718)
     for case in range(60):
         act = random_finite_action(rng, max_points=12)
@@ -518,7 +541,7 @@ def test_rayleigh_transfer_equals_the_whole_orbit_forms_bit_for_bit():
         vec = FinSuppVector({v: complex(*rng.normal(size=2)) for v, k in zip(near, keep.tolist()) if k})
         mapped = FinSuppVector({dict(zip(order_x, order_y))[k]: c for k, c in vec.items()})
         got = rayleigh_transfer(gx, gy, builder, vec, support_radius, (vx, vy))
-        assert got == (_whole_orbit_form(gx, builder, vec), _whole_orbit_form(gy, builder, mapped)), case
+        assert got == (reference_form(builder(gx), vec), reference_form(builder(gy), mapped)), case
 
 
 def test_rayleigh_transfer_builds_its_operators_within_the_arc_budget_of_the_balls(monkeypatch, tmp_path, capsys):
@@ -549,17 +572,11 @@ def test_rayleigh_transfer_builds_its_operators_within_the_arc_budget_of_the_bal
     assert capsys.readouterr().out == report and "TRANSFER: ok" in report
 
 
-def test_apply_on_orbital_graph_matches_dense():
+def test_matvec_on_orbital_graph_matches_dense():
     og = orbital_graph(odometer_action(3), "000", adjacency_element())
-    m = materialize(og.graph)
-    vec = FinSuppVector({"000": 1.0, "001": -2j})
-    out = apply(og.graph, vec)
     dense = np.zeros(8, dtype=complex)
-    for k, v in vec.items():
-        dense[og.graph.vertex_index(k)] = v
-    want = m @ dense
-    for i, p in enumerate(og.graph.vertices):
-        assert out[p] == want[i]
+    dense[[og.graph.vertex_index("000"), og.graph.vertex_index("001")]] = [1.0, -2j]
+    assert np.array_equal(_matvec(og.graph, dense), materialize(og.graph) @ dense)
 
 
 def test_spectra_compare_same_orbit_distance_zero():

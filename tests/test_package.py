@@ -101,3 +101,24 @@ def test_each_subcommand_loads_only_its_own_layers(cli_files, argv, unused):
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
     loaded = loaded_after(code)
     assert "wgraph.cli" in loaded and loaded & unused == set()
+
+
+def test_every_benchmark_span_names_an_exported_function():
+    """The benchmark tracer wraps the functions of each module's ``__all__``: a ``SPANS`` key
+    of ``bench/run.py`` that names no such function would read 0 in its per-layer metric.  The
+    table is read with ``ast``, as importing ``run.py`` sets the BLAS thread variables."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["SPANS"])
+    keys = [ast.literal_eval(key) for key in table.keys]
+    assert keys
+    for key in keys:
+        layer, name = key.split(".")
+        module = getattr(wgraph, layer)
+        if key == "orbital.from_mealy":  # wrapped on the class, as a classmethod
+            assert "GroupAction" in module.__all__ and inspect.ismethod(orbital.GroupAction.from_mealy)
+            continue
+        fn = getattr(module, name, None)
+        assert name in module.__all__ and inspect.isfunction(fn) and fn.__module__ == module.__name__, key
