@@ -279,7 +279,7 @@ def cmd_cover_include(args) -> int:
 
 
 def cmd_orbital(args) -> int:
-    from .orbital import _first_match, positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
+    from .orbital import positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
 
     spec = read_action(args.action)
     action = spec.realize(args.level)
@@ -314,7 +314,7 @@ def cmd_orbital(args) -> int:
     code = 0
     reach = comp.graph_x.transfer_reach
     if comp.max_common_radius >= reach:
-        match = _first_match(comp.graph_x, comp.graph_y, args.x, reach)  # a passing radius matches every vertex
+        match = comp.local_iso.radii[reach].x_matches[args.x]  # a passing radius matches every vertex
         alpha = comp.spectrum_x.values[-1]
         builder = lambda g: positive_element_graph(g, element, alpha, comp.radius)
         vx, vy = rayleigh_transfer(

@@ -18,6 +18,7 @@ agree bit for bit with arc-by-arc arithmetic.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import Counter
 from collections.abc import Sequence
@@ -381,8 +382,8 @@ def _check_int(value, name: str, error=ValueError) -> int:
 
 
 def _check_radius(radius: float):
-    """Refuse a deficiency radius whose square is not a positive finite number."""
-    if not (radius > 0 and 0 < radius * radius < np.inf):
+    """Refuse a deficiency radius that is not a real number whose square is positive and finite."""
+    if not (isinstance(radius, numbers.Real) and radius > 0 and 0 < radius * radius < np.inf):
         raise ValueError(f"radius must be positive with a finite nonzero square, got {radius!r}")
 
 

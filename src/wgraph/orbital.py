@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -468,8 +468,8 @@ def _ball_code(g: LabeledOrbitalGraph, root: str, radius: int):
 class RadiusVerdict:
     radius: int
     ok: bool
-    x_matches: Mapping  # x vertex -> matched y vertex or None
-    y_matches: Mapping
+    x_matches: Mapping  # x vertex -> first matching y vertex or None, coded on each read
+    y_matches: Mapping  # y vertex -> first matching x vertex or None, coded on each read
 
 
 @dataclass(frozen=True)
@@ -500,45 +500,32 @@ def _codes(g: LabeledOrbitalGraph, radius: int) -> dict:
     return {v: _ball_code(g, v, radius)[0] for v in g.graph.vertices}
 
 
-def _match_maps(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, same: bool, radius: int) -> tuple[dict, dict]:
-    """Both first-match maps of one radius.  The codes they come from die
-    on return, so a result keeps no codes however long it lives.  With the
-    same adjacency, the y codes and the y map are the x ones.
-    """
-    xcodes = _codes(gx, radius)
-    if same:
-        x_matches = _first_matches(xcodes, xcodes)
-        return x_matches, x_matches
-    ycodes = _codes(gy, radius)
-    return _first_matches(xcodes, ycodes), _first_matches(ycodes, xcodes)
+class _Matches(Mapping):
+    """Read-only first-match map from the vertices of ``g`` into ``other`` at one radius.
 
-
-class _LazyMatches(Mapping):
-    """Read-only first-match map of one graph's vertices at one radius.
-
-    Keys and length come from the vertex list; ``maps`` gives both match
-    maps of the radius, computed when a value is first read, then kept.
+    Keys and length come from ``g``'s vertex list.  Reading a value is
+    :func:`_first_match`, and nothing is kept, so no code outlives a read.
     """
 
-    def __init__(self, vertices, maps, side: int):
-        self._vertices, self._maps, self._side = vertices, maps, side
-
-    def _data(self) -> dict:
-        return self._maps()[self._side]
+    def __init__(self, g: LabeledOrbitalGraph, other: LabeledOrbitalGraph, radius: int):
+        self._g, self._other, self._radius = g, other, radius
 
     def __getitem__(self, vertex):
-        return self._data()[vertex]
+        if vertex not in self:
+            raise KeyError(vertex)
+        return _first_match(self._g, self._other, vertex, self._radius)
+
+    def __contains__(self, vertex) -> bool:
+        return vertex in self._g.graph._vertex_pos
 
     def __iter__(self):
-        return iter(self._vertices)
+        return iter(self._g.graph.vertices)
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self._g.graph.vertices)
 
     def __repr__(self) -> str:
-        # reading the map codes every ball, so a map not yet read shows only its size
-        if self._maps.cache_info().currsize:
-            return repr(self._data())
+        # each read codes balls, so the map shows only its size
         return f"<{len(self)} matches, coded when read>"
 
 
@@ -567,7 +554,10 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     all radii past it are reported failed with empty matches.  When both
     graphs have the same labeled adjacency, the identity map passes every
     radius and no ball is coded.  The match maps of the passing radii and
-    of the first failing one are read-only mappings, coded when first read.
+    of the first failing one are read-only mappings that code on each read:
+    reading a vertex codes its ball, then the other graph's balls in vertex
+    order up to its match, and keeps nothing, so reading a whole map codes
+    far more balls than the search does.
     """
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
@@ -590,20 +580,8 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
         if radius > failed:
             verdicts.append(RadiusVerdict(radius, False, {}, {}))
             continue
-        maps = cache(partial(_match_maps, gx, gy, same, radius))
-        x_matches = _LazyMatches(gx.graph.vertices, maps, 0)
-        # with the same codes on both sides, the two match maps are equal
-        y_matches = x_matches if same else _LazyMatches(gy.graph.vertices, maps, 1)
-        verdicts.append(RadiusVerdict(radius, radius < failed, x_matches, y_matches))
+        verdicts.append(RadiusVerdict(radius, radius < failed, _Matches(gx, gy, radius), _Matches(gy, gx, radius)))
     return LocalIsoResult(tuple(verdicts))
-
-
-def _first_matches(codes: dict, other: dict) -> dict:
-    """Each vertex of ``codes`` -> the first vertex of ``other`` with its code, or None."""
-    first: dict = {}
-    for w, code in other.items():
-        first.setdefault(code, w)
-    return {v: first.get(code) for v, code in codes.items()}
 
 
 def _first_match(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, x: str, radius: int):

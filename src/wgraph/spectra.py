@@ -11,6 +11,7 @@ where the right product alone gives the wrong answer.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ _EIGVALSH_GROWTH = 4
 _EPS = float(np.finfo(float).eps)
 # matrix order from which _in_pair starts a second thread.  Below it numpy 2.4 (OpenBLAS 0.3.31)
 # kept the GIL through eigvalsh, and through eigvals below about 300: at order 384 a --check-lambda
-# took as long paired as in turn, and the non-normal orbital at orders 128 and 256 up to 17% longer.
+# took as long paired as in turn, and the non-normal orbital at orders 128 and 256 took 0.78 s paired
+# against 0.74 s in turn and 6.35 s against 6.32 s (one BLAS thread, medians of 6 and 3 runs).
 _PAIR_MIN_ORDER = 512
 
 
@@ -259,8 +261,8 @@ def _gaps(mu: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _check_tol(tol: float):
-    """Refuse a verdict tolerance that is not a positive finite number."""
-    if not 0 < tol < np.inf:
+    """Refuse a verdict tolerance that is not a positive finite real number."""
+    if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 

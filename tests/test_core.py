@@ -149,6 +149,15 @@ def test_compose_different_skeletons_completes_pairing_with_zero_arcs():
         assert composed.arcs[p].source == composed.arcs[k].target
 
 
+def test_graph_equality_against_other_types_and_hash():
+    arcs = [("x", "y", 1.0), ("y", "x", 1.0)]
+    g, copy = make_graph(["x", "y"], arcs, [1, 0]), make_graph(["x", "y"], arcs, [1, 0])
+    assert g == copy and hash(g) == hash(copy) and len({g, copy}) == 1
+    heavier = g.with_weights([2.0, 2.0])
+    assert g != heavier and hash(g) == hash(heavier)  # the hash reads only the vertices and the arc count
+    assert g.__eq__(materialize(g)) is NotImplemented and g != "g"
+
+
 def test_compose_requires_same_vertex_set():
     a = make_graph(["u"], [], [])
     b = make_graph(["v"], [], [])

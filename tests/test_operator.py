@@ -24,6 +24,14 @@ def test_finsupp_vector_drops_zeros_and_accumulates():
     assert FinSuppVector({"x": 0.0}).is_zero()
 
 
+def test_finsupp_vector_equality_and_repr():
+    v = FinSuppVector({"b": 2j, "a": 1.0})
+    assert v == FinSuppVector([("a", 1.0), ("b", 2j)]) and v != FinSuppVector.delta("a")
+    assert v.__eq__({"a": 1.0, "b": 2j}) is NotImplemented and v != {"a": 1.0, "b": 2j}
+    assert repr(v) == "FinSuppVector({'a': (1+0j), 'b': 2j})"  # in support order
+    assert repr(FinSuppVector()) == "FinSuppVector({})"
+
+
 def test_finsupp_vector_inner_and_norm():
     v = FinSuppVector({"a": 1 + 1j, "b": 2.0})
     # inner is linear in the first slot, conjugate-linear in the second

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -638,13 +639,12 @@ def test_same_orbit_reuses_codes_with_an_equal_result(case, monkeypatch):
     cap = max(gx.diameter(), gy.diameter()) + 1
     # a renamed copy has the same codes but not the same adjacency, so it takes the long way
     without = _unprefixed(local_iso_check(gx, _prefixed(gy, "y"), cap), "y")
-    coded = []
-    real = wgraph.orbital._ball_code
-    monkeypatch.setattr(wgraph.orbital, "_ball_code", lambda g, v, r: coded.append(g) or real(g, v, r))
+    coded = _counting(monkeypatch, "_ball_code")
     with_shortcut = local_iso_check(gx, gy, cap)
+    assert coded == []  # the identity passes every radius, so the search codes no ball
+    monkeypatch.undo()
     assert with_shortcut == without
     assert with_shortcut.max_ok_radius == cap
-    assert all(g is gx for g in coded) and len(coded) == len(gx.graph.vertices) * (cap + 1)
 
 
 def _counting(monkeypatch, name):
@@ -696,12 +696,37 @@ def test_same_adjacency_codes_balls_only_when_a_match_is_read(monkeypatch):
     x_matches = res.radii[4].x_matches
     assert len(x_matches) == n and list(x_matches) == list(gx.graph.vertices)
     assert len(coded) == 0
+    ys = gy.graph.vertices
+    for v in ("00000", "01101", "11111"):
+        coded.clear()
+        match = x_matches[v]
+        assert match == want[4].x_matches[v]
+        # one read codes v's ball, then the y balls in vertex order up to its match
+        assert coded == [(gx, v, 4)] + [(gy, w, 4) for w in ys[:ys.index(match) + 1]]
     assert x_matches == want[4].x_matches
-    assert len(coded) == n and all(args[0] is gx and args[2] == 4 for args in coded)
     assert res.radii[4].y_matches == want[4].y_matches
-    assert len(coded) == n
     with pytest.raises(TypeError):
         x_matches["00000"] = None  # read-only
+
+
+def test_match_maps_are_read_only_mappings_over_their_own_vertices(monkeypatch):
+    act, elem, x, y = _two_orbits(4)
+    gx, gy = orbital_graph(act, x, elem), orbital_graph(act, y, elem)
+    want = reference_local_iso(gx, gy, 2).radii[2]
+    verdict = local_iso_check(gx, gy, 2).radii[2]
+    x_matches = verdict.x_matches
+    assert isinstance(x_matches, Mapping)
+    coded = _counting(monkeypatch, "_ball_code")
+    assert x in x_matches and y not in x_matches and y in verdict.y_matches and x not in verdict.y_matches
+    assert x_matches.get(y) is None and x_matches.get(y, "absent") == "absent"
+    with pytest.raises(KeyError):
+        x_matches[y]  # a vertex of the other graph
+    assert coded == []  # a key outside the map codes no ball
+    assert x_matches.get(x) == x_matches[x] == want.x_matches[x] is not None
+    with pytest.raises(TypeError):
+        x_matches[x] = y
+    with pytest.raises(TypeError):
+        del x_matches[x]
 
 
 class _TrackedCode:
@@ -737,13 +762,12 @@ def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
     res = local_iso_check(gx, gy, 5)
     probes = len(_search_probes(6, 5))  # radii 0, 1, 3 and 5, which all pass
     assert len(codes) == 2 * n * probes and res.max_ok_radius == 5
-    first = dict(res.radii[2].x_matches)
-    assert len(codes) == 2 * n * (probes + 1)  # the x and the y codes of radius 2
-    assert dict(res.radii[2].y_matches) == want[2].y_matches  # ... which gave both maps
+    ys = gy.graph.vertices
+    assert dict(res.radii[2].x_matches) == want[2].x_matches
+    # a whole map codes each vertex's ball and the y balls up to its match, one read at a time
+    assert len(codes) == 2 * n * probes + sum(1 + ys.index(w) + 1 for w in want[2].x_matches.values())
+    assert dict(res.radii[2].y_matches) == want[2].y_matches
     assert dict(res.radii[3].x_matches) == want[3].x_matches
-    assert len(codes) == 2 * n * (probes + 2)
-    assert dict(res.radii[2].x_matches) == first == want[2].x_matches  # a map once read is kept
-    assert len(codes) == 2 * n * (probes + 2)
     gc.collect()
     assert all(ref() is None for ref in codes)  # while the result lives, no code does
 
@@ -823,7 +847,10 @@ def test_repr_of_a_two_orbit_comparison_codes_no_ball(monkeypatch):
     assert coded == []
     matches = comp.local_iso.radii[1].x_matches
     read = dict(matches)
-    assert repr(matches) == repr(read)  # a map once read shows its matches
+    assert len(read) == 8 and len(coded) > 8
+    coded.clear()
+    assert repr(matches) == "<8 matches, coded when read>"  # a read keeps nothing to show
+    assert coded == []
     script = (
         "from wgraph import GroupAction, GroupAlgebraElement, spectra_compare_orbits\n"
         f"act = GroupAction.from_mealy({TWO_ORBIT_TRANSITIONS!r}, ['0', '1'], 4)\n"

@@ -122,3 +122,15 @@ def test_every_benchmark_span_names_an_exported_function():
             continue
         fn = getattr(module, name, None)
         assert name in module.__all__ and inspect.isfunction(fn) and fn.__module__ == module.__name__, key
+
+
+def test_the_readme_python_examples_run_in_order():
+    """README.md's python blocks run as one session, so a renamed or deleted name they use fails here."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], path, "exec"), namespace)
+    assert namespace["verdict"].member and namespace["og"].graph.order == 8

@@ -327,6 +327,26 @@ def test_membership_and_subset_refuse_a_tol_that_is_not_finite_and_positive(tol)
         subset_check(SpectralSet((0j,)), SpectralSet((0j,)), tol=tol)
 
 
+_TWO_CYCLE = make_graph(["x", "y"], [("x", "y", 1.0), ("y", "x", 1.0)], [1, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: membership_by_deficiency(np.eye(2), 1, tol="1e-9"), "tol must be positive and finite, got '1e-9'"),
+    (lambda: subset_check([1], [1], tol="x"), "tol must be positive and finite, got 'x'"),
+    (lambda: membership_by_deficiency(np.eye(2), 1, tol=None), "tol must be positive and finite, got None"),
+    (lambda: membership_by_deficiency(np.eye(2), 1, radius="4"),
+     "radius must be positive with a finite nonzero square, got '4'"),
+    (lambda: deficiency_graph(_TWO_CYCLE, 1, "4"), "radius must be positive with a finite nonzero square, got '4'"),
+    (lambda: deficiency_graph(_TWO_CYCLE, 1, None), "radius must be positive with a finite nonzero square, got None"),
+], ids=["membership_tol_str", "subset_tol_str", "membership_tol_none", "membership_radius_str", "deficiency_radius_str",
+        "deficiency_radius_none"])
+def test_tol_and_radius_that_are_not_real_numbers_are_refused_by_name(call, message):
+    """Not a bare TypeError from comparing a string or None with a number."""
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 # --- Hermitian verdicts read off the computed spectrum
 
 
