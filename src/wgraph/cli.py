@@ -72,6 +72,13 @@ class Report:
     def jset(self, key: str, value):
         self.data[key] = value
 
+    def rows(self, key: str, rows):
+        """A text line per ``(line, item)`` of ``rows``, and their items as the JSON list ``key``."""
+        self.data[key] = []
+        for line, item in rows:
+            self.lines.append(line)
+            self.data[key].append(item)
+
     def emit(self, as_json: bool):
         if as_json:
             print(json.dumps(self.data, indent=2, sort_keys=True))
@@ -98,52 +105,40 @@ def _self_check_deviation(graph, expect, result) -> float:
     return float(np.max(np.abs(got), initial=0.0))
 
 
-def cmd_graph_op(args) -> int:
+def cmd_graph_op(args, rep: Report) -> int:
     if not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     graph = read_graph(args.graph)
-    rep = Report()
     rep.kv("OPERATION", args.op)
     rep.kv("INPUT ORDER", graph.order)
     _check_dense(graph.order)  # the check materializes the input; an input past the cap is refused first
-    if args.op == "scale":
-        if args.factor is None:
-            raise ValueError("scale needs --factor")
-        lam = parse_complex(args.factor)
-        build = lambda: scale(graph, lam)
-        expect = lambda m: lam * m
-    elif args.op == "add":
-        if args.factor is None:
-            raise ValueError("add needs --factor")
-        lam = parse_complex(args.factor)
-        build = lambda: add_scalar(graph, lam)
-        expect = lambda m: m + lam * np.eye(graph.order)
-    elif args.op == "adjoint":
-        build = lambda: adjoint(graph)
-        expect = lambda m: m.conj().T
-    elif args.op == "compose":
-        if args.other is None:
-            raise ValueError("compose needs --other")
+    needs = {"scale": ["--factor"], "add": ["--factor"], "compose": ["--other"], "deficiency": ["--lambda", "--R"]}
+    given = {"--factor": args.factor, "--other": args.other, "--lambda": args.lam, "--R": args.radius}
+    if any(given[flag] is None for flag in needs.get(args.op, [])):
+        raise ValueError(f"{args.op} needs {' and '.join(needs[args.op])}")
+    if args.op == "compose":
         other = read_graph(args.other)
         rep.kv("OTHER ORDER", other.order)
-        build = lambda: compose(graph, other)
-        expect = lambda m: m @ materialize(other)
     elif args.op == "deficiency":
-        if args.lam is None or args.radius is None:
-            raise ValueError("deficiency needs --lambda and --R")
         lam = parse_complex(args.lam)
-        side = args.side
-        build = lambda: deficiency_graph(graph, lam, args.radius, side=side)
-
-        def expect(m):
-            m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
-            return _deficiency_matrix(m, args.radius, side)
-
         rep.kv("LAMBDA", format_complex(lam))
         rep.kv("R", _fmt(args.radius), args.radius)
-        rep.kv("SIDE", side)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown operation {args.op!r}")
+        rep.kv("SIDE", args.side)
+    elif args.op != "adjoint":
+        lam = parse_complex(args.factor)
+
+    def deficiency_expect(m):
+        m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
+        return _deficiency_matrix(m, args.radius, args.side)
+
+    # operation -> (build the result graph, the same operation on the input's dense matrix)
+    build, expect = {
+        "scale": (lambda: scale(graph, lam), lambda m: lam * m),
+        "add": (lambda: add_scalar(graph, lam), lambda m: m + lam * np.eye(graph.order)),
+        "adjoint": (lambda: adjoint(graph), lambda m: m.conj().T),
+        "compose": (lambda: compose(graph, other), lambda m: m @ materialize(other)),
+        "deficiency": (lambda: deficiency_graph(graph, lam, args.radius, side=args.side), deficiency_expect),
+    }[args.op]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
         result = build()
     if not np.isfinite(result.weight).all():
@@ -159,18 +154,16 @@ def cmd_graph_op(args) -> int:
     rep.kv("SELF-CHECK", "ok" if ok else "FAILED", ok)
     if args.out:
         rep.kv("WROTE", args.out)
-    rep.emit(args.json)
     return 0 if ok else 1
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, rep: Report) -> int:
     if (args.graph is None) == (args.matrix is None):
         raise ValueError("give exactly one of --graph or --matrix")
     if args.graph:
         m = materialize(read_graph(args.graph))
     else:
         m = read_matrix(args.matrix)
-    rep = Report()
     rep.kv("ORDER", m.shape[0])
     if args.check_lambda is None:
         spec, verdict = spectrum(m), None
@@ -190,7 +183,6 @@ def cmd_spectrum(args) -> int:
     if args.out:
         write_matrix(m, args.out)
         rep.kv("WROTE", args.out)
-    rep.emit(args.json)
     return 0
 
 
@@ -209,22 +201,19 @@ def _cover_head(rep: Report, covering) -> list:
     return [{"kind": v.kind, "where": v.where, "detail": v.detail} for v in violations]
 
 
-def cmd_cover_verify(args) -> int:
-    rep = Report()
+def cmd_cover_verify(args, rep: Report) -> int:
     items = _cover_head(rep, read_covering(args.map))
     rep.jset("violation-list", items)
     rep.kv("VERIFIED", "ok" if not items else "FAILED", not items)
-    rep.emit(args.json)
     return 0 if not items else 1
 
 
-def cmd_cover_lift(args) -> int:
+def cmd_cover_lift(args, rep: Report) -> int:
     from .covering import voltage_cover
 
     base = read_graph(args.graph)
     degree, volts = read_voltages(args.volt)
     cover, covering = voltage_cover(base, degree, volts)
-    rep = Report()
     rep.kv("BASE ORDER", base.order)
     rep.kv("SHEETS", degree)
     rep.kv("COVER ORDER", cover.order)
@@ -233,18 +222,15 @@ def cmd_cover_lift(args) -> int:
     if args.out:
         write_covering(covering, args.out)
         rep.kv("WROTE", args.out)
-    rep.emit(args.json)
     return 0
 
 
-def cmd_cover_include(args) -> int:
+def cmd_cover_include(args, rep: Report) -> int:
     from .covering import deficiency_route_check, spectral_inclusion_check
 
     covering = read_covering(args.map)
-    rep = Report()
     if _cover_head(rep, covering):
         rep.kv("INCLUDED", "FAILED", False)
-        rep.emit(args.json)
         return 1
     # the route refuses a bad --R or --tol before it computes the spectra, which both checks share
     route = deficiency_route_check(covering, radius=args.radius, tol=args.tol, side=args.side)
@@ -255,30 +241,18 @@ def cmd_cover_include(args) -> int:
     rep.kv("SUBSET DEVIATION", _fmt(inc.subset.max_deviation), inc.subset.max_deviation)
     rep.kv("ROUTE R", _fmt(route.radius), route.radius)
     rep.kv("ROUTE SIDE", route.side)
-    steps = []
-    for i, st in enumerate(route.steps):
-        rep.raw(
-            f"STEP {i}: lambda={format_complex(st.lam)} base={_fmt(st.base_witness)} "
-            f"cover={_fmt(st.cover_witness)} dist={_fmt(st.spectrum_distance)} "
-            f"{'ok' if st.ok else 'FAILED'}"
-        )
-        steps.append(
-            {
-                "lambda": format_complex(st.lam),
-                "base-witness": st.base_witness,
-                "cover-witness": st.cover_witness,
-                "spectrum-distance": st.spectrum_distance,
-                "ok": st.ok,
-            }
-        )
-    rep.jset("route-steps", steps)
+    rep.rows("route-steps", ((
+        f"STEP {i}: lambda={format_complex(st.lam)} base={_fmt(st.base_witness)} "
+        f"cover={_fmt(st.cover_witness)} dist={_fmt(st.spectrum_distance)} {'ok' if st.ok else 'FAILED'}",
+        {"lambda": format_complex(st.lam), "base-witness": st.base_witness, "cover-witness": st.cover_witness,
+         "spectrum-distance": st.spectrum_distance, "ok": st.ok},
+    ) for i, st in enumerate(route.steps)))
     ok = inc.included and route.all_ok
     rep.kv("INCLUDED", "ok" if ok else "FAILED", ok)
-    rep.emit(args.json)
     return 0 if ok else 1
 
 
-def cmd_orbital(args) -> int:
+def cmd_orbital(args, rep: Report) -> int:
     from .orbital import positive_element_graph, rayleigh_transfer, spectra_compare_orbits, word_str
 
     spec = read_action(args.action)
@@ -288,7 +262,6 @@ def cmd_orbital(args) -> int:
         action, action, args.x, args.y, element,
         tol=args.tol, max_radius=args.max_radius,
     )
-    rep = Report()
     rep.kv("ELEMENT", " , ".join(
         f"{word_str(w)}:{format_complex(element.terms[w])}" for w in element.support()
     ))
@@ -305,12 +278,11 @@ def cmd_orbital(args) -> int:
     misses = [c for c in comp.cross_checks if not (c.in_x.member and c.in_y.member)]
     rep.kv("CROSS-CHECKS", len(comp.cross_checks))
     rep.kv("CROSS-MISSES", len(misses))
-    for c in misses:
-        rep.raw(
-            f"MISS: lambda={format_complex(c.lam)} "
-            f"x={'yes' if c.in_x.member else 'no'} y={'yes' if c.in_y.member else 'no'}"
-        )
-    rep.jset("cross-miss-list", [format_complex(c.lam) for c in misses])
+    rep.rows("cross-miss-list", ((
+        f"MISS: lambda={format_complex(c.lam)} "
+        f"x={'yes' if c.in_x.member else 'no'} y={'yes' if c.in_y.member else 'no'}",
+        format_complex(c.lam),
+    ) for c in misses))
     code = 0
     reach = comp.graph_x.transfer_reach
     if comp.max_common_radius >= reach:
@@ -331,13 +303,11 @@ def cmd_orbital(args) -> int:
             code = 1
     else:
         rep.kv("TRANSFER", "skipped (no match at transfer radius)", "skipped")
-    rep.emit(args.json)
     return code
 
 
-def cmd_demo_shift(args) -> int:
+def cmd_demo_shift(args, rep: Report) -> int:
     report = shift_counterexample_report(depth=args.depth, trials=args.trials, seed=args.seed)
-    rep = Report()
     rep.raw("shift-report 1")
     rep.kv("depth", report.depth)
     rep.kv("trials", report.trials)
@@ -362,7 +332,6 @@ def cmd_demo_shift(args) -> int:
     else:
         rep.raw("VERDICT: demonstration failed; see the check lines above.")
     rep.jset("passed", report.passed)
-    rep.emit(args.json)
     return 0 if report.passed else 1
 
 
@@ -459,8 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    rep = Report()
     try:
-        return args.func(args)
+        code = args.func(args, rep)
+        rep.emit(args.json)
+        return code
     except (WGraphError, ValueError, OSError) as e:
         print(f"ERROR: {e}", file=sys.stderr)
         return 2

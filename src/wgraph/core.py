@@ -219,7 +219,7 @@ def make_graph(vertices: Iterable[str], arcs, pairing) -> WeightedGraph:
         target.append(pos[t])
         weight.append(w)
 
-    pr = [int(p) for p in pairing]
+    pr = _check_ints(pairing, "pairing entry", GraphStructureError)
     if len(pr) != len(weight):
         raise GraphStructureError(
             f"pairing length {len(pr)} does not match arc count {len(weight)}"
@@ -379,6 +379,17 @@ def _check_int(value, name: str, error=ValueError) -> int:
         return operator.index(value)
     except TypeError:
         raise error(f"{name} must be an int, got {value!r}") from None
+
+
+def _check_ints(values, name: str, error=ValueError) -> list[int]:
+    """``values`` as a list of ints; refused with ``error``, naming entry ``k`` as ``name k``,
+    unless every entry is an integer."""
+    values = list(values)
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        k = next(k for k, v in enumerate(values) if not hasattr(type(v), "__index__"))
+        raise error(f"{name} {k} must be an int, got {values[k]!r}") from None
 
 
 def _check_radius(radius: float):

@@ -12,14 +12,14 @@ graphs, transporting the eigenvalue-1 witness instead of eigenvectors;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (WeightedGraph, _check_int, _check_lambda, _compose, _deficiency_chain, add_scalar, adjoint,
-                   deficiency_graph, scale)
+from .core import (WeightedGraph, _check_int, _check_ints, _check_lambda, _compose, _deficiency_chain, add_scalar,
+                   adjoint, deficiency_graph, scale)
 from .errors import CoveringError, DimensionCapError, GraphStructureError
 from .operator import materialize, norm_bound
 from .spectra import (DEFAULT_SUBSET_TOL, SpectralSet, SubsetResult, _check_tol, _deficiency_radius,
@@ -51,7 +51,7 @@ class CoveringMap:
 
     cover: WeightedGraph
     base: WeightedGraph
-    vertex_map: dict
+    vertex_map: dict = field(hash=False)
     arc_map: tuple[int, ...]
 
     @cached_property
@@ -96,7 +96,7 @@ def verify_covering(covering: CoveringMap) -> list[Violation]:
             raise GraphStructureError(f"vertex map sends {v!r} to unknown vertex {w!r}")
     if len(am) != len(cov.arcs):
         raise GraphStructureError(f"arc map length {len(am)} does not match arc count {len(cov.arcs)}")
-    am = np.array(am, dtype=np.int64)
+    am = np.array(_check_ints(am, "arc map entry", GraphStructureError), dtype=np.int64)
     out_of_range = np.flatnonzero((am < 0) | (am >= len(base.arcs)))
     if out_of_range.size:
         i = int(out_of_range[0])
@@ -261,7 +261,7 @@ def voltage_cover(base: WeightedGraph, degree: int, voltages) -> tuple[WeightedG
     order, arcs = d * base.order, d * len(base.weight)
     if max(order, arcs) > MAX_ARCS:
         raise DimensionCapError(f"cover would have {order} vertices and {arcs} arcs; the arc cap is {MAX_ARCS}")
-    volts = [tuple(int(x) for x in p) for p in voltages]
+    volts = [tuple(_check_ints(p, f"voltage of arc {k}: entry")) for k, p in enumerate(voltages)]
     if len(volts) != len(base.arcs):
         raise ValueError(f"need one voltage per arc: got {len(volts)} for {len(base.arcs)} arcs")
     _check_voltages(d, volts)

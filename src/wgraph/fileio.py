@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -125,6 +125,16 @@ class _Cursor:
             self.fail(lineno, f"{keyword} count must be at least {minimum}")
         return n
 
+    def arc_count(self, keyword: str, minimum: int = 0) -> int:
+        """:meth:`count` of a count line held to the arc cap, refused at its line before anything
+        past it is read."""
+        from .operator import MAX_ARCS
+
+        n = self.count(keyword, minimum)
+        if n > MAX_ARCS:
+            self.fail(self.lineno, f"{keyword} {n} exceeds the arc cap {MAX_ARCS}")
+        return n
+
     def fields(self, what: str, count: int, shape: str) -> tuple[int, str, list[str]]:
         """Next line, split into exactly ``count`` fields; ``shape`` names them."""
         lineno, line = self.next_line(what)
@@ -167,9 +177,9 @@ def _write_lines(path: str, lines):
 
 
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:
-    vertices = cur.ids(cur.count("vertices", minimum=1), "vertex")
+    vertices = cur.ids(cur.arc_count("vertices", minimum=1), "vertex")
     known = dict(zip(vertices, vertices))  # each endpoint is held as the vertex string already read
-    m = cur.count("arcs")
+    m = cur.arc_count("arcs")
     start = cur.lineno
     sources, targets, weights, pairing = [], [], [], []
     for _ in range(m):
@@ -287,14 +297,14 @@ def read_covering(path: str) -> CoveringMap:
     if line != "base":
         cur.fail(lineno, f"expected 'base', got {line!r}")
     base = _read_graph_block(cur)
-    n = cur.count("vertex-map")
+    n = cur.arc_count("vertex-map")
     vertex_map = {}
     for _ in range(n):
         lineno, _, (v, b) = cur.fields("vertex-map entry", 2, "'cover base'")
         if v in vertex_map:
             cur.fail(lineno, f"duplicate vertex-map entry for {v!r}")
         vertex_map[v] = b
-    m = cur.count("arc-map")
+    m = cur.arc_count("arc-map")
     arc_map = []
     for _ in range(m):
         lineno, _, (ktok, btok) = cur.fields("arc-map entry", 2, "'cover_arc base_arc'")
@@ -329,7 +339,7 @@ def read_voltages(path: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     cur = _Cursor(path)
     cur.header("voltage")
     degree = cur.count("degree", minimum=1)
-    m = cur.count("arcs")
+    m = cur.arc_count("arcs")
     volts = []
     for k in range(m):
         lineno, line = cur.next_line("voltage permutation")
@@ -365,7 +375,7 @@ class ActionSpec:
 
     kind: str
     action: GroupAction | None = None
-    transitions: dict | None = None
+    transitions: dict | None = field(default=None, hash=False)
     alphabet: tuple | None = None
 
     def realize(self, level: int | None = None) -> GroupAction:

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .core import WeightedGraph, _check_int, _check_pairing, deficiency_graph
+from .core import WeightedGraph, _check_int, _check_ints, _check_pairing, deficiency_graph
 from .errors import ActionError, DimensionCapError
 from .operator import FinSuppVector, MAX_DENSE_DIM, _matvec, materialize
 from .spectra import (
@@ -107,7 +107,7 @@ class GroupAction:
     """
 
     points: tuple[str, ...]
-    perms: dict
+    perms: dict = field(hash=False)
 
     def __post_init__(self):
         if not self.points:
@@ -120,6 +120,7 @@ class GroupAction:
         n = len(self.points)
         for name, perm in self.perms.items():
             _check_generator_name(name)
+            _check_ints(perm, f"generator {name!r} image", ActionError)
             if sorted(perm) != list(range(n)):
                 raise ActionError(f"generator {name!r} is not a permutation of the point set")
 
@@ -210,7 +211,7 @@ class GroupAction:
 class GroupAlgebraElement:
     """Finite complex combination of generator words."""
 
-    terms: dict
+    terms: dict = field(hash=False)
 
     def __post_init__(self):
         clean = {}
@@ -291,7 +292,7 @@ class LabeledOrbitalGraph:
     """
 
     graph: WeightedGraph
-    labels: dict
+    labels: dict = field(hash=False)
     root: str
     alphabet: tuple
 
@@ -468,8 +469,8 @@ def _ball_code(g: LabeledOrbitalGraph, root: str, radius: int):
 class RadiusVerdict:
     radius: int
     ok: bool
-    x_matches: Mapping  # x vertex -> first matching y vertex or None, coded on each read
-    y_matches: Mapping  # y vertex -> first matching x vertex or None, coded on each read
+    x_matches: Mapping = field(hash=False)  # x vertex -> first matching y vertex or None, coded on each read
+    y_matches: Mapping = field(hash=False)  # y vertex -> first matching x vertex or None, coded on each read
 
 
 @dataclass(frozen=True)

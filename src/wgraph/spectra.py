@@ -181,7 +181,7 @@ def _deficiency_matrix(shifted: np.ndarray, radius: float, side: str) -> np.ndar
 
 def _distance_to_one(h: np.ndarray) -> float:
     """Distance of 1 to the spectrum of the Hermitian matrix ``h``."""
-    return float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0)))
+    return float(np.min(np.abs(np.linalg.eigvalsh(h) - 1.0), initial=np.inf))
 
 
 def _eigvalsh_error(n: int, bound: float) -> float:

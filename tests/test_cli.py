@@ -280,6 +280,10 @@ def test_cover_include_json_is_valid(files, capsys):
     assert data["included"] is True
     assert len(data["route-steps"]) == 2
     assert all(step["ok"] for step in data["route-steps"])
+    _, text, _ = run(capsys, ["cover", "include", "--map", files["good.cov"]])
+    lines = [line for line in text.splitlines() if line.startswith("STEP ")]
+    assert [(line.split()[2], line.split()[-1]) for line in lines] == [
+        (f"lambda={step['lambda']}", "ok" if step["ok"] else "FAILED") for step in data["route-steps"]]
 
 
 def test_orbital_same_orbit(files, capsys):
@@ -342,6 +346,9 @@ def test_orbital_prints_a_miss_line_for_each_point_of_x_outside_the_y_spectrum(s
         "SPECTRUM Y: 1.0\nHAUSDORFF: 2.0\nLOCAL-ISO RADIUS: -1\nLOCAL-ISO SATURATED: no\n"
         "CROSS-CHECKS: 2\nCROSS-MISSES: 1\nMISS: lambda=-1.0 x=yes y=no\n"
         "TRANSFER: skipped (no match at transfer radius)\n"), "")
+    code, out, _ = run(capsys, swap3 + ["--x", "q", "--y", "p", "--json"])
+    data = json.loads(out)
+    assert (code, data["cross-misses"], data["cross-miss-list"]) == (0, 1, ["-1.0"])
 
 
 def test_orbital_reports_a_failed_transfer_and_exits_one(swap3, capsys, monkeypatch):
@@ -564,6 +571,31 @@ def test_cover_lift_over_the_arc_cap_exits_two(files, capsys, monkeypatch):
     assert err == "ERROR: cover would have 4 vertices and 4 arcs; the arc cap is 3\n"
     monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 4)
     assert run(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("v.wg", "wgraph 1\nvertices 4\na\nb\nc\nd\narcs 0\n", 2),
+    ("a.wg", "wgraph 1\nvertices 1\na\narcs 4\n", 4),
+    ("m.cov", "covering 1\ncover\nvertices 1\na\narcs 0\nbase\nvertices 1\nb\narcs 0\nvertex-map 4\n", 10),
+    ("k.cov", "covering 1\ncover\nvertices 1\na\narcs 0\nbase\nvertices 1\nb\narcs 0\nvertex-map 1\na b\n"
+              "arc-map 4\n", 12),
+    ("s.volt", "voltage 1\ndegree 1\narcs 4\n", 3),
+])
+def test_a_count_line_past_the_arc_cap_is_refused_at_its_line(capsys, tmp_path, monkeypatch, name, text, line):
+    # no line past the count is read: the file ends there
+    path = tmp_path / name
+    path.write_text(text)
+    monkeypatch.setattr(wgraph.operator, "MAX_ARCS", 3)
+    reader = {"wg": wgraph.read_graph, "cov": wgraph.read_covering, "volt": wgraph.read_voltages}[name.split(".")[1]]
+    with pytest.raises(wgraph.ParseError, match=f":{line}: .* 4 exceeds the arc cap 3$"):
+        reader(str(path))
+    argv = {"wg": ["spectrum", "--graph", str(path)], "cov": ["cover", "verify", "--map", str(path)],
+            "volt": ["cover", "lift", "--graph", str(path), "--volt", str(path)]}[name.split(".")[1]]
+    if name.endswith(".volt"):
+        argv[3] = str(tmp_path / "one.wg")
+        (tmp_path / "one.wg").write_text("wgraph 1\nvertices 1\na\narcs 0\n")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err.startswith("ERROR: ") and err.endswith("exceeds the arc cap 3\n")
 
 
 def test_cover_include_over_the_dense_cap_names_the_cover_order(files, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -134,3 +135,96 @@ def test_the_readme_python_examples_run_in_order():
     for block in blocks:
         exec(compile(block.split("```", 1)[0], path, "exec"), namespace)
     assert namespace["verdict"].member and namespace["og"].graph.order == 8
+
+
+def _covering():
+    base = wgraph.make_graph(["x", "y"], [("x", "y", 1.0), ("y", "x", 1.0)], [1, 0])
+    return wgraph.voltage_cover(base, 2, [(1, 0), (1, 0)])[1]
+
+
+def _action():
+    return wgraph.GroupAction(("p", "q"), {"a": (1, 0)})
+
+
+def _comparison():
+    element = wgraph.GroupAlgebraElement({("a",): 1.0})
+    return wgraph.spectra_compare_orbits(_ACTION, _ACTION, "p", "q", element)
+
+
+_COVERING, _ACTION = _covering(), _action()
+_OG = wgraph.orbital_graph(_ACTION, "p", wgraph.GroupAlgebraElement({("a",): 1.0}))
+_COMPARISON = _comparison()
+
+# each public value type with a dict or mapping field, built twice from the same parts
+HASHABLE = {
+    "CoveringMap": lambda: wgraph.CoveringMap(_COVERING.cover, _COVERING.base, dict(_COVERING.vertex_map),
+                                              _COVERING.arc_map),
+    "GroupAction": _action,
+    "GroupAlgebraElement": lambda: wgraph.GroupAlgebraElement({("a",): 1.0, ("b", "a"): 2j}),
+    "ActionSpec": lambda: wgraph.ActionSpec("mealy", transitions={"a": {"0": ("1", "e")}}, alphabet=("0",)),
+    "LabeledOrbitalGraph": lambda: wgraph.LabeledOrbitalGraph(_OG.graph, dict(_OG.labels), _OG.root, _OG.alphabet),
+    "RadiusVerdict": lambda: dataclasses.replace(_COMPARISON.local_iso.radii[0]),
+    "LocalIsoResult": lambda: dataclasses.replace(_COMPARISON.local_iso),
+    "OrbitComparison": lambda: dataclasses.replace(_COMPARISON),
+}
+
+
+@pytest.mark.parametrize("build", HASHABLE.values(), ids=HASHABLE.keys())
+def test_the_public_value_types_hash_and_compare_equal(build):
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+
+
+def _cover_with_arc_map(arc_map):
+    return wgraph.verify_covering(wgraph.CoveringMap(_COVERING.cover, _COVERING.base, _COVERING.vertex_map, arc_map))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wgraph.make_graph(["x", "y"], [("x", "y", 1), ("y", "x", 1)], [1.5, 0]), wgraph.GraphStructureError,
+     "pairing entry 0 must be an int, got 1.5"),
+    (lambda: wgraph.voltage_cover(_COVERING.base, 2, [(1.5, 0), (1, 0)]), ValueError,
+     "voltage of arc 0: entry 0 must be an int, got 1.5"),
+    (lambda: _cover_with_arc_map((0, 0, 1, 1.5)), wgraph.GraphStructureError,
+     "arc map entry 3 must be an int, got 1.5"),
+    (lambda: _cover_with_arc_map((0, 0, 1, "1")), wgraph.GraphStructureError,
+     "arc map entry 3 must be an int, got '1'"),
+    (lambda: wgraph.GroupAction(("p", "q"), {"a": (1.0, 0.0)}), wgraph.ActionError,
+     "generator 'a' image 0 must be an int, got 1.0"),
+])
+def test_index_entries_that_are_not_integers_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_the_distance_of_one_to_an_empty_spectrum_is_infinite():
+    verdict = wgraph.membership_by_deficiency(np.zeros((0, 0)), 0)
+    assert not verdict.member and verdict.dist_left == verdict.dist_right == np.inf
+
+
+def test_only_main_and_report_emit_print_and_only_main_emits():
+    """Reports reach stdout in one place: ``print`` is called only in ``Report.emit`` and ``main``
+    (its ``ERROR:`` line), and ``emit`` only in ``main``."""
+    src = os.path.dirname(wgraph.__file__)
+    calls = {"print": set(), "emit": set()}
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{where}.{child.name}" if where else f"{name[:-3]}.{child.name}"
+                if isinstance(child, ast.Call):
+                    fn = child.func
+                    called = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+                    if called in calls:
+                        calls[called].add(where or name[:-3])
+                visit(child, inner)
+
+        visit(tree, "")
+    assert calls == {"print": {"cli.Report.emit", "cli.main"}, "emit": {"cli.main"}}
