@@ -105,6 +105,39 @@ def _self_check_deviation(graph, expect, result) -> float:
     return float(np.max(np.abs(got), initial=0.0))
 
 
+def _scale_op(args, graph, rep: Report):
+    lam = parse_complex(args.factor)
+    return lambda: scale(graph, lam), lambda m: lam * m
+
+
+def _add_op(args, graph, rep: Report):
+    lam = parse_complex(args.factor)
+    return lambda: add_scalar(graph, lam), lambda m: m + lam * np.eye(graph.order)
+
+
+def _adjoint_op(args, graph, rep: Report):
+    return lambda: adjoint(graph), lambda m: m.conj().T
+
+
+def _compose_op(args, graph, rep: Report):
+    other = read_graph(args.other)
+    rep.kv("OTHER ORDER", other.order)
+    return lambda: compose(graph, other), lambda m: m @ materialize(other)
+
+
+def _deficiency_op(args, graph, rep: Report):
+    lam = parse_complex(args.lam)
+    rep.kv("LAMBDA", format_complex(lam))
+    rep.kv("R", _fmt(args.radius), args.radius)
+    rep.kv("SIDE", args.side)
+
+    def expect(m):
+        m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
+        return _deficiency_matrix(m, args.radius, args.side)
+
+    return lambda: deficiency_graph(graph, lam, args.radius, side=args.side), expect
+
+
 def cmd_graph_op(args, rep: Report) -> int:
     if not 0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
@@ -112,33 +145,18 @@ def cmd_graph_op(args, rep: Report) -> int:
     rep.kv("OPERATION", args.op)
     rep.kv("INPUT ORDER", graph.order)
     _check_dense(graph.order)  # the check materializes the input; an input past the cap is refused first
-    needs = {"scale": ["--factor"], "add": ["--factor"], "compose": ["--other"], "deficiency": ["--lambda", "--R"]}
-    given = {"--factor": args.factor, "--other": args.other, "--lambda": args.lam, "--R": args.radius}
-    if any(given[flag] is None for flag in needs.get(args.op, [])):
-        raise ValueError(f"{args.op} needs {' and '.join(needs[args.op])}")
-    if args.op == "compose":
-        other = read_graph(args.other)
-        rep.kv("OTHER ORDER", other.order)
-    elif args.op == "deficiency":
-        lam = parse_complex(args.lam)
-        rep.kv("LAMBDA", format_complex(lam))
-        rep.kv("R", _fmt(args.radius), args.radius)
-        rep.kv("SIDE", args.side)
-    elif args.op != "adjoint":
-        lam = parse_complex(args.factor)
-
-    def deficiency_expect(m):
-        m[np.diag_indices(graph.order)] -= lam  # shifted in place, one n x n copy fewer
-        return _deficiency_matrix(m, args.radius, args.side)
-
-    # operation -> (build the result graph, the same operation on the input's dense matrix)
-    build, expect = {
-        "scale": (lambda: scale(graph, lam), lambda m: lam * m),
-        "add": (lambda: add_scalar(graph, lam), lambda m: m + lam * np.eye(graph.order)),
-        "adjoint": (lambda: adjoint(graph), lambda m: m.conj().T),
-        "compose": (lambda: compose(graph, other), lambda m: m @ materialize(other)),
-        "deficiency": (lambda: deficiency_graph(graph, lam, args.radius, side=args.side), deficiency_expect),
+    # operation -> (the flags it needs and their attributes, a function that reads its inputs and
+    # returns (build the result graph, the same operation on the input's dense matrix))
+    flags, setup = {
+        "scale": ({"--factor": "factor"}, _scale_op),
+        "add": ({"--factor": "factor"}, _add_op),
+        "adjoint": ({}, _adjoint_op),
+        "compose": ({"--other": "other"}, _compose_op),
+        "deficiency": ({"--lambda": "lam", "--R": "radius"}, _deficiency_op),
     }[args.op]
+    if any(getattr(args, attr) is None for attr in flags.values()):
+        raise ValueError(f"{args.op} needs {' and '.join(flags)}")
+    build, expect = setup(args, graph, rep)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, not warned of
         result = build()
     if not np.isfinite(result.weight).all():
@@ -244,8 +262,13 @@ def cmd_cover_include(args, rep: Report) -> int:
     rep.rows("route-steps", ((
         f"STEP {i}: lambda={format_complex(st.lam)} base={_fmt(st.base_witness)} "
         f"cover={_fmt(st.cover_witness)} dist={_fmt(st.spectrum_distance)} {'ok' if st.ok else 'FAILED'}",
-        {"lambda": format_complex(st.lam), "base-witness": st.base_witness, "cover-witness": st.cover_witness,
-         "spectrum-distance": st.spectrum_distance, "ok": st.ok},
+        {
+            "lambda": format_complex(st.lam),
+            "base-witness": st.base_witness,
+            "cover-witness": st.cover_witness,
+            "spectrum-distance": st.spectrum_distance,
+            "ok": st.ok,
+        },
     ) for i, st in enumerate(route.steps)))
     ok = inc.included and route.all_ok
     rep.kv("INCLUDED", "ok" if ok else "FAILED", ok)

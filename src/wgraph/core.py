@@ -388,8 +388,7 @@ def _check_ints(values, name: str, error=ValueError) -> list[int]:
     try:
         return list(map(operator.index, values))
     except TypeError:
-        k = next(k for k, v in enumerate(values) if not hasattr(type(v), "__index__"))
-        raise error(f"{name} {k} must be an int, got {values[k]!r}") from None
+        return [_check_int(v, f"{name} {k}", error) for k, v in enumerate(values)]
 
 
 def _check_radius(radius: float):

@@ -96,7 +96,10 @@ def verify_covering(covering: CoveringMap) -> list[Violation]:
             raise GraphStructureError(f"vertex map sends {v!r} to unknown vertex {w!r}")
     if len(am) != len(cov.arcs):
         raise GraphStructureError(f"arc map length {len(am)} does not match arc count {len(cov.arcs)}")
-    am = np.array(_check_ints(am, "arc map entry", GraphStructureError), dtype=np.int64)
+    ints = np.array(am)
+    if ints.dtype.kind not in "iub":  # names the first entry that is not an integer
+        _check_ints(am, "arc map entry", GraphStructureError)
+    am = ints.astype(np.int64, copy=False)
     out_of_range = np.flatnonzero((am < 0) | (am >= len(base.arcs)))
     if out_of_range.size:
         i = int(out_of_range[0])

@@ -211,7 +211,7 @@ class GroupAction:
 class GroupAlgebraElement:
     """Finite complex combination of generator words."""
 
-    terms: dict = field(hash=False)
+    terms: dict
 
     def __post_init__(self):
         clean = {}
@@ -238,6 +238,9 @@ class GroupAlgebraElement:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
 
 
 def default_radius_bound(element: GroupAlgebraElement) -> float:

@@ -176,6 +176,11 @@ def test_the_public_value_types_hash_and_compare_equal(build):
     assert first == second and hash(first) == hash(second)
 
 
+def test_group_algebra_elements_hash_by_their_terms():
+    one, other = wgraph.GroupAlgebraElement({("a",): 1.0}), wgraph.GroupAlgebraElement({("b",): 1.0})
+    assert hash(one) != hash(other) and len({one, other, wgraph.GroupAlgebraElement({("a",): 1.0})}) == 2
+
+
 def _cover_with_arc_map(arc_map):
     return wgraph.verify_covering(wgraph.CoveringMap(_COVERING.cover, _COVERING.base, _COVERING.vertex_map, arc_map))
 
@@ -189,6 +194,8 @@ def _cover_with_arc_map(arc_map):
      "arc map entry 3 must be an int, got 1.5"),
     (lambda: _cover_with_arc_map((0, 0, 1, "1")), wgraph.GraphStructureError,
      "arc map entry 3 must be an int, got '1'"),
+    (lambda: _cover_with_arc_map((0, 0, 1, np.array(1.5))), wgraph.GraphStructureError,
+     "arc map entry 3 must be an int, got array(1.5)"),
     (lambda: wgraph.GroupAction(("p", "q"), {"a": (1.0, 0.0)}), wgraph.ActionError,
      "generator 'a' image 0 must be an int, got 1.0"),
 ])
