@@ -166,11 +166,11 @@ def cmd_graph_op(args, rep: Report) -> int:
     # which holds it, so the two overlap; an error of the check is reported before one of the
     # write, as when they ran in turn.
     deviation, _ = _in_pair(graph.order, lambda: _self_check_deviation(graph, expect, result),
-                            lambda: write_graph(result, args.out) if args.out else None)
+                            lambda: write_graph(result, args.out) if args.out is not None else None)
     ok = deviation <= args.tol
     rep.kv("SELF-CHECK DEVIATION", _fmt(deviation), deviation)
     rep.kv("SELF-CHECK", "ok" if ok else "FAILED", ok)
-    if args.out:
+    if args.out is not None:
         rep.kv("WROTE", args.out)
     return 0 if ok else 1
 
@@ -178,7 +178,7 @@ def cmd_graph_op(args, rep: Report) -> int:
 def cmd_spectrum(args, rep: Report) -> int:
     if (args.graph is None) == (args.matrix is None):
         raise ValueError("give exactly one of --graph or --matrix")
-    if args.graph:
+    if args.graph is not None:
         m = materialize(read_graph(args.graph))
     else:
         m = read_matrix(args.matrix)
@@ -198,7 +198,7 @@ def cmd_spectrum(args, rep: Report) -> int:
         rep.kv("SIDE", verdict.witness_side)
         rep.kv("DIST LEFT", _fmt(verdict.dist_left), verdict.dist_left)
         rep.kv("DIST RIGHT", _fmt(verdict.dist_right), verdict.dist_right)
-    if args.out:
+    if args.out is not None:
         write_matrix(m, args.out)
         rep.kv("WROTE", args.out)
     return 0
@@ -237,7 +237,7 @@ def cmd_cover_lift(args, rep: Report) -> int:
     rep.kv("COVER ORDER", cover.order)
     rep.kv("COVER ARCS", len(cover.arcs))
     rep.kv("VERIFIED", "ok", True)
-    if args.out:
+    if args.out is not None:
         write_covering(covering, args.out)
         rep.kv("WROTE", args.out)
     return 0
@@ -453,6 +453,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rep = Report()
     try:
+        if getattr(args, "out", None) == "":  # refused before any input is read
+            raise ValueError("--out needs a file path, got an empty one")
         code = args.func(args, rep)
         rep.emit(args.json)
         return code

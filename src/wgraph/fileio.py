@@ -9,12 +9,18 @@ offending line number.  Readers take lines from the open file as they parse,
 split at every ``str.splitlines`` separator, and hold a graph block's arcs as
 columns (about 160 traced bytes per arc at the peak); a ``UnicodeDecodeError``
 gives its byte position from the start of the decoded chunk, not of the file.
+Writers refuse what no reader would read back before the file opens, and write
+through :func:`_write_lines`: about 1 MiB of text at a time, and while a file
+that already holds bytes is truncated on a helper thread, up to about 8 MiB.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -48,6 +54,7 @@ __all__ = [
 
 _CHUNK = 2048  # arcs formatted at a time; the strings of one chunk are held at once
 _WRITE_BYTES = 1 << 20  # about this many characters per write
+_HOLD_BYTES = 8 * _WRITE_BYTES  # about the most formatted text held while a file with bytes opens
 
 
 def format_complex(value) -> str:
@@ -156,24 +163,81 @@ class _Cursor:
             self.fail(lineno, f"bad {what} {token!r}")
 
 
-def _write_lines(path: str, lines):
-    """Write ``lines`` to ``path``, each followed by a newline, about ``_WRITE_BYTES`` at a time.
+def _texts(lines):
+    """``lines``, each followed by a newline, joined into texts of about ``_WRITE_BYTES``.
 
-    The first write holds 16 lines; each later one holds at most twice as many lines as the
+    The first text holds 16 lines; each later one holds at most twice as many lines as the
     one before, and about ``_WRITE_BYTES`` at the mean line length of the one before, so a
-    chunk of long lines (matrix rows) stays near that size at no cost per line.  Writers
-    call it after every check that can refuse, so a refused write creates no file.
+    text of long lines (matrix rows) stays near that size at no cost per line.
     """
     lines = iter(lines)  # islice of a list would restart at its first line on every chunk
     count = 16
-    with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(itertools.islice(lines, count)):
-            count = len(chunk)
-            chunk.append("")  # the newline after the last line
-            text = "\n".join(chunk)
-            del chunk  # the lines are not held with the encoded copy that ``write`` makes
+    while chunk := list(itertools.islice(lines, count)):
+        count = len(chunk)
+        chunk.append("")  # the newline after the last line
+        text = "\n".join(chunk)
+        del chunk  # the lines are not held with the encoded copy that ``write`` makes
+        yield text
+        count = max(1, min(2 * count, count * _WRITE_BYTES // len(text)))
+
+
+def _has_bytes(path) -> bool:
+    """Whether ``path`` names a file or directory that holds bytes, which a truncating open
+    frees; a path that names nothing, or that no open takes, gives ``False``."""
+    try:
+        return os.stat(path).st_size > 0
+    except (OSError, ValueError):
+        return False
+
+
+def _write_lines(path: str, lines):
+    """Write ``lines`` to ``path``, each followed by a newline, a text of :func:`_texts` at a time.
+
+    Truncating a file that holds bytes can wait a tenth of a second or more with the GIL
+    released, so such a file opens on a helper thread while this one formats.  Until the open
+    returns, the formatted texts are held, up to about ``_HOLD_BYTES`` of them; then this
+    thread waits for the open, writes what it holds and streams the rest.  Any other path
+    opens here first, as the open of a new file can wait too, so writing a new file holds one
+    text at a time.  An error of the open is raised as the open raised it, an error of the
+    formatting closes the handle, and the helper is joined before the call returns.  Writers
+    call it after every check that can refuse, so a refused write creates no file and
+    truncates none.
+    """
+    opened = {}
+
+    def open_file():
+        try:
+            opened["fh"] = open(path, "w", encoding="utf-8")
+        except BaseException as e:  # raised again on the calling thread
+            opened["error"] = e
+
+    opener = None
+    if _has_bytes(path):
+        opener = threading.Thread(target=open_file)
+        opener.start()
+    else:
+        open_file()
+    texts = _texts(lines)
+    held, size = collections.deque(), 0
+    try:
+        try:
+            while not opened and size < _HOLD_BYTES and (text := next(texts, None)) is not None:
+                held.append(text)
+                size += len(text)
+        finally:
+            if opener is not None:
+                opener.join()
+    except BaseException:
+        if "fh" in opened:
+            opened["fh"].close()
+        raise
+    if "error" in opened:
+        raise opened.pop("error")  # popped, so no cycle keeps the helper's frame
+    with opened["fh"] as fh:
+        while held:
+            fh.write(held.popleft())  # each text is freed once it is written
+        for text in texts:
             fh.write(text)
-            count = max(1, min(2 * count, count * _WRITE_BYTES // len(text)))
 
 
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:
@@ -278,10 +342,15 @@ def write_matrix(matrix: np.ndarray, path: str):
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    n = m.shape[0]
+    if n < 1:  # the bounds of read_matrix's dim line
+        raise ValueError("matrix dim 0 is below 1, the least dim that read_matrix accepts")
+    if n > MAX_DENSE_DIM:
+        raise ValueError(f"matrix dim {n} exceeds the dense cap {MAX_DENSE_DIM} that read_matrix holds to")
     for block in _row_blocks(m):
         _check_finite(m[block], lambda i, j: f"matrix entry ({block.start + i}, {j})")
     rows = (" ".join(_complex_strings(row)) for row in m)
-    _write_lines(path, itertools.chain(["matrix 1", f"dim {m.shape[0]}"], rows))
+    _write_lines(path, itertools.chain(["matrix 1", f"dim {n}"], rows))
 
 
 def read_covering(path: str) -> CoveringMap:

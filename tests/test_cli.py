@@ -109,6 +109,33 @@ def test_graph_op_refuses_a_result_with_a_non_finite_weight(op, flags, capsys, t
     assert not (tmp_path / "s.wg").exists()
 
 
+def test_graph_op_refusing_an_overflow_leaves_an_existing_output_as_it_was(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_graph(make_graph(["x", "y"], [("x", "y", 1e308 + 1e308j), ("y", "x", 1e308)], [1, 0]), "huge.wg")
+    write_graph(two_cycle_graph(), "s.wg")  # the output of an earlier run
+    before = (tmp_path / "s.wg").read_bytes()
+    code, out, err = run(capsys, ["graph-op", "scale", "--graph", "huge.wg", "--factor", "1e308", "--out", "s.wg"])
+    assert (code, out, err) == (2, "", "ERROR: graph-op scale: the result has a non-finite weight\n")
+    assert (tmp_path / "s.wg").read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-op", "adjoint", "--graph", "missing.wg"],
+    ["spectrum", "--graph", "missing.wg"],
+    ["cover", "lift", "--graph", "missing.wg", "--volt", "missing.volt"],
+], ids=["graph-op", "spectrum", "cover lift"])
+def test_an_empty_out_is_refused_before_any_input_is_read(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv + ["--out", ""])
+    assert (code, out, err) == (2, "", "ERROR: --out needs a file path, got an empty one\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_graph_path_is_read_as_a_path(capsys):
+    code, out, err = run(capsys, ["spectrum", "--graph", ""])
+    assert (code, out, err) == (2, "", "ERROR: [Errno 2] No such file or directory: ''\n")
+
+
 def test_graph_op_add_and_adjoint(files, capsys):
     for argv in (
         ["graph-op", "add", "--graph", files["swap.wg"], "--factor=-0.5i"],

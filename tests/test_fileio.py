@@ -1,5 +1,7 @@
 import io
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -226,6 +228,155 @@ def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path):
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     with open(p, "rb") as fh:
         assert sum(1 for _ in fh) == 1 + 1 + n + 1 + 2 * half
+
+
+EXISTING = b"wgraph 1\nvertices 1\nv\narcs 0\n"  # the output an earlier run left behind
+
+
+def _hold_the_open(monkeypatch):
+    """Make ``fileio.open`` wait until the formatted texts fill ``_HOLD_BYTES``.  Returns the
+    lengths of the texts formatted so far and a list that gets their total when the open returns."""
+    formatted, at_open, filled = [], [], threading.Event()
+    texts = fileio._texts
+
+    def counted(lines):
+        for text in texts(lines):
+            formatted.append(len(text))
+            if sum(formatted) >= fileio._HOLD_BYTES:
+                filled.set()
+            yield text
+
+    def held_open(*args, **kwargs):
+        assert filled.wait(60), "the formatter never filled its bound"
+        at_open.append(sum(formatted))
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_texts", counted)
+    monkeypatch.setattr(fileio, "open", held_open, raising=False)
+    return formatted, at_open
+
+
+def test_a_pending_open_holds_the_formatted_texts_up_to_their_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "_WRITE_BYTES", 256)
+    monkeypatch.setattr(fileio, "_HOLD_BYTES", 2048)
+    g = random_graph(np.random.default_rng(107), n=60, max_pairs=2000)
+    fresh = tmp_path / "fresh.wg"
+    write_graph(g, fresh)
+    formatted, at_open = _hold_the_open(monkeypatch)
+    p = tmp_path / "held.wg"
+    p.write_text("the output of an earlier run\n" * 500)  # the open truncates it
+    write_graph(g, p)
+    assert p.read_bytes() == fresh.read_bytes()
+    # the open returned once the held texts reached the bound, with more texts left to format
+    assert len(at_open) == 1 and 2048 <= at_open[0] < 4096 < sum(formatted) == len(fresh.read_text())
+
+
+@pytest.mark.parametrize("existing", [None, b""], ids=["new", "empty"])
+def test_a_path_with_nothing_to_truncate_opens_before_anything_is_formatted(tmp_path, monkeypatch, existing):
+    formatted = []
+    texts = fileio._texts
+    monkeypatch.setattr(fileio, "_texts", lambda lines: (formatted.append(text) or text for text in texts(lines)))
+    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: (formatted.append(threading.current_thread())
+                                                                  or open(*args, **kwargs)), raising=False)
+    p = tmp_path / "out.wg"
+    if existing is not None:
+        p.write_bytes(existing)
+    write_graph(_two_point_graph("x", "y"), p)
+    assert formatted == [threading.current_thread(), p.read_text()]  # opened on this thread, then formatted
+
+
+def test_a_held_open_keeps_the_graph_writer_under_its_memory_bound(tmp_path, monkeypatch):
+    rng = np.random.default_rng(97)  # the graph of test_graph_writer_memory_does_not_grow_with_the_arc_count
+    n, half = 1500, 150_000
+    s, t = rng.integers(0, n, size=(2, half))
+    g = WeightedGraph(tuple(f"v{i:04d}" for i in range(n)), np.stack([s, t], axis=1).ravel(),
+                      np.stack([t, s], axis=1).ravel(), rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
+                      np.arange(2 * half) ^ 1)
+    _, at_open = _hold_the_open(monkeypatch)
+    p = tmp_path / "big.wg"
+    p.write_bytes(EXISTING)
+    tracemalloc.start()
+    try:
+        write_graph(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at_open[0] >= fileio._HOLD_BYTES
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    with open(p, "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 1 + n + 1 + 2 * half
+
+
+@pytest.mark.parametrize("target", ["missing/out.wg", "."])
+def test_an_open_that_fails_raises_its_own_error_and_leaves_no_thread(tmp_path, target):
+    path = tmp_path / target  # a missing directory, opened here, or a directory, opened on the helper
+    with pytest.raises(OSError) as expected:
+        open(path, "w", encoding="utf-8")
+    threads = threading.active_count()
+    with pytest.raises(type(expected.value)) as got:
+        write_graph(_two_point_graph("x", "y"), path)
+    assert str(got.value) == str(expected.value)
+    assert threading.active_count() == threads
+
+
+def test_an_error_of_the_formatting_with_the_open_pending_closes_the_handle(tmp_path, monkeypatch):
+    opened = []
+
+    def failing_lines():
+        yield "wgraph 1"
+        raise RuntimeError("the formatter failed")
+
+    lines = failing_lines()
+
+    def held_open(*args, **kwargs):
+        for _ in range(6000):  # until the generator has raised, up to a minute
+            if lines.gi_frame is None:
+                break
+            time.sleep(0.01)
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fileio, "open", held_open, raising=False)
+    threads = threading.active_count()
+    p = tmp_path / "out"
+    p.write_bytes(EXISTING)
+    with pytest.raises(RuntimeError, match="^the formatter failed$"):
+        fileio._write_lines(p, lines)
+    assert len(opened) == 1 and opened[0].closed
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("refusal", [
+    (ValueError, "is the non-finite number 'nan', which no reader accepts$",
+     lambda p: write_graph(_two_point_graph("x", "y").with_weights([1.0, NAN]), p)),
+    (GraphStructureError, "^vertex id '#a' starts with '#'", lambda p: write_graph(_two_point_graph("#a", "b"), p)),
+    (ValueError, "^matrix dim 0 is below 1, the least dim that read_matrix accepts$",
+     lambda p: write_matrix(np.zeros((0, 0)), p)),
+    (ValueError, "^matrix dim 2049 exceeds the dense cap 2048 that read_matrix holds to$",
+     lambda p: write_matrix(np.broadcast_to(np.complex128(0), (2049, 2049)), p)),  # a view of one entry
+], ids=["non-finite weight", "hash vertex id", "0x0 matrix", "matrix past the dense cap"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_refused_write_creates_no_file_and_leaves_an_existing_one_as_it_was(tmp_path, refusal, existing):
+    error, message, write = refusal
+    p = tmp_path / "out"
+    if existing:
+        p.write_bytes(EXISTING)
+    with pytest.raises(error, match=message):
+        write(p)
+    if existing:
+        assert p.read_bytes() == EXISTING
+    else:
+        assert not p.exists()
+
+
+def test_the_dim_bounds_of_write_matrix_are_those_of_read_matrix(tmp_path):
+    p = tmp_path / "m.mat"
+    for dim, message in ((0, "dim count must be at least 1"), (2049, "dim 2049 exceeds the dense cap 2048")):
+        p.write_text(f"matrix 1\ndim {dim}\n")
+        with pytest.raises(ParseError, match=message):
+            read_matrix(p)
+    write_matrix(np.eye(1), p)
+    assert np.array_equal(read_matrix(p), np.eye(1))
 
 
 def test_arc_weights_are_written_as_format_complex_writes_them(tmp_path):

@@ -57,6 +57,7 @@ REFUSALS = {
     "graph-op-compose-overflow": ["graph-op", "compose", "--graph", "huge.wg", "--other", "huge.wg", "--out", "s.wg"],
     "graph-op-scale-no-factor": ["graph-op", "scale", "--graph", "swap.wg"],
     "graph-op-out-in-a-missing-directory": ["graph-op", "adjoint", "--graph", "swap.wg", "--out", "missing/out.wg"],
+    "graph-op-out-empty": ["graph-op", "adjoint", "--graph", "missing.wg", "--out", ""],
     "graph-op-deficiency-R-inf": DEFICIENCY + ["--R", "inf"],
     **{f"graph-op-deficiency-tol-{tol}": DEFICIENCY + ["--R", "4", "--tol", tol] for tol in ("-1", "nan", "inf")},
     **{f"spectrum-R-{r}": SPECTRUM + ["--R", r] for r in ("1.5", "1e200", "inf", "nan")},
