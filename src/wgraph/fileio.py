@@ -10,17 +10,16 @@ split at every ``str.splitlines`` separator, and hold a graph block's arcs as
 columns (about 160 traced bytes per arc at the peak); a ``UnicodeDecodeError``
 gives its byte position from the start of the decoded chunk, not of the file.
 Writers refuse what no reader would read back before the file opens, and write
-through :func:`_write_lines`: about 1 MiB of text at a time, and while a file
-that already holds bytes is truncated on a helper thread, up to about 8 MiB.
+through :func:`_write_lines`: about 1 MiB of text at a time, over a regular file
+in place with its header written last.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import os
-import threading
+import stat
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -54,7 +53,6 @@ __all__ = [
 
 _CHUNK = 2048  # arcs formatted at a time; the strings of one chunk are held at once
 _WRITE_BYTES = 1 << 20  # about this many characters per write
-_HOLD_BYTES = 8 * _WRITE_BYTES  # about the most formatted text held while a file with bytes opens
 
 
 def format_complex(value) -> str:
@@ -176,68 +174,40 @@ def _texts(lines):
         count = len(chunk)
         chunk.append("")  # the newline after the last line
         text = "\n".join(chunk)
-        del chunk  # the lines are not held with the encoded copy that ``write`` makes
+        del chunk  # the lines are not held with the encoded copy that :func:`_write_lines` makes
         yield text
         count = max(1, min(2 * count, count * _WRITE_BYTES // len(text)))
 
 
-def _has_bytes(path) -> bool:
-    """Whether ``path`` names a file or directory that holds bytes, which a truncating open
-    frees; a path that names nothing, or that no open takes, gives ``False``."""
-    try:
-        return os.stat(path).st_size > 0
-    except (OSError, ValueError):
-        return False
+def _open_in_place(path, flags):
+    """The opener of :func:`_write_lines`: ``open(path, "wb")`` without its ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_lines(path: str, lines):
     """Write ``lines`` to ``path``, each followed by a newline, a text of :func:`_texts` at a time.
 
-    Truncating a file that holds bytes can wait a tenth of a second or more with the GIL
-    released, so such a file opens on a helper thread while this one formats.  Until the open
-    returns, the formatted texts are held, up to about ``_HOLD_BYTES`` of them; then this
-    thread waits for the open, writes what it holds and streams the rest.  Any other path
-    opens here first, as the open of a new file can wait too, so writing a new file holds one
-    text at a time.  An error of the open is raised as the open raised it, an error of the
-    formatting closes the handle, and the helper is joined before the call returns.  Writers
-    call it after every check that can refuse, so a refused write creates no file and
-    truncates none.
+    The path opens as ``open(path, "w")`` opens it, with its errors, but is not truncated first:
+    freeing the blocks of a large earlier output can wait a tenth of a second or more.  A regular
+    file is written in place and cut at the end of what was written.  Its first text, which holds
+    the header line, goes last: a comment line of the same byte length stands in its place until
+    the rest is written.  A write that stops early, by an error or a kill, so leaves a file with no
+    header, which every reader refuses, not new lines mixed with an earlier output's; one that
+    stops before the first text is formatted has written nothing.  Other paths (``/dev/null``, a
+    FIFO) are written in order.  Writers call it after every check that can refuse, so a refused
+    write creates no file and changes none.
     """
-    opened = {}
-
-    def open_file():
-        try:
-            opened["fh"] = open(path, "w", encoding="utf-8")
-        except BaseException as e:  # raised again on the calling thread
-            opened["error"] = e
-
-    opener = None
-    if _has_bytes(path):
-        opener = threading.Thread(target=open_file)
-        opener.start()
-    else:
-        open_file()
-    texts = _texts(lines)
-    held, size = collections.deque(), 0
-    try:
-        try:
-            while not opened and size < _HOLD_BYTES and (text := next(texts, None)) is not None:
-                held.append(text)
-                size += len(text)
-        finally:
-            if opener is not None:
-                opener.join()
-    except BaseException:
-        if "fh" in opened:
-            opened["fh"].close()
-        raise
-    if "error" in opened:
-        raise opened.pop("error")  # popped, so no cycle keeps the helper's frame
-    with opened["fh"] as fh:
-        while held:
-            fh.write(held.popleft())  # each text is freed once it is written
-        for text in texts:
-            fh.write(text)
+    texts = map(str.encode, _texts(lines))
+    with open(path, "wb", opener=_open_in_place) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.writelines(texts)
+            return
+        head = next(texts, b"")
+        fh.write(b"#" * (len(head) - 1) + head[-1:])  # ends with the newline that ends ``head``
+        fh.writelines(texts)
+        fh.truncate()
+        fh.seek(0)
+        fh.write(head)
 
 
 def _read_graph_block(cur: _Cursor) -> WeightedGraph:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -134,6 +135,58 @@ def test_an_empty_out_is_refused_before_any_input_is_read(argv, capsys, tmp_path
 def test_an_empty_graph_path_is_read_as_a_path(capsys):
     code, out, err = run(capsys, ["spectrum", "--graph", ""])
     assert (code, out, err) == (2, "", "ERROR: [Errno 2] No such file or directory: ''\n")
+
+
+OUT_COMMANDS = {
+    "graph-op": ["graph-op", "adjoint", "--graph", "cycle8.wg"],
+    "spectrum": ["spectrum", "--matrix", "nil.mat"],
+    "cover lift": ["cover", "lift", "--graph", "base2.wg", "--volt", "volt2.volt"],
+}
+
+
+@pytest.mark.parametrize("target", ["/dev/null", "fifo"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_an_out_that_is_no_regular_file_is_written_in_order(command, target, files, capsys, tmp_path):
+    argv = [files.get(a, a) for a in OUT_COMMANDS[command]]
+    fresh = tmp_path / "fresh"
+    assert run(capsys, argv + ["--out", str(fresh)])[0] == 0
+    if target == "/dev/null":
+        code, out, err = run(capsys, argv + ["--out", target])
+        assert (code, err) == (0, "") and out.endswith("WROTE: /dev/null\n")
+        return
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, out, err = run(capsys, argv + ["--out", str(fifo)])
+    finally:
+        try:  # ends a reader still waiting for a writer; one that has read to the end is gone
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join()
+    assert (code, err) == (0, "") and out.endswith(f"WROTE: {fifo}\n")
+    assert read == [fresh.read_bytes()]
+
+
+@pytest.mark.parametrize("command", ["graph-op", "spectrum"])
+def test_an_out_that_names_the_command_s_own_input_gets_the_bytes_of_a_fresh_path(command, capsys, tmp_path):
+    if command == "graph-op":  # the input is longer than the output, which conjugates its weights
+        own = tmp_path / "g.wg"
+        write_graph(random_graph(np.random.default_rng(137), n=12), str(own))
+        own.write_bytes(own.read_bytes() + b"# a comment the output does not keep\n" * 20)
+        argv = ["graph-op", "adjoint", "--graph", str(own)]
+    else:  # the input is shorter than the output, which writes every entry as a repr float
+        own = tmp_path / "m.mat"
+        own.write_text("matrix 1\ndim 3\n0 1 2i\n1 0 0\n-2i 0 1\n")
+        argv = ["spectrum", "--matrix", str(own)]
+    fresh = tmp_path / "fresh"
+    code, report, err = run(capsys, argv + ["--out", str(fresh)])
+    assert (code, err) == (0, "")
+    assert run(capsys, argv + ["--out", str(own)]) == (0, report.replace(str(fresh), str(own)), "")
+    assert own.read_bytes() == fresh.read_bytes()
 
 
 def test_graph_op_add_and_adjoint(files, capsys):

@@ -1,7 +1,10 @@
 import io
 import os
+import signal
+import stat
+import subprocess
+import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -194,31 +197,47 @@ def test_writers_stream_the_same_bytes_across_chunks(tmp_path, monkeypatch):
         assert not p.exists()
 
 
-def test_write_lines_writes_a_list_once(monkeypatch):
-    written = []
+def test_write_lines_writes_a_list_once(tmp_path, monkeypatch):
+    regular = open(tmp_path / "regular", "wb")  # the file whose fstat the sink reports
 
-    class Sink(io.StringIO):  # stops a writer that repeats its lines before it fills the disk
-        def write(self, text):
-            written.append(text)
-            assert len(written) == 1, "the lines were written again"
+    class Sink(io.BytesIO):  # stops a writer that repeats its lines before it fills the disk
+        fileno = regular.fileno
 
-    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: Sink(), raising=False)
-    fileio._write_lines("ab.txt", ["a", "b"])
-    assert written == ["a\nb\n"]
+        def write(self, data):
+            assert self.tell() + len(data) <= len(b"a\nb\n"), "the lines were written again"
+            return super().write(data)
+
+        def close(self):  # keeps the written bytes readable
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: sink, raising=False)
+    with regular:
+        fileio._write_lines("ab.txt", ["a", "b"])
+    assert sink.getvalue() == b"a\nb\n"
 
 
-def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path):
-    rng = np.random.default_rng(97)
-    n, half = 1500, 150_000
+def _many_arcs_graph(n, half, seed=97):
+    """A graph of ``2 * half`` random arcs, each paired with the next, on ``n`` vertices."""
+    rng = np.random.default_rng(seed)
     s, t = rng.integers(0, n, size=(2, half))
-    g = WeightedGraph(
-        tuple(f"v{i:04d}" for i in range(n)),
-        np.stack([s, t], axis=1).ravel(),
-        np.stack([t, s], axis=1).ravel(),
-        rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
-        np.arange(2 * half) ^ 1,
-    )
+    return WeightedGraph(tuple(f"v{i:04d}" for i in range(n)), np.stack([s, t], axis=1).ravel(),
+                         np.stack([t, s], axis=1).ravel(), rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
+                         np.arange(2 * half) ^ 1)
+
+
+LONGER = b"# an earlier, longer output\n" * 40_000  # appended to the written file before it is written again
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new path", "over a longer file"])
+def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path, existing):
+    n, half = 1500, 150_000
+    g = _many_arcs_graph(n, half)
     p = tmp_path / "big.wg"
+    if existing:
+        write_graph(g, p)
+        with open(p, "ab") as fh:
+            fh.write(LONGER)
     tracemalloc.start()
     try:
         write_graph(g, p)
@@ -233,83 +252,57 @@ def test_graph_writer_memory_does_not_grow_with_the_arc_count(tmp_path):
 EXISTING = b"wgraph 1\nvertices 1\nv\narcs 0\n"  # the output an earlier run left behind
 
 
-def _hold_the_open(monkeypatch):
-    """Make ``fileio.open`` wait until the formatted texts fill ``_HOLD_BYTES``.  Returns the
-    lengths of the texts formatted so far and a list that gets their total when the open returns."""
-    formatted, at_open, filled = [], [], threading.Event()
-    texts = fileio._texts
-
-    def counted(lines):
-        for text in texts(lines):
-            formatted.append(len(text))
-            if sum(formatted) >= fileio._HOLD_BYTES:
-                filled.set()
-            yield text
-
-    def held_open(*args, **kwargs):
-        assert filled.wait(60), "the formatter never filled its bound"
-        at_open.append(sum(formatted))
-        return open(*args, **kwargs)
-
-    monkeypatch.setattr(fileio, "_texts", counted)
-    monkeypatch.setattr(fileio, "open", held_open, raising=False)
-    return formatted, at_open
+@pytest.mark.parametrize("earlier", ["empty", "shorter", "as long", "longer"])
+@pytest.mark.parametrize("write, read, ext", [(write_graph, read_graph, "wg"), (write_matrix, read_matrix, "mat"),
+                                              (write_covering, read_covering, "cov")])
+def test_an_overwrite_writes_the_bytes_of_a_fresh_path(tmp_path, monkeypatch, earlier, write, read, ext):
+    monkeypatch.setattr(fileio, "_WRITE_BYTES", 256)  # many texts
+    rng = np.random.default_rng(109)
+    obj = {"wg": lambda: random_graph(rng, n=40, max_pairs=400), "mat": lambda: random_matrix(rng, max_n=30),
+           "cov": lambda: random_voltage_cover(rng)[2]}[ext]()
+    fresh = tmp_path / f"fresh.{ext}"
+    write(obj, fresh)
+    new = fresh.read_bytes()
+    p = tmp_path / f"out.{ext}"
+    p.write_bytes({"empty": b"", "shorter": new[:len(new) // 3], "as long": new.replace(b"1", b"2"),
+                   "longer": new + LONGER}[earlier])
+    write(obj, p)
+    assert p.read_bytes() == new
+    write(read(p), p)  # over its own output
+    assert p.read_bytes() == new
 
 
-def test_a_pending_open_holds_the_formatted_texts_up_to_their_bound(tmp_path, monkeypatch):
-    monkeypatch.setattr(fileio, "_WRITE_BYTES", 256)
-    monkeypatch.setattr(fileio, "_HOLD_BYTES", 2048)
-    g = random_graph(np.random.default_rng(107), n=60, max_pairs=2000)
+def test_a_write_through_a_link_keeps_the_link_and_the_inode(tmp_path):
+    rng = np.random.default_rng(113)
+    first, second = random_graph(rng, n=30), random_graph(rng, n=20)
     fresh = tmp_path / "fresh.wg"
-    write_graph(g, fresh)
-    formatted, at_open = _hold_the_open(monkeypatch)
-    p = tmp_path / "held.wg"
-    p.write_text("the output of an earlier run\n" * 500)  # the open truncates it
-    write_graph(g, p)
-    assert p.read_bytes() == fresh.read_bytes()
-    # the open returned once the held texts reached the bound, with more texts left to format
-    assert len(at_open) == 1 and 2048 <= at_open[0] < 4096 < sum(formatted) == len(fresh.read_text())
+    target, symlink, hard = tmp_path / "target.wg", tmp_path / "symlink.wg", tmp_path / "hard.wg"
+    target.write_bytes(EXISTING + LONGER)
+    symlink.symlink_to(target.name)
+    os.link(target, hard)
+    inode = target.stat().st_ino
+    for graph, path in ((first, symlink), (second, hard)):
+        write_graph(graph, fresh)
+        write_graph(graph, path)
+        assert symlink.is_symlink() and os.readlink(symlink) == target.name
+        assert target.stat().st_ino == hard.stat().st_ino == inode and target.stat().st_nlink == 2
+        assert target.read_bytes() == fresh.read_bytes()
 
 
-@pytest.mark.parametrize("existing", [None, b""], ids=["new", "empty"])
-def test_a_path_with_nothing_to_truncate_opens_before_anything_is_formatted(tmp_path, monkeypatch, existing):
-    formatted = []
-    texts = fileio._texts
-    monkeypatch.setattr(fileio, "_texts", lambda lines: (formatted.append(text) or text for text in texts(lines)))
-    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: (formatted.append(threading.current_thread())
-                                                                  or open(*args, **kwargs)), raising=False)
+def test_a_write_creates_a_file_with_the_mode_of_open_and_keeps_an_existing_mode(tmp_path):
+    reference = tmp_path / "reference"
+    open(reference, "w").close()
     p = tmp_path / "out.wg"
-    if existing is not None:
-        p.write_bytes(existing)
     write_graph(_two_point_graph("x", "y"), p)
-    assert formatted == [threading.current_thread(), p.read_text()]  # opened on this thread, then formatted
-
-
-def test_a_held_open_keeps_the_graph_writer_under_its_memory_bound(tmp_path, monkeypatch):
-    rng = np.random.default_rng(97)  # the graph of test_graph_writer_memory_does_not_grow_with_the_arc_count
-    n, half = 1500, 150_000
-    s, t = rng.integers(0, n, size=(2, half))
-    g = WeightedGraph(tuple(f"v{i:04d}" for i in range(n)), np.stack([s, t], axis=1).ravel(),
-                      np.stack([t, s], axis=1).ravel(), rng.normal(size=2 * half) + 1j * rng.normal(size=2 * half),
-                      np.arange(2 * half) ^ 1)
-    _, at_open = _hold_the_open(monkeypatch)
-    p = tmp_path / "big.wg"
-    p.write_bytes(EXISTING)
-    tracemalloc.start()
-    try:
-        write_graph(g, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert at_open[0] >= fileio._HOLD_BYTES
-    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    with open(p, "rb") as fh:
-        assert sum(1 for _ in fh) == 1 + 1 + n + 1 + 2 * half
+    assert stat.S_IMODE(p.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    p.chmod(0o600)
+    write_graph(_two_point_graph("x", "z"), p)
+    assert stat.S_IMODE(p.stat().st_mode) == 0o600
 
 
 @pytest.mark.parametrize("target", ["missing/out.wg", "."])
 def test_an_open_that_fails_raises_its_own_error_and_leaves_no_thread(tmp_path, target):
-    path = tmp_path / target  # a missing directory, opened here, or a directory, opened on the helper
+    path = tmp_path / target  # a missing directory or a directory
     with pytest.raises(OSError) as expected:
         open(path, "w", encoding="utf-8")
     threads = threading.active_count()
@@ -319,31 +312,83 @@ def test_an_open_that_fails_raises_its_own_error_and_leaves_no_thread(tmp_path, 
     assert threading.active_count() == threads
 
 
-def test_an_error_of_the_formatting_with_the_open_pending_closes_the_handle(tmp_path, monkeypatch):
+READERS = [read_graph, read_matrix, read_covering, read_voltages, read_action, read_element]
+
+# Writes a graph over an earlier output in texts of 4 KiB, and after the eleventh text has been
+# handed to the file says so on stdout and waits to be killed.
+KILLED_WRITER = """
+import sys, time
+from wgraph import fileio, read_graph, write_graph
+
+fileio._WRITE_BYTES = 4096
+texts = fileio._texts
+
+def stalled(lines):
+    for k, text in enumerate(texts(lines)):
+        if k == 11:
+            print("writing", flush=True)
+            time.sleep(60)
+        yield text
+
+fileio._texts = stalled
+write_graph(read_graph(sys.argv[1]), sys.argv[2])
+"""
+
+
+def test_a_write_killed_over_an_earlier_output_leaves_a_file_every_reader_refuses(tmp_path):
+    g = _many_arcs_graph(200, 5000, seed=127)
+    new, p = tmp_path / "new.wg", tmp_path / "out.wg"
+    write_graph(g, new)
+    write_graph(g.with_weights(g.weight.conj()), p)  # the same shape: as long, with the same counts
+    old = p.read_bytes()
+    assert len(old) == len(new.read_bytes()) > 12 * 4096
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fileio.__file__))}
+    child = subprocess.Popen([sys.executable, "-c", KILLED_WRITER, str(new), str(p)], env=env,
+                             stdout=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == b"writing\n"
+    finally:
+        child.kill()
+        child.wait()
+        child.stdout.close()
+    assert child.returncode == -signal.SIGKILL
+    left = p.read_bytes()
+    assert left.startswith(b"#") and left != old  # the write had begun
+    for read in READERS:
+        with pytest.raises(ParseError, match="^[^:]*out.wg:"):
+            read(p)
+
+
+@pytest.mark.parametrize("failing_text", [1, 5])
+def test_a_write_whose_formatting_fails_closes_the_handle_and_leaves_no_readable_mix(tmp_path, monkeypatch,
+                                                                                      failing_text):
+    g = _many_arcs_graph(200, 5000, seed=131)
+    p = tmp_path / "out.wg"
+    write_graph(g.with_weights(g.weight.conj()), p)
+    old = p.read_bytes()
+    monkeypatch.setattr(fileio, "_WRITE_BYTES", 4096)
+    texts = fileio._texts
+
+    def failing(lines):
+        for k, text in enumerate(texts(lines), 1):
+            if k == failing_text:
+                raise RuntimeError("the formatter failed")
+            yield text
+
     opened = []
-
-    def failing_lines():
-        yield "wgraph 1"
-        raise RuntimeError("the formatter failed")
-
-    lines = failing_lines()
-
-    def held_open(*args, **kwargs):
-        for _ in range(6000):  # until the generator has raised, up to a minute
-            if lines.gi_frame is None:
-                break
-            time.sleep(0.01)
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(fileio, "open", held_open, raising=False)
-    threads = threading.active_count()
-    p = tmp_path / "out"
-    p.write_bytes(EXISTING)
+    monkeypatch.setattr(fileio, "_texts", failing)
+    monkeypatch.setattr(fileio, "open", lambda *args, **kwargs: opened.append(open(*args, **kwargs)) or opened[-1],
+                        raising=False)
     with pytest.raises(RuntimeError, match="^the formatter failed$"):
-        fileio._write_lines(p, lines)
+        write_graph(g, p)
     assert len(opened) == 1 and opened[0].closed
-    assert threading.active_count() == threads
+    if failing_text == 1:  # nothing was written: the earlier output is left as it was
+        assert p.read_bytes() == old
+        return
+    assert p.read_bytes().startswith(b"#")
+    for read in READERS:
+        with pytest.raises(ParseError):
+            read(p)
 
 
 @pytest.mark.parametrize("refusal", [
@@ -414,12 +459,17 @@ def test_arc_weights_are_written_as_format_complex_writes_them(tmp_path):
         assert not p.exists()
 
 
-def test_matrix_writer_holds_about_one_write_of_rows(tmp_path):
+@pytest.mark.parametrize("existing", [False, True], ids=["new path", "over a longer file"])
+def test_matrix_writer_holds_about_one_write_of_rows(tmp_path, existing):
     rng = np.random.default_rng(103)
     m = rng.normal(size=(1024, 1024)).astype(complex)  # tracing makes each string cost microseconds
     m[::4, ::4] += 1j * rng.normal(size=(256, 256))
     m[1, :len(FINITE_SPECIALS)] = FINITE_SPECIALS
     p = tmp_path / "big.mat"
+    if existing:
+        write_matrix(m, p)
+        with open(p, "ab") as fh:
+            fh.write(LONGER)
     tracemalloc.start()
     try:
         write_matrix(m, p)
