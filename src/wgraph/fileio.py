@@ -2,10 +2,13 @@
 
 Every format starts with a ``<kind> <version>`` header line; blank lines
 and ``#`` comments are allowed anywhere.  Complex numbers are written as
-``a+bi`` with ``repr`` floats so values round-trip bit-exactly; arc and
-matrix indices are 0-based, permutations are written in 1-based one-line
-notation.  All malformed content raises :class:`ParseError` with the
-offending line number.  Readers take lines from the open file as they parse,
+``a+bi`` with ``repr`` floats so values round-trip bit-exactly, with one
+exception: a zero imaginary part is not written, so it reads back as +0.0
+whatever its sign (a weight 1-0j, which ``graph-op adjoint`` makes of every
+real weight, is written ``1.0`` and reads back as 1+0j).  Arc and matrix
+indices are 0-based, permutations are written in 1-based one-line notation.
+All malformed content raises :class:`ParseError` with the offending line
+number.  Readers take lines from the open file as they parse,
 split at every ``str.splitlines`` separator, and hold a graph block's arcs as
 columns (about 160 traced bytes per arc at the peak); a ``UnicodeDecodeError``
 gives its byte position from the start of the decoded chunk, not of the file.

@@ -552,12 +552,13 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     and a vertex's match is the first vertex, in the other graph's vertex
     order, whose ball has the same code.  A radius passes when both graphs
     have the same set of codes.  Passing is monotone in the radius (a
-    ball's radius-(l-1) code is a function of its radius-l code), so the
-    first failing radius is found by probing radii 0, 1, 3, 7, ... up to
-    ``max_radius`` and bisecting between the last pass and the first fail;
-    all radii past it are reported failed with empty matches.  When both
-    graphs have the same labeled adjacency, the identity map passes every
-    radius and no ball is coded.  The match maps of the passing radii and
+    ball's radius-(l-1) code is a function of its radius-l code), so
+    ``max_radius`` is probed first, and a pass there settles every radius.
+    Only when it fails is the first failing radius searched for, by probing
+    radii 0, 1, 3, 7, ... below ``max_radius`` and bisecting between the
+    last pass and the first fail; all radii past it are reported failed
+    with empty matches.  When both graphs have the same labeled adjacency,
+    the identity map passes every radius and no ball is coded.  The match maps of the passing radii and
     of the first failing one are read-only mappings that code on each read:
     reading a vertex codes its ball, then the other graph's balls in vertex
     order up to its match, and keeps nothing, so reading a whole map codes
@@ -566,15 +567,15 @@ def local_iso_check(gx: LabeledOrbitalGraph, gy: LabeledOrbitalGraph, max_radius
     if gx.alphabet != gy.alphabet:
         raise ActionError("label alphabets differ; the graphs come from different elements")
     _check_max_radius(max_radius)
-    same = _same_adjacency(gx, gy)
-    failed = max_radius + 1  # the first failing radius, past the cap when none fails
-    if not same:
-        def passes(r):
-            return set(_codes(gx, r).values()) == set(_codes(gy, r).values())
 
-        lo, hi = -1, 0  # the last radius known to pass, and the next probe: 0, 1, 3, 7, ... up to the cap
-        while hi <= max_radius and passes(hi):
-            lo, hi = hi, max(hi + 1, min(2 * hi + 1, max_radius))
+    def passes(r):
+        return set(_codes(gx, r).values()) == set(_codes(gy, r).values())
+
+    failed = max_radius + 1  # the first failing radius, past the cap when none fails
+    if not _same_adjacency(gx, gy) and not passes(max_radius):
+        lo, hi = -1, 0  # the last radius known to pass, and the next probe: 0, 1, 3, 7, ... up to the failed cap
+        while hi < max_radius and passes(hi):
+            lo, hi = hi, min(2 * hi + 1, max_radius)
         while hi - lo > 1:  # hi failed: bisect for the first failure
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)

@@ -4,9 +4,11 @@ The membership test rests on an identity between a point being in the
 spectrum of a bounded operator A and the number 1 being in the spectrum of
 at least one of the two Hermitian "deficiency" operators
 ``I - (A - lam)(A - lam)*/R^2`` and ``I - (A - lam)*(A - lam)/R^2``.
-For normal operators either one suffices; in general both product orders
-are needed, and :func:`shift_counterexample_report` exhibits an operator
-where the right product alone gives the wrong answer.
+For a square matrix either one suffices, since the two products of a square
+matrix with its adjoint are isospectral; on an infinite-dimensional space
+both product orders are needed, and
+:func:`shift_counterexample_report` exhibits an operator, the unilateral
+shift, where the right product alone gives the wrong answer.
 """
 
 from __future__ import annotations
@@ -290,8 +292,10 @@ def membership_by_deficiency(matrix, lam, radius: float | None = None, tol: floa
     distance of 1 to either spectrum equals ``sigma_min(M - lam)^2 /
     radius^2``, so the verdict matches the ground truth
     ``sigma_min(M - lam) <= radius * sqrt(tol)``.  ``radius`` defaults to
-    twice the Schur norm bound (at least 2e-12).  Testing a single
-    product order is sound only for normal operators; see
+    twice the Schur norm bound (at least 2e-12).  For a square matrix the
+    two distances agree up to rounding, as (M - lam)(M - lam)* and
+    (M - lam)*(M - lam) are isospectral; a single product order fails on
+    infinite-dimensional operators such as the shift of
     :func:`shift_counterexample_report`.
     """
     m = _as_square_matrix(matrix, "membership_by_deficiency")

@@ -760,7 +760,7 @@ def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
 
     monkeypatch.setattr(wgraph.orbital, "_ball_code", tracked_ball_code)
     res = local_iso_check(gx, gy, 5)
-    probes = len(_search_probes(6, 5))  # radii 0, 1, 3 and 5, which all pass
+    probes = len(_search_probes(6, 5))  # the cap 5 alone, which passes
     assert len(codes) == 2 * n * probes and res.max_ok_radius == 5
     ys = gy.graph.vertices
     assert dict(res.radii[2].x_matches) == want[2].x_matches
@@ -774,12 +774,17 @@ def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
 
 def _search_probes(failed: int, cap: int) -> list:
     """The radii that the search for a first failure at ``failed`` (``cap + 1`` when none
-    fails) codes: 0, 1, 3, 7, ... capped at ``cap`` until one fails, then a bisection."""
-    probes = [0]
-    while probes[-1] < min(failed, cap):
-        probes.append(min(2 * probes[-1] + 1, cap))
-    lo, hi = (probes[-2] if len(probes) > 1 else -1), probes[-1]
-    while hi >= failed and hi - lo > 1:
+    fails) codes: ``cap`` first, and only when it fails 0, 1, 3, 7, ... below ``cap`` until
+    one fails, then a bisection."""
+    probes, lo, hi = [cap], -1, 0
+    if failed > cap:
+        return probes
+    while hi < cap:
+        probes.append(hi)
+        if hi >= failed:
+            break
+        lo, hi = hi, min(2 * hi + 1, cap)
+    while hi - lo > 1:
         probes.append(mid := (lo + hi) // 2)
         lo, hi = (mid, hi) if mid < failed else (lo, mid)
     return probes
@@ -787,9 +792,9 @@ def _search_probes(failed: int, cap: int) -> list:
 
 def _assert_codes_only_the_search_probes(coded, gx, gy, cap, failed):
     radii = [args[2] for args in coded]
-    assert set(radii) == set(_search_probes(failed, cap))
+    assert list(dict.fromkeys(radii)) == _search_probes(failed, cap)  # each probe in turn
     assert len(radii) == (len(gx.graph.vertices) + len(gy.graph.vertices)) * len(set(radii))
-    assert max(radii) <= min(cap, 2 * failed + 1)
+    assert max(set(radii) - {cap}, default=-1) <= 2 * failed + 1
     assert len(set(radii)) <= 2 * math.ceil(math.log2(cap + 2)) + 2
 
 
@@ -833,7 +838,7 @@ def test_two_orbit_scan_codes_logarithmically_many_radii(monkeypatch):
     coded = _counting(monkeypatch, "_ball_code")
     res = local_iso_check(gx, gy, cap)
     assert cap == 33 and res.max_ok_radius == cap
-    assert len({args[2] for args in coded}) <= 14  # a scan of radii 0, 1, 2, ... codes all 34
+    assert {args[2] for args in coded} == {cap}  # a scan of radii 0, 1, 2, ... codes all 34
     _assert_codes_only_the_search_probes(coded, gx, gy, cap, cap + 1)
     monkeypatch.undo()
     assert res.radii[:4] == reference_local_iso(gx, gy, 3).radii
