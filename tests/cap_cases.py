@@ -1,11 +1,13 @@
-"""The paper's claims at full size, one named case per CI step.
+"""The paper's claims at full size, one pytest case per CI step.
 
-``python tests/cap_cases.py NAME...|--all`` runs each case in ``$RUNNER_TEMP/NAME``, or under a fresh temporary
-directory when that is unset.  A case writes every input its commands name, runs them with ``src`` and ``tests`` on
-``PYTHONPATH`` and, unless a command says otherwise, one BLAS thread, prints their reports and exits 1 on the first
-failed check, naming it; a command must exit 0 unless it expects another code.  This process imports neither numpy
-nor wgraph: writers run in children that import this module, and a command's peak is its own child's ``ru_maxrss``,
-which starts at the peak of the process that spawned it.  Peaks were measured on Python 3.11 with numpy 2.4.
+``python -m pytest --noconftest tests/cap_cases.py`` runs every case and
+``python -m pytest --noconftest "tests/cap_cases.py::test_case[NAME]"`` one; the tier-1 run collects only
+``test_*.py`` files, so it runs none.  A case writes the inputs its commands name into its own temporary
+directory and runs each command there, with ``src`` and ``tests`` on ``PYTHONPATH`` and one BLAS thread: it must
+exit with its code, print no Traceback and its report lines, pass its check and stay under its peak bound.  A
+command's peak is its own ``ru_maxrss``, which starts at the peak of the process that spawned it, so this module
+imports neither numpy nor wgraph, the writers run in children, and ``--noconftest`` keeps the numpy that
+``tests/conftest.py`` imports out of the pytest process.  Peaks were measured on Python 3.11 with numpy 2.4.
 """
 
 import filecmp
@@ -14,26 +16,17 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
-import time
 from collections import namedtuple
 from functools import partial
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI = ("-m", "wgraph.cli")
-# a command: the interpreter's arguments, run in the case directory; (what, test of its Run) pairs, checked after
-# its exit code; a pattern of report lines not printed, or None ("" hides all); its peak bound in MB, or 0 for none
-Cmd = namedtuple("Cmd", "argv checks hide bound code one_thread", defaults=((), None, 0.0, 0, True))
+# a command: the interpreter's arguments, run in the case directory; report lines its stdout must hold; a further
+# test of its Run, or None; its peak bound in MB, or 0 for none; its exit code
+Cmd = namedtuple("Cmd", "argv lines check bound code", defaults=((), None, 0, 0))
 Run = namedtuple("Run", "out err code peak dir")  # a command's stdout, stderr, exit code, own peak in MB and directory
-NO_TRACEBACK = ("no Traceback on stderr", lambda r: "Traceback" not in r.err)
-
-
-def lines(*want):
-    return tuple((f"the report line {w!r}", lambda r, w=w: w in r.out.split("\n")) for w in want)
-
-
-def count(pattern, n):
-    return (f"{n} report lines matching {pattern!r}", lambda r: len(re.findall(pattern, r.out, re.M)) == n)
 
 
 def orbital(action, element, x, y, level=None, **kw):
@@ -128,14 +121,17 @@ ORBIT_SIZE = ("import sys\nfrom wgraph import orbit, read_action, read_element\n
               "print(len(orbit(action, '000000000', read_element(sys.argv[2]).support())))\n")
 READ_ARCS = "import sys; from wgraph import read_graph; print(len(read_graph(sys.argv[1]).weight))"
 GRIGORCHUK = ("grigorchuk.act", "grigorchuk.elt")
-ROUTE = r"^STEP|SPECTRUM:"
+
+
+def steps_ok(r):
+    return len(re.findall(r"^STEP .* ok$", r.out, re.M))
 
 
 def transducer(level):
-    """The transducer fixes the first letter, so the roots lie in two orbits whose labeled adjacency
-    differs: the cap radius is probed first and passes; a scale check, not a timing gate."""
+    """The transducer fixes the first letter, so the roots lie in two orbits of one size whose labeled
+    adjacency differs: the cap radius is probed first and passes; a scale check, not a timing gate."""
     y = "1" + "0" * (level - 1)
-    return (orbital("transducer.act", "transducer.elt", "0" * level, y, level, hide="^SPECTRUM", checks=lines(
+    return (orbital("transducer.act", "transducer.elt", "0" * level, y, level, lines=(
         f"ORBIT Y: {y} size={2 ** (level - 1)}", "LOCAL-ISO SATURATED: yes", "CROSS-MISSES: 0", "TRANSFER: ok")),)
 
 
@@ -143,38 +139,36 @@ def transducer(level):
 CASES = {
     # 256 points at the default radius cap; a scale check, not a timing gate
     "orbital-8": (orbital(*GRIGORCHUK, "00000000", "10110101", 8,
-                          checks=lines("LOCAL-ISO SATURATED: yes", "CROSS-MISSES: 0")),),
+                          lines=("LOCAL-ISO SATURATED: yes", "CROSS-MISSES: 0")),),
     # a + 0.5b + (0.25+0.5i)c is not normal, so every cross-check is a dense two-sided test;
     # at 256 points the split list runs in turn on one thread, below the two-thread floor
-    "orbital-nonnormal-8": (orbital("grigorchuk.act", "nonnormal.elt", "00000000", "10110101", 8, hide="^SPECTRUM",
-                                    checks=lines("CROSS-CHECKS: 256")),),
+    "orbital-nonnormal-8": (orbital("grigorchuk.act", "nonnormal.elt", "00000000", "10110101", 8,
+                                    lines=("CROSS-CHECKS: 256",)),),
     # 10 points in a 6-point orbit and a 4-point orbit, with the roots in different orbits: the
     # y-operator differs from the x-operator and is not Hermitian, so its cross-checks are dense
     # tests at the given x-spectrum, run beside its own spectrum
-    "two-orbits-nonnormal": (orbital("two.act", "two.elt", "p0", "q0", one_thread=False,
-                                     checks=lines("CROSS-CHECKS: 6", "ORBIT Y: q0 size=4")),),
+    "two-orbits-nonnormal": (orbital("two.act", "two.elt", "p0", "q0",
+                                     lines=("CROSS-CHECKS: 6", "ORBIT Y: q0 size=4")),),
     # 2048 points: every cross-check is read off the spectrum already computed, the transfer
     # reads ball codes and the Hausdorff distance of the two real spectra takes the sorted search.
     # Both roots share one labeled adjacency, so one operator matrix is built: the peak measured
     # 166.0-167.4 MB, and 233.6-234.8 MB when a second copy was built to compare with the first;
     # the 205 MB bound leaves about 22 % above the highest reading.
-    "orbital-11": (orbital(*GRIGORCHUK, "00000000000", "10110101101", 11, hide="^SPECTRUM", bound=205, checks=lines(
+    "orbital-11": (orbital(*GRIGORCHUK, "00000000000", "10110101101", 11, bound=205, lines=(
         "CROSS-CHECKS: 2048", "CROSS-MISSES: 0", "LOCAL-ISO SATURATED: yes", "TRANSFER: ok", "HAUSDORFF: 0.0")),),
     # the 13,120 reduced words of length 1 to 8 over a, b, c, d, none with its inverse in the
     # support: 26,240 word images and up to 53,739,520 arcs on 2048 points, past the 2^24 arc cap,
     # so the command exits 2 before the orbit search builds an image.  The refusal measured 37 MB
     # and 0.65 s; the images alone would take about 430 MB.
     "arc-budget-11": (orbital("grigorchuk.act", "words8.elt", "00000000000", "10110101101", 11, code=2, bound=100,
-                              checks=(("empty stdout", lambda r: r.out == ""), NO_TRACEBACK,
-                                      ("stderr starting 'ERROR: '", lambda r: r.err.startswith("ERROR: ")),
-                                      ("the arc cap on stderr", lambda r: "the arc cap is 16777216" in r.err))),),
+                              check=lambda r: r.out == "" and r.err.startswith("ERROR: ")
+                              and "the arc cap is 16777216" in r.err),),
     # the 160 reduced words of length 1 to 4 over a, b, c, d on 512 points: the deficiency graph
     # of the whole orbit would have 52,756,992 arcs, past the 2^24 arc cap, but the transfer builds
     # it on the two matched balls only.  The peak measured 364.3-364.4 MB; the 440 MB bound leaves
     # about 20 % above the highest reading.
     "transfer-160-9": (orbital("grigorchuk.act", "words4.elt", "000000000", "101101011", 9, bound=440,
-                               hide="^(SPECTRUM|ELEMENT)",
-                               checks=(NO_TRACEBACK, *lines("TRANSFER: ok", "CROSS-MISSES: 0"))),),
+                               lines=("TRANSFER: ok", "CROSS-MISSES: 0")),),
     # the 13,120 reduced words of length 1 to 8 over a, b, c, d and their inverses: 26,240 word
     # images of 512 points, 13,434,880 (step, point) pairs, under the 2^24 arc cap.  orbit() holds
     # them as one int32 table and searches it through a memoryview: the peak measured 95 MB, against
@@ -183,22 +177,22 @@ CASES = {
     # took 0.64-0.78 s, against 3.8-5.5 s when every token of every word turned its generator's
     # permutation tuple into an array.
     "orbit-13120-9": (Cmd(("-c", ORBIT_SIZE, "grigorchuk.act", "words8.elt"), bound=300,
-                          checks=(("stdout '512'", lambda r: r.out == "512\n"), NO_TRACEBACK)),),
+                          check=lambda r: r.out == "512\n"),),
     "transducer-10": transducer(10),
     "transducer-11": transducer(11),
     # a 2048-vertex cover whose every route step is certified by a lifted eigenvector; a scale
     # check, not a timing gate
-    "cover-cap": (Cmd((*CLI, "cover", "include", "--map", "cap.cov"), hide=ROUTE,
-                      checks=(*lines("COVER ORDER: 2048", "INCLUDED: ok"), count(r"^STEP .* ok$", 256))),),
+    "cover-cap": (Cmd((*CLI, "cover", "include", "--map", "cap.cov"), lines=("COVER ORDER: 2048", "INCLUDED: ok"),
+                      check=lambda r: steps_ok(r) == 256),),
     # the two-sided test runs beside eigvals.  Its peak measured 362.8-364.4 MB, and 374.4-378.3 MB
     # when the moduli, the finiteness mask and the shifted copy were whole-matrix temporaries; the
     # 440 MB bound leaves about 21 % above the highest reading.
-    "spectrum-cap": (Cmd((*CLI, "spectrum", "--graph", "cap.wg", "--check-lambda", "20"), hide="^SPECTRUM",
-                         bound=440, checks=(*lines("ORDER: 2048"), count("^MEMBER: ", 1))),),
+    "spectrum-cap": (Cmd((*CLI, "spectrum", "--graph", "cap.wg", "--check-lambda", "20"), bound=440,
+                         lines=("ORDER: 2048",), check=lambda r: len(re.findall("^MEMBER: ", r.out, re.M)) == 1),),
     # the paper's covering claim on the paper's own graphs, so the base spectrum lies in the cover
     # spectrum; every other cover here is a random voltage lift
-    "tower-8-9": (Cmd((*CLI, "cover", "include", "--map", "tower.cov"), hide=ROUTE, checks=(
-        *lines("COVER ORDER: 512", "BASE ORDER: 256", "VIOLATIONS: 0", "INCLUDED: ok"), count(r"^STEP .* ok$", 256))),),
+    "tower-8-9": (Cmd((*CLI, "cover", "include", "--map", "tower.cov"), check=lambda r: steps_ok(r) == 256,
+                      lines=("COVER ORDER: 512", "BASE ORDER: 256", "VIOLATIONS: 0", "INCLUDED: ok")),),
     # a 2048-vertex star composed with itself has 4,192,256 arcs: a 99 MB .wg written while the
     # self-check runs on a second thread.  Reading it back peaked at 650.5 MB, where reading the
     # whole text and an (source, target, weight) tuple per arc peaked at 1,710 MB.  The peak of
@@ -206,14 +200,12 @@ CASES = {
     # 300 MB bound leaves about 24 % above the highest reading.
     "writes-cap": (
         Cmd((*CLI, "graph-op", "compose", "--graph", "star.wg", "--other", "star.wg", "--out", "star2.wg"),
-            checks=lines("RESULT ARCS: 4192256", "SELF-CHECK: ok")),
-        Cmd(("-c", READ_ARCS, "star2.wg"), one_thread=False, bound=800,
-            checks=(("4192256 arcs read", lambda r: r.out.strip() == "4192256"),)),
-        Cmd((*CLI, "spectrum", "--matrix", "diag.mat", "--out", "diag-out.mat"), hide="", bound=300, checks=((
-            "diag-out.mat equal to diag.mat",
-            lambda r: filecmp.cmp(f"{r.dir}/diag.mat", f"{r.dir}/diag-out.mat", shallow=False)),))),
+            lines=("RESULT ARCS: 4192256", "SELF-CHECK: ok")),
+        Cmd(("-c", READ_ARCS, "star2.wg"), bound=800, check=lambda r: r.out.strip() == "4192256"),
+        Cmd((*CLI, "spectrum", "--matrix", "diag.mat", "--out", "diag-out.mat"), bound=300,
+            check=lambda r: filecmp.cmp(f"{r.dir}/diag.mat", f"{r.dir}/diag-out.mat", shallow=False))),
     # the product of the row and column sums overflows here; the bound itself is 2e200
-    "schur-huge": (Cmd((*CLI, "spectrum", "--matrix", "huge.mat"), one_thread=False),),
+    "schur-huge": (Cmd((*CLI, "spectrum", "--matrix", "huge.mat")),),
 }
 
 
@@ -222,53 +214,21 @@ def _spawn(argv, env, d, tag) -> Run:
     with open(f"{d}/{tag}.out", "wb") as out, open(f"{d}/{tag}.err", "wb") as err:
         proc = subprocess.Popen([sys.executable, *argv], stdout=out, stderr=err, env=env, cwd=d)
         _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
     with open(f"{d}/{tag}.out", encoding="utf-8") as out, open(f"{d}/{tag}.err", encoding="utf-8") as err:
-        return Run(out.read(), err.read(), proc.returncode, usage.ru_maxrss / 1024, d)  # ru_maxrss is in KiB
+        return Run(out.read(), err.read(), os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024, d)  # in KiB
 
 
-def run_case(name, commands, base) -> "str | None":
-    """Write the inputs the commands name and run them in ``base/name``; the first failed check, or None."""
-    d = os.path.join(base, name)
-    os.makedirs(d, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(os.path.join(ROOT, p) for p in ("src", "tests")))
-    for file in dict.fromkeys(a for cmd in commands for a in cmd.argv if a in INPUTS):
-        r = _spawn(("-c", "import sys, cap_cases; cap_cases.write(sys.argv[1])", file), env, d, file)
-        print(r.err, end="")
-        if r.code:
-            return f"writing {file}: exit {r.code}"
-    for k, cmd in enumerate(commands):
-        t = time.perf_counter()
-        r = _spawn(cmd.argv, dict(env, OPENBLAS_NUM_THREADS="1") if cmd.one_thread else env, d, str(k))
-        shown = [line for line in r.out.splitlines() if cmd.hide is None or not re.search(cmd.hide, line)]
-        print(r.err + "".join(f"{line}\n" for line in shown), end="")
-        label = " ".join(itertools.takewhile(lambda a: a[0] != "-", cmd.argv[2:])) if cmd.argv[:2] == CLI else "script"
-        print(f"{name} [{k}] {label}: exit {r.code}, {time.perf_counter() - t:.2f} s, peak {r.peak:.1f} MB"
-              + (f", bound {cmd.bound:g} MB" if cmd.bound else ""), flush=True)
-        checks = ((f"exit {cmd.code}", lambda r: r.code == cmd.code), *cmd.checks,
-                  (f"peak below {cmd.bound:g} MB", lambda r: not cmd.bound or r.peak < cmd.bound))
-        failed = next((what for what, test in checks if not test(r)), None)
-        if failed:
-            return f"{label}: {failed}"
-    return None
-
-
-def main(argv=None) -> int:
-    names = sys.argv[1:] if argv is None else argv
-    names = list(CASES) if names == ["--all"] else names
-    if not names or any(n not in CASES for n in names):
-        print(f"usage: cap_cases.py NAME...|--all, with NAME one of: {' '.join(CASES)}", file=sys.stderr)
-        return 2
-    with tempfile.TemporaryDirectory(prefix="cap-cases-") as scratch:
-        base = os.environ.get("RUNNER_TEMP") or scratch
-        for name in names:
-            failed = run_case(name, CASES[name], base)
-            if failed:
-                print(f"FAILED {name}: {failed}", flush=True)
-                return 1
-            print(f"{name}: ok", flush=True)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+@pytest.mark.parametrize("name", CASES)
+def test_case(name, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(os.path.join(ROOT, p) for p in ("src", "tests")))
+    for file in dict.fromkeys(a for cmd in CASES[name] for a in cmd.argv if a in INPUTS):
+        r = _spawn(("-c", "import sys, cap_cases; cap_cases.write(sys.argv[1])", file), env, tmp_path, file)
+        assert r.code == 0, f"writing {file}: {r.err}"
+    for k, cmd in enumerate(CASES[name]):
+        r = _spawn(cmd.argv, env, tmp_path, str(k))
+        print(f"{r.err}{r.out}[{k}] exit {r.code}, peak {r.peak:.1f} MB")
+        assert r.code == cmd.code and "Traceback" not in r.err
+        assert set(cmd.lines) <= set(r.out.split("\n"))
+        assert cmd.check is None or cmd.check(r)
+        assert not cmd.bound or r.peak < cmd.bound

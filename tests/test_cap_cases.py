@@ -1,39 +1,22 @@
-"""The cap-case runner of tests/cap_cases.py on its two smallest cases; CI runs every case, one per step."""
+"""The cap cases of tests/cap_cases.py on its two smallest cases; CI runs every case, one per step."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cap_cases
 
-CAP_CASES = Path(__file__).with_name("cap_cases.py")
 
-
-def test_the_two_smallest_cases_pass_through_the_command_line(tmp_path):
-    run = subprocess.run([sys.executable, str(CAP_CASES), "two-orbits-nonnormal", "schur-huge"],
-                         capture_output=True, text=True, env=dict(os.environ, RUNNER_TEMP=str(tmp_path)))
-    assert run.returncode == 0, run.stdout + run.stderr
-    assert "ORBIT Y: q0 size=4\nR: " in run.stdout and "\ntwo-orbits-nonnormal: ok\n" in run.stdout
-    assert "\nORDER: 2\nSPECTRUM: 0.0 2e+200\nschur-huge [0] spectrum: exit 0, " in run.stdout
-    assert run.stdout.endswith("\nschur-huge: ok\n")
-    assert (tmp_path / "schur-huge" / "huge.mat").read_text() == "matrix 1\ndim 2\n1e200 1e200\n1e200 1e200\n"
-
-
-def test_a_broken_check_fails_its_case_and_names_the_check(tmp_path, monkeypatch, capsys):
-    (cmd,) = cap_cases.CASES["two-orbits-nonnormal"]
-    broken = cmd._replace(checks=(cmd.checks[0], *cap_cases.lines("ORBIT Y: q0 size=5")))
-    monkeypatch.setitem(cap_cases.CASES, "broken", (broken,))
-    monkeypatch.setenv("RUNNER_TEMP", str(tmp_path))
-    assert cap_cases.main(["broken", "schur-huge"]) == 1
-    out = capsys.readouterr().out
-    assert out.endswith("\nFAILED broken: orbital: the report line 'ORBIT Y: q0 size=5'\n")
-    assert "CROSS-CHECKS: 6\n" in out and not (tmp_path / "schur-huge").exists()  # the first failure ends the run
-    assert cap_cases.main(["two-orbits-nonnormal", "no-such-case"]) == 2
+@pytest.mark.parametrize("name", ["two-orbits-nonnormal", "schur-huge"])
+def test_the_two_smallest_cases_pass(name, tmp_path):
+    cap_cases.test_case(name, tmp_path)
 
 
 def test_importing_the_table_loads_neither_numpy_nor_wgraph():
     code = "import sys, cap_cases; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'wgraph'}))"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=str(CAP_CASES.parent)))
+                         env=dict(os.environ, PYTHONPATH=str(Path(__file__).parent)))
     assert run.stdout == "[]\n"

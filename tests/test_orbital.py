@@ -772,11 +772,11 @@ def test_lazy_matches_code_each_radius_once_and_keep_no_codes(monkeypatch):
     assert all(ref() is None for ref in codes)  # while the result lives, no code does
 
 
-def _search_probes(failed: int, cap: int) -> list:
+def _search_probes(failed: int, cap: int, cap_known: bool = False) -> list:
     """The radii that the search for a first failure at ``failed`` (``cap + 1`` when none
-    fails) codes: ``cap`` first, and only when it fails 0, 1, 3, 7, ... below ``cap`` until
-    one fails, then a bisection."""
-    probes, lo, hi = [cap], -1, 0
+    fails) codes: ``cap`` first unless it is known to fail uncoded, and only when it fails
+    0, 1, 3, 7, ... below ``cap`` until one fails, then a bisection."""
+    probes, lo, hi = ([] if cap_known else [cap]), -1, 0
     if failed > cap:
         return probes
     while hi < cap:
@@ -790,9 +790,9 @@ def _search_probes(failed: int, cap: int) -> list:
     return probes
 
 
-def _assert_codes_only_the_search_probes(coded, gx, gy, cap, failed):
+def _assert_codes_only_the_search_probes(coded, gx, gy, cap, failed, cap_known=False):
     radii = [args[2] for args in coded]
-    assert list(dict.fromkeys(radii)) == _search_probes(failed, cap)  # each probe in turn
+    assert list(dict.fromkeys(radii)) == _search_probes(failed, cap, cap_known)  # each probe in turn
     assert len(radii) == (len(gx.graph.vertices) + len(gy.graph.vertices)) * len(set(radii))
     assert max(set(radii) - {cap}, default=-1) <= 2 * failed + 1
     assert len(set(radii)) <= 2 * math.ceil(math.log2(cap + 2)) + 2
@@ -807,11 +807,15 @@ def test_different_adjacency_codes_only_the_search_probes(monkeypatch):
     # the same permutations under swapped names b <-> d, a different labeled graph
     swapped = GroupAction(act.points, {**act.perms, "b": act.perms["d"], "d": act.perms["b"]})
     gz, gz_swapped = orbital_graph(act, "000000", elem), orbital_graph(swapped, "000000", elem)
-    for gx, gy, cap, max_ok in ((g3, g4, 5, 3), (g4, g4_relabeled, 9, 9), (gz, gz_swapped, 65, 0)):
+    # an 8-cycle and a 16-cycle: at the cap 9 each is the whole ball around its first vertex, so
+    # the cap fails uncoded; at 3 and 5 the 16-cycle is not, and the cap is probed
+    cases = ((g3, g4, 3, 3, False), (g3, g4, 5, 3, False), (g3, g4, 9, 3, True), (g4, g4_relabeled, 9, 9, False),
+             (gz, gz_swapped, 65, 0, False))
+    for gx, gy, cap, max_ok, cap_known in cases:
         want = reference_local_iso(gx, gy, min(cap, 5)).radii
         coded = _counting(monkeypatch, "_ball_code")
         res = local_iso_check(gx, gy, cap)
-        _assert_codes_only_the_search_probes(coded, gx, gy, cap, max_ok + 1)
+        _assert_codes_only_the_search_probes(coded, gx, gy, cap, max_ok + 1, cap_known)
         assert res.max_ok_radius == max_ok
         assert res.radii[:len(want)] == want
         monkeypatch.undo()
